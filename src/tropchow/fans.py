@@ -17,15 +17,33 @@ ConeKey = tuple[int, ...]
 
 
 class Fan:
-    """Immutable fan; build through fan_from_max_cones or module helpers."""
+    """Immutable fan; build through fan_from_max_cones or module helpers.
+
+    Data derived from the rays and cones (H-representations, faces, cone
+    dimensions, smoothness, unimodular duals, ray functions, ...) is
+    computed on first use and kept on this object, so a Fan must never be
+    mutated. Separately built fans share nothing, even when equal.
+    """
 
     def __init__(self, rank: int, rays, cones):
         self.rank = rank
         self.rays = tuple(tuple(r) for r in rays)
         self.cones = tuple(tuple(c) for c in cones)
         self._hrep: dict[ConeKey, tuple] = {}
+        self._faces: dict[ConeKey, tuple] = {}
         self._dim: dict[ConeKey, int] = {}
         self._max: tuple[ConeKey, ...] | None = None
+        self._derived: dict = {}
+
+    def cached(self, key, compute):
+        """compute() on first use, then the same object for this fan.
+
+        A call that raises stores nothing, so a refusal is raised again
+        on every call.
+        """
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     # -- basic queries ------------------------------------------------------
 
@@ -55,7 +73,22 @@ class Fan:
         return self._max
 
     def cones_of_dim(self, d: int):
-        return tuple(c for c in self.cones if self.cone_dim(c) == d)
+        return self.cached("cones_by_dim", self._cones_by_dim).get(d, ())
+
+    def _cones_by_dim(self):
+        by_dim: dict[int, list] = {}
+        for c in self.cones:
+            by_dim.setdefault(self.cone_dim(c), []).append(c)
+        return {d: tuple(cs) for d, cs in by_dim.items()}
+
+    def max_cone_over(self, cone: ConeKey) -> ConeKey:
+        """First top cone having the given cone as a face."""
+        def first():
+            for m in self.max_cones:
+                if set(cone) <= set(m):
+                    return m
+            raise ValueError("cone is not a face of any top cone")
+        return self.cached(("max_over", cone), first)
 
     def relint_point(self, cone: ConeKey):
         pt = [0] * self.rank
@@ -97,7 +130,25 @@ class Fan:
         return linalg.lattice_index(mat)
 
     def is_smooth(self) -> bool:
-        return all(self.cone_multiplicity(c) == 1 for c in self.max_cones)
+        return self.cached("smooth", lambda: all(
+            self.cone_multiplicity(c) == 1 for c in self.max_cones))
+
+    def unimodular_duals(self) -> dict:
+        """Integer inverse of the ray matrix of every top cone, keyed by
+        cone: its rows are the dual basis. Needs a smooth fan whose top
+        cones are all full-dimensional."""
+        return self.cached("duals", self._unimodular_duals)
+
+    def _unimodular_duals(self):
+        n = self.rank
+        duals = {}
+        for m in self.max_cones:
+            if self.cone_dim(m) != n:
+                raise ValueError("fan is not complete")
+            rays = self.cone_rays(m)
+            duals[m] = linalg.invert_unimodular(
+                [[r[i] for r in rays] for i in range(n)])
+        return duals
 
     def is_complete(self) -> bool:
         if self.rank == 0:
@@ -124,8 +175,7 @@ class Fan:
 
 
 def _faces_as_keys(fan: Fan, cone: ConeKey):
-    key = ("faces", cone)
-    if key not in fan._hrep:
+    if cone not in fan._faces:
         eqs, ineqs = fan.cone_hrep(cone)
         rays = fan.cone_rays(cone)
         faces = set()
@@ -136,8 +186,8 @@ def _faces_as_keys(fan: Fan, cone: ConeKey):
                                     for w in sub))
                 faces.add(face)
         faces.add(())
-        fan._hrep[key] = tuple(sorted(faces))
-    return fan._hrep[key]
+        fan._faces[cone] = tuple(sorted(faces))
+    return fan._faces[cone]
 
 
 def fan_from_max_cones(rank: int, generator_lists) -> Fan:

@@ -16,8 +16,7 @@ from . import linalg, polyhedra
 from .fans import Fan, fan_from_max_cones, resolve_smooth
 from .piecewise import (PiecewisePolynomial, courant_function, min_refinement,
                         pp_pullback)
-from .weights import (MinkowskiWeight, courant_monomial, localization_degree,
-                      mw_of_pp, pushforward_witness)
+from .weights import MinkowskiWeight, pushforward_witness, ray_monomial_class
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def _support_certificate(ideal: MonomialIdeal, piece: MinkowskiWeight, k: int):
     taus = ambient.cones_of_dim(ambient.rank - k)
     cols = []
     for c in support:
-        w = mw_of_pp(courant_monomial(ambient, c), k)
+        w = ray_monomial_class(ambient, c)
         cols.append([w.values[t] for t in taus])
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(taus))]
     rhs = [piece.values[t] for t in taus]

@@ -97,10 +97,7 @@ class PiecewisePolynomial:
 
     def piece_on(self, cone) -> Polynomial:
         """Piece of some top cone containing the given fan cone."""
-        for m in self.fan.max_cones:
-            if set(cone) <= set(m):
-                return self.pieces[m]
-        raise ValueError("cone is not a face of any top cone")
+        return self.pieces[self.fan.max_cone_over(cone)]
 
     def is_zero(self) -> bool:
         for c in self.fan.max_cones:
@@ -145,7 +142,13 @@ def courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
     Requires a simplicial fan. On top cones of less than full dimension
     the linear piece is pinned down by least squares, which keeps the
     choice canonical; values on the fan support do not depend on it.
+    Computed once per fan object, which then returns the same function.
     """
+    return fan.cached(("courant", ray_index),
+                      lambda: _courant_function(fan, ray_index))
+
+
+def _courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
     pieces = {}
     for m in fan.max_cones:
         rays = fan.cone_rays(m)

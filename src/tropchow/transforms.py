@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .fans import (Fan, StarFan, fan_from_max_cones, resolve_smooth, star_fan,
@@ -28,7 +29,7 @@ from .piecewise import (PiecewisePolynomial, courant_function,
                         excess_chern_class, min_refinement, pp_min,
                         pp_pullback, restrict_to_star)
 from .weights import (MinkowskiWeight, courant_monomial, localization_degree,
-                      mw_of_pp, mw_to_pp)
+                      mw_of_pp, mw_to_pp, ray_monomial_class)
 
 
 class ToricCycle:
@@ -74,7 +75,7 @@ def cycle_from_class(fan: Fan, weight: MinkowskiWeight) -> ToricCycle:
     k = weight.codim
     carriers = fan.cones_of_dim(k)
     duals = fan.cones_of_dim(fan.rank - k)
-    cols = [mw_of_pp(courant_monomial(fan, c), k).values for c in carriers]
+    cols = [ray_monomial_class(fan, c).values for c in carriers]
     mat = [[cols[j][t] for j in range(len(carriers))] for t in duals]
     sol = linalg.solve(mat, [weight.values[t] for t in duals])
     if sol is None:
@@ -136,18 +137,8 @@ def _stellar_tower(coarse: Fan, fine: Fan):
     while set(g.rays) != set(coarse.rays):
         found = None
         for r in sorted(set(g.rays) - set(coarse.rays)):
-            ri = g.rays.index(r)
-            around = [m for m in g.max_cones if ri in m]
-            crays = sorted({g.rays[i] for m in around for i in m} - {r})
-            if tuple(sum(x) for x in zip(*crays)) != r:
-                continue
-            kept = [g.cone_rays(m) for m in g.max_cones if ri not in m]
-            cand = fan_from_max_cones(g.rank, kept + [crays])
-            key = tuple(sorted(cand.rays.index(v) for v in crays))
-            if key not in set(cand.cones) or not cand.is_smooth():
-                continue
-            if stellar_subdivision(cand, key, r) == g:
-                found = (cand, key, r, g)
+            found = _undo_stellar(g, r)
+            if found is not None:
                 break
         if found is None:
             raise ValueError("refinement does not factor into smooth "
@@ -158,6 +149,37 @@ def _stellar_tower(coarse: Fan, fine: Fan):
         raise ValueError("stellar factorization missed the carrier fan")
     steps.reverse()
     return steps
+
+
+def _undo_stellar(g: Fan, r):
+    """(coarser fan, center, r, g) when g is the stellar subdivision of a
+    smooth fan at a smooth cone whose rays sum to r; None otherwise.
+
+    The center is sought among the subsets of r's link summing to r,
+    the whole link first: the center of a point blowup is a top cone.
+    Each top cone around r gives the coarse cone with r traded for the
+    center's rays."""
+    ri = g.rays.index(r)
+    around = [set(m) - {ri} for m in g.max_cones if ri in m]
+    link = sorted(set().union(*around))
+    kept = [g.cone_rays(m) for m in g.max_cones if ri not in m]
+    for size in range(len(link), 1, -1):
+        for center in combinations(link, size):
+            rays = [g.rays[i] for i in center]
+            if tuple(sum(x) for x in zip(*rays)) != r:
+                continue
+            star = {tuple(sorted(m | set(center))) for m in around}
+            try:
+                cand = fan_from_max_cones(
+                    g.rank, kept + [g.cone_rays(c) for c in sorted(star)])
+            except ValueError:  # a cone with a line: not the center
+                continue
+            key = tuple(sorted(cand.rays.index(v) for v in rays))
+            if key not in set(cand.cones) or not cand.is_smooth():
+                continue
+            if stellar_subdivision(cand, key, r) == g:
+                return cand, key, r, g
+    return None
 
 
 class _StellarStep:

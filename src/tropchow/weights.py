@@ -142,36 +142,37 @@ def localization_degree(f: PiecewisePolynomial) -> Fraction:
         return localization_degree(
             pp_pullback(fine, linalg.identity_matrix(n), f))
     top = f.homogeneous_component(n)
-    duals = {}
-    for m in fan.max_cones:
-        if fan.cone_dim(m) != n:
-            raise ValueError("fan is not complete")
-        rays = fan.cone_rays(m)
-        mat = [[r[i] for r in rays] for i in range(n)]
-        duals[m] = linalg.invert_unimodular(mat)
     results = []
-    for t in _primes():
-        point = tuple(t ** i for i in range(n))
+    for point, denoms in fan.cached("localization_points",
+                                    lambda: _localization_points(fan)):
         total = Fraction(0)
-        valid = True
-        for m in fan.max_cones:
-            denom = Fraction(1)
-            for row in duals[m]:
-                val = sum(a * b for a, b in zip(row, point))
-                if val == 0:
-                    valid = False
-                    break
-                denom *= val
-            if not valid:
-                break
+        for m, denom in zip(fan.max_cones, denoms):
             total += top.pieces[m].evaluate(point) / denom
-        if not valid:
-            continue
         results.append(total)
-        if len(results) == 2:
-            if results[0] != results[1]:
-                raise ArithmeticError("localization gave inconsistent values")
-            return results[0]
+    if results[0] != results[1]:
+        raise ArithmeticError("localization gave inconsistent values")
+    return results[0]
+
+
+def _localization_points(fan: Fan):
+    """The first two test points at which no dual basis vector of a top
+    cone vanishes, each with the product of those values per top cone."""
+    duals = fan.unimodular_duals()
+    points = []
+    for t in _primes():
+        point = tuple(t ** i for i in range(fan.rank))
+        denoms = []
+        for m in fan.max_cones:
+            denom = 1
+            for row in duals[m]:
+                denom *= sum(a * b for a, b in zip(row, point))
+            if denom == 0:
+                break
+            denoms.append(denom)
+        else:
+            points.append((point, denoms))
+            if len(points) == 2:
+                return points
     raise ArithmeticError("no valid localization points found")
 
 
@@ -180,6 +181,14 @@ def courant_monomial(fan: Fan, ray_indices) -> PiecewisePolynomial:
     for i in ray_indices:
         out = out * courant_function(fan, i)
     return out
+
+
+def ray_monomial_class(fan: Fan, ray_indices) -> MinkowskiWeight:
+    """Weight of a monomial in the ray functions; computed once per fan
+    object, which then returns the same weight."""
+    mono = tuple(sorted(ray_indices))
+    return fan.cached(("ray_class", mono), lambda: mw_of_pp(
+        courant_monomial(fan, mono), len(mono)))
 
 
 def mw_of_pp(f: PiecewisePolynomial, codim: int) -> MinkowskiWeight:
@@ -328,7 +337,7 @@ def pl_cap(phi: PiecewisePolynomial, w: MinkowskiWeight) -> MinkowskiWeight:
             if z == 0:
                 continue
             lift = linalg.mat_vec(sect, image)
-            bend += z * phi.pieces[_max_over(fan, sigma)].evaluate(lift)
+            bend += z * phi.piece_on(sigma).evaluate(lift)
             drift = [d + z * x for d, x in zip(drift, lift)]
         bend -= sum(e * x for e, x in zip(ext, drift))
         values[tau] = bend
@@ -344,13 +353,6 @@ def _tau_split(fan: Fan, tau):
     return ident, ident, []
 
 
-def _max_over(fan: Fan, cone):
-    for m in fan.max_cones:
-        if set(cone) <= set(m):
-            return m
-    raise ValueError("cone is not below any top cone")
-
-
 # ---------------------------------------------------------------------------
 # witnesses for weights
 
@@ -363,7 +365,7 @@ def mw_to_pp(w: MinkowskiWeight) -> PiecewisePolynomial:
                         for c in combinations_with_replacement(m, k)})
     columns = []
     for mono in monomials:
-        mw = mw_of_pp(courant_monomial(fan, mono), k)
+        mw = ray_monomial_class(fan, mono)
         columns.append([mw.values[tau]
                        for tau in fan.cones_of_dim(fan.rank - k)])
     rhs = [w.values[tau] for tau in fan.cones_of_dim(fan.rank - k)]

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -210,6 +211,21 @@ def test_fulton_verify_line_through_center(capsys, tmp_path):
         {"cone": [[1, 0]], "value": "1"}]
     assert len(payload["decomposition"]) == 1
     assert payload["decomposition"][0]["new_ray"] == [1, 1]
+
+
+def test_fulton_verify_p3_along_a_line(capsys, tmp_path):
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    p3 = fan_from_max_cones(3, [list(c) for c in combinations(e, 3)])
+    line = [[1, 0, 0], [0, 1, 0]]
+    path = _write(tmp_path, "setup.json", "setup", {
+        "base": io.fan_to_payload(p3),
+        "center": line,
+        "modification": None,
+        "cycle": {"codim": 2,
+                  "coefficients": [{"cone": line, "value": 1}]}})
+    code, out, _ = _run(capsys, "fulton", "verify", "--setup", path)
+    assert code == 0
+    assert "verdict: verified" in out
 
 
 def test_tropdr_graphs_example(capsys):

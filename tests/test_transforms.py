@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -20,6 +21,17 @@ def _p1xp1():
     return fans.fan_from_max_cones(2, [
         [(1, 0), (0, 1)], [(0, 1), (-1, 0)],
         [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
+
+
+def _p3():
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    return fans.fan_from_max_cones(3, [list(c) for c in combinations(e, 3)])
+
+
+def _p1_cubed():
+    return fans.fan_from_max_cones(3, [
+        [(a, 0, 0), (0, b, 0), (0, 0, c)]
+        for a, b, c in product((1, -1), repeat=3)])
 
 
 def _ray_cone(fan, *rays):
@@ -190,3 +202,36 @@ def test_class_representatives_roundtrip():
     assert again.class_weight == v.class_weight
     pt = ToricCycle(f, 2, {_ray_cone(f, (1, 0), (0, 1)): Fraction(3)})
     assert cycle_from_class(f, pt.class_weight).class_weight == pt.class_weight
+
+
+LINE = ((1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("make_fan", [_p3, _p1_cubed])
+@pytest.mark.parametrize("codim", [1, 2, 3])
+def test_line_blowup_verifies(make_fan, codim):
+    """A rank-3 blowup along an invariant line factors through one
+    stellar step at the line; cycles of codimension 1, 2 and 3 through
+    the line verify, each with a nonzero correction."""
+    f = make_fan()
+    setup = BlowupSetup(f, _ray_cone(f, *LINE))
+    (step,) = setup.tower()
+    assert step.ray == (1, 1, 0)
+    assert step.base == f and step.center == setup.center
+    cycle_rays = (LINE + ((0, 0, 1),))[:codim]
+    v = ToricCycle(f, codim, {_ray_cone(f, *cycle_rays): 1})
+    report = verify_fulton_identity(v, setup)
+    assert report.verdict == "verified"
+    assert not report.correction.class_weight.is_zero()
+
+
+def test_line_blowup_divisor_correction_is_exceptional():
+    f = _p3()
+    setup = BlowupSetup(f, _ray_cone(f, *LINE))
+    fine = setup.refined
+    v = ToricCycle(f, 1, {_ray_cone(f, (1, 0, 0)): 1})
+    corr, _ = fulton_correction(v, setup)
+    assert corr.class_weight == mw_of_pp(
+        courant_function(fine, fine.rays.index((1, 1, 0))), 1)
+    centre = ToricCycle(f, 2, {_ray_cone(f, *LINE): 1})
+    assert strict_transform(centre, setup).coefficients == {}

@@ -8,7 +8,8 @@ from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
                               fundamental_weight, is_balanced,
                               localization_degree, mw_of_pp, mw_product,
-                              mw_to_pp, pl_cap, pushforward_witness)
+                              mw_to_pp, pl_cap, pushforward_witness,
+                              ray_monomial_class)
 
 
 def _p1():
@@ -165,3 +166,35 @@ def test_balanced_ranks():
     assert [balanced_weight_rank(p2, k) for k in range(3)] == [1, 1, 1]
     bl = _bl_p2()
     assert [balanced_weight_rank(bl, k) for k in range(3)] == [1, 2, 1]
+
+
+def test_derived_data_is_kept_per_fan_object():
+    f, g = _bl_p2(), _bl_p2()
+    assert f == g and f is not g
+    assert courant_function(f, 1) is courant_function(f, 1)
+    assert courant_function(g, 1) is not courant_function(f, 1)
+    assert courant_function(g, 1) == courant_function(f, 1)
+    assert f.unimodular_duals() is f.unimodular_duals()
+    assert g.unimodular_duals() is not f.unimodular_duals()
+    assert ray_monomial_class(f, (2, 0)) is ray_monomial_class(f, (0, 2))
+    assert ray_monomial_class(g, (0, 2)) is not ray_monomial_class(f, (0, 2))
+    assert ray_monomial_class(f, (0, 2)) == mw_of_pp(
+        courant_function(f, 0) * courant_function(f, 2), 2)
+    assert f.max_cone_over((1,)) in f.max_cones
+    assert set(f.max_cone_over((1,))) >= {1}
+
+
+def test_refusals_are_not_cached():
+    square = fans.fan_from_max_cones(3, [
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not simplicial"):
+            courant_function(square, 0)
+    # a lone extra ray is smooth but not full-dimensional
+    partial = fans.fan_from_max_cones(2, [[(1, 0), (0, 1)], [(-1, 0)]])
+    one = PiecewisePolynomial.constant(partial, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not complete"):
+            localization_degree(one)
+    with pytest.raises(ValueError, match="not a face"):
+        partial.max_cone_over((0, 1, 2))
