@@ -136,18 +136,24 @@ class Fan:
     def unimodular_duals(self) -> dict:
         """Integer inverse of the ray matrix of every top cone, keyed by
         cone: its rows are the dual basis. Needs a smooth fan whose top
-        cones are all full-dimensional."""
+        cones are all full-dimensional and every ridge in exactly two of
+        them, i.e. a complete smooth fan."""
         return self.cached("duals", self._unimodular_duals)
 
     def _unimodular_duals(self):
         n = self.rank
         duals = {}
+        ridges: dict[ConeKey, int] = {}  # (n-1)-subsets of smooth top cones
         for m in self.max_cones:
             if self.cone_dim(m) != n:
                 raise ValueError("fan is not complete")
+            for ridge in combinations(m, n - 1) if n else ():
+                ridges[ridge] = ridges.get(ridge, 0) + 1
             rays = self.cone_rays(m)
             duals[m] = linalg.invert_unimodular(
                 [[r[i] for r in rays] for i in range(n)])
+        if any(count != 2 for count in ridges.values()):
+            raise ValueError("fan is not complete")
         return duals
 
     def is_complete(self) -> bool:

@@ -101,29 +101,55 @@ class WeightedDualGraph:
         return (graph.genus, graph.edges, graph.legs)
 
 
+def _degenerations(graph: WeightedDualGraph):
+    """Every stable graph with one more edge that contracts back to this
+    one: a unit of genus traded for a loop, or a vertex split in two
+    joined by a new edge, sharing out its genus, its half-edges (a loop
+    has two) and its legs. Unstable candidates fail the constructor."""
+    genus, edges, legs = graph.genus, graph.edges, graph.legs
+    new = len(genus)
+    for v, h in enumerate(genus):
+        if h:
+            yield WeightedDualGraph(genus[:v] + (h - 1,) + genus[v + 1:],
+                                    edges + ((v, v),), legs)
+        ends = [(i, k) for i, e in enumerate(edges) for k in (0, 1)
+                if e[k] == v]
+        ends += [(j, None) for j, x in enumerate(legs) if x == v]
+        for moved in itertools.product((0, 1), repeat=len(ends)):
+            if moved[:1] == (1,):
+                continue  # mirrors the split keeping the first end at v
+            out = {end for end, m in zip(ends, moved) if m}
+            split_edges = tuple(
+                tuple(new if (i, k) in out else x for k, x in enumerate(e))
+                for i, e in enumerate(edges)) + ((v, new),)
+            split_legs = tuple(new if (j, None) in out else x
+                               for j, x in enumerate(legs))
+            for h1 in range(h + 1):
+                try:
+                    cand = WeightedDualGraph(
+                        genus[:v] + (h1,) + genus[v + 1:] + (h - h1,),
+                        split_edges, split_legs)
+                except ValueError:
+                    continue
+                yield cand
+
+
 def enumerate_stable_graphs(g: int, n: int, max_edges=None):
-    """All stable weighted dual graphs of genus g with n labelled legs,
-    one per isomorphism class, in canonical order."""
+    """All stable weighted dual graphs of genus g with n labelled legs and
+    at most max_edges edges, one per isomorphism class, in canonical order,
+    grown edge by edge from the one-vertex graph by degeneration (any edge
+    of a stable graph contracts to a stable graph; none has more than
+    3g - 3 + n edges)."""
     if 2 * g - 2 + n <= 0:
         raise ValueError("no stable graphs: 2g - 2 + n must be positive")
+    cap = 3 * g - 3 + n if max_edges is None else min(max_edges, 3 * g - 3 + n)
     found = {}
-    # the per-vertex surpluses 2h - 2 + val sum to 2g - 2 + n, each >= 1
-    for nv in range(1, 2 * g - 2 + n + 1):
-        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
-        for genus in itertools.product(range(g + 1), repeat=nv):
-            b1 = g - sum(genus)
-            if b1 < 0:
-                continue
-            ne = nv - 1 + b1
-            if max_edges is not None and ne > max_edges:
-                continue
-            for edges in itertools.combinations_with_replacement(pairs, ne):
-                for legs in itertools.product(range(nv), repeat=n):
-                    try:
-                        graph = WeightedDualGraph(genus, edges, legs)
-                    except ValueError:
-                        continue
-                    found.setdefault(graph.canonical_key(), graph)
+    layer = (WeightedDualGraph((g,), (), (0,) * n),)
+    for _ in range(cap + 1):
+        kept = {graph.canonical_key(): graph for graph in layer}
+        found.update(kept)
+        layer = (cand for graph in kept.values()
+                 for cand in _degenerations(graph))
     return [WeightedDualGraph(*key) for key in sorted(found)]
 
 
@@ -288,19 +314,16 @@ def dr_cone(graph: WeightedDualGraph, assignment: SlopeAssignment) -> DRCone:
         raise ValueError("assignment does not belong to this graph")
     ne = graph.num_edges
     equations = _cycle_rows(graph, assignment.slopes)
-    if ne == 0:
-        return DRCone(assignment, (), (), True)
-    ineqs = []
-    for i in range(ne):
-        row = [0] * ne
-        row[i] = 1
-        ineqs.append((tuple(row), 0))
-    for row in equations:
-        ineqs.append((row, 0))
-        ineqs.append((tuple(-c for c in row), 0))
-    _, rays = polyhedra.polytope_vertices(ineqs, ne)
+    rays = _edge_cone_rays(equations, (), ne)
     full = all(any(r[i] for r in rays) for i in range(ne))
-    return DRCone(assignment, equations, tuple(sorted(rays)), full)
+    return DRCone(assignment, equations, rays, full)
+
+
+def _edge_cone_rays(equations, walls, ne: int):
+    """Extreme rays of {x >= 0 : equations vanish, walls nonnegative} in
+    the edge-length space, computed inside the kernel of the equations."""
+    orthant = tuple(tuple(int(i == j) for j in range(ne)) for i in range(ne))
+    return polyhedra.rays_from_constraints((equations, orthant + walls), ne)
 
 
 @dataclass(frozen=True)
@@ -555,28 +578,11 @@ def _wall_key(vec):
     return out
 
 
-def _region_rays(ineqs, dim):
-    _, rays = polyhedra.polytope_vertices(ineqs, dim)
-    return tuple(sorted(rays))
-
-
 def rubber_pieces(cone: DRCone):
     """Split a cone along every hyperplane equating two vertex levels,
     so the level picture is constant on each piece's interior."""
     graph = cone.graph
     ne = graph.num_edges
-    if ne == 0:
-        rt = rubber_type(graph, cone.assignment, ())
-        return (RubberPiece(cone, (), rt, True, True,
-                            rt.expected_dimension == 0),)
-    base = []
-    for i in range(ne):
-        row = [0] * ne
-        row[i] = 1
-        base.append((tuple(row), 0))
-    for row in cone.equations:
-        base.append((row, 0))
-        base.append((tuple(-c for c in row), 0))
     rows = _potential_rows(graph, cone.assignment.slopes)
     walls = set()
     for u in range(graph.num_vertices):
@@ -584,18 +590,18 @@ def rubber_pieces(cone: DRCone):
             diff = tuple(a - b for a, b in zip(rows[u], rows[v]))
             if any(diff):
                 walls.add(_wall_key(diff))
-    regions = [(tuple(base), cone.rays)]
+    regions = [((), cone.rays)]
     for wall in sorted(walls):
         anti = tuple(-c for c in wall)
         split = []
-        for ineqs, rays in regions:
-            upper = ineqs + ((wall, 0),)
-            lower = ineqs + ((anti, 0),)
-            up_rays = _region_rays(upper, ne)
+        for sides, rays in regions:
+            upper = sides + (wall,)
+            lower = sides + (anti,)
+            up_rays = _edge_cone_rays(cone.equations, upper, ne)
             if up_rays == rays:
                 split.append((upper, rays))
                 continue
-            low_rays = _region_rays(lower, ne)
+            low_rays = _edge_cone_rays(cone.equations, lower, ne)
             if low_rays == rays:
                 split.append((lower, rays))
                 continue
@@ -603,11 +609,7 @@ def rubber_pieces(cone: DRCone):
             split.append((lower, low_rays))
         regions = split
     out = []
-    seen = set()
-    for _, rays in regions:
-        if rays in seen:
-            continue
-        seen.add(rays)
+    for rays in dict.fromkeys(rays for _, rays in regions):
         point = [Fraction(sum(r[i] for r in rays)) for i in range(ne)]
         rt = rubber_type(graph, cone.assignment, point)
         dim = linalg.rank(list(rays)) if rays else 0
@@ -673,21 +675,9 @@ def tc_fiber_product(a: DRSubfan, b: DRSubfan) -> TCComplex:
         for cl in left_piece.cones:
             for cr in right_piece.cones:
                 equations = tuple(dict.fromkeys(cl.equations + cr.equations))
-                if ne == 0:
-                    cones.append(TCCone(graph, cl.assignment, cr.assignment,
-                                        equations, ()))
-                    continue
-                ineqs = []
-                for i in range(ne):
-                    row = [0] * ne
-                    row[i] = 1
-                    ineqs.append((tuple(row), 0))
-                for row in equations:
-                    ineqs.append((row, 0))
-                    ineqs.append((tuple(-c for c in row), 0))
-                _, rays = polyhedra.polytope_vertices(ineqs, ne)
                 cones.append(TCCone(graph, cl.assignment, cr.assignment,
-                                    equations, tuple(sorted(rays))))
+                                    equations,
+                                    _edge_cone_rays(equations, (), ne)))
         pieces.append(TCPiece(graph, _maximal_cones(cones)))
     return TCComplex(a.genus, a.num_legs, (a.contact, b.contact),
                      tuple(pieces))

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from tropchow import tropical
+from tropchow.polyhedra import polytope_vertices
 from tropchow.tropical import (DRCone, SlopeAssignment, WeightedDualGraph,
                                balanced_slopes, dr_cone, dr_subfan,
                                enumerate_stable_graphs, rubber_pieces,
@@ -35,6 +38,54 @@ def test_enumeration_counts():
 
 def test_enumeration_edge_cap():
     assert len(enumerate_stable_graphs(1, 2, max_edges=0)) == 1
+    assert enumerate_stable_graphs(1, 2, max_edges=-1) == []
+    capped = enumerate_stable_graphs(1, 2, max_edges=1)
+    assert capped == [g for g in enumerate_stable_graphs(1, 2)
+                      if g.num_edges <= 1]
+    assert sorted((g.num_vertices, g.num_edges) for g in capped) == [
+        (1, 0), (1, 1), (2, 1)]
+
+
+def _brute_force_graphs(g, n):
+    """Second algorithm: every genus vector x edge multiset x leg
+    placement with the right Betti number, kept up to isomorphism."""
+    found = {}
+    # the per-vertex surpluses 2h - 2 + val sum to 2g - 2 + n, each >= 1
+    for nv in range(1, 2 * g - 2 + n + 1):
+        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+        for genus in itertools.product(range(g + 1), repeat=nv):
+            b1 = g - sum(genus)
+            if b1 < 0:
+                continue
+            for edges in itertools.combinations_with_replacement(
+                    pairs, nv - 1 + b1):
+                for legs in itertools.product(range(nv), repeat=n):
+                    try:
+                        graph = WeightedDualGraph(genus, edges, legs)
+                    except ValueError:
+                        continue
+                    found.setdefault(graph.canonical_key(), graph)
+    return [WeightedDualGraph(*key) for key in sorted(found)]
+
+
+@pytest.mark.parametrize("g, n", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2),
+                                  (1, 3), (2, 0), (2, 1), (2, 2)])
+def test_degeneration_matches_brute_force(g, n):
+    assert enumerate_stable_graphs(g, n) == _brute_force_graphs(g, n)
+
+
+@pytest.mark.parametrize("n, count", [(3, 1), (4, 4), (5, 26), (6, 236)])
+def test_genus_zero_counts(n, count):
+    # OEIS A000311: boundary strata of M_{0,n}-bar, the interior included
+    graphs = enumerate_stable_graphs(0, n)
+    assert len(graphs) == count
+    assert all(g.betti == 0 and g.total_genus == 0 for g in graphs)
+
+
+def test_genus_one_four_legs_count():
+    graphs = enumerate_stable_graphs(1, 4)
+    assert len(graphs) == 163
+    assert max(g.num_edges for g in graphs) == 4
 
 
 def test_balanced_slopes_frozen():
@@ -175,3 +226,38 @@ def test_fiber_product_scaled_contact():
 def test_relint_point():
     side = dr_cone(BANANA, SlopeAssignment(BANANA, (1, -1), (-1, 0)))
     assert side.relint_point() == (Fraction(0), Fraction(1))
+
+
+def _homogenised_rays(equations, walls, ne):
+    """The former route to edge-length cone rays: each equation as two
+    inequalities, plus a homogenising coordinate."""
+    ineqs = [(tuple(int(i == j) for j in range(ne)), 0) for i in range(ne)]
+    ineqs += [(tuple(w), 0) for w in walls]
+    for row in equations:
+        ineqs += [(tuple(row), 0), (tuple(-c for c in row), 0)]
+    vertices, rays = polytope_vertices(ineqs, ne)
+    assert vertices == [(0,) * ne]
+    return tuple(sorted(rays))
+
+
+THREE_LEG_CLASSES = ((1, -1, 0), (2, -2, 0), (1, 1, -2), (-1, -1, 2),
+                     (0, 0, 0))
+
+
+@pytest.mark.parametrize("contact", THREE_LEG_CLASSES)
+def test_dr_cone_rays_match_homogenised_route(contact):
+    fan = dr_subfan(1, 3, contact)
+    for piece in fan.pieces:
+        ne = piece.graph.num_edges
+        # every cone of the piece's bound, not only the maximal ones kept
+        for a in balanced_slopes(piece.graph, contact, piece.bound):
+            cone = dr_cone(piece.graph, a)
+            assert cone.rays == (
+                _homogenised_rays(cone.equations, (), ne) if ne else ())
+    assert verify_face_closure(fan) == []
+
+
+def test_rubber_rays_match_homogenised_route(monkeypatch):
+    native = rubber_subdivision(1, 3, (1, 1, -2))
+    monkeypatch.setattr(tropical, "_edge_cone_rays", _homogenised_rays)
+    assert rubber_subdivision(1, 3, (1, 1, -2)) == native

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,10 +7,10 @@ import pytest
 from tropchow import fans, linalg, piecewise, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
-                              fundamental_weight, is_balanced,
-                              localization_degree, mw_of_pp, mw_product,
-                              mw_to_pp, pl_cap, pushforward_witness,
-                              ray_monomial_class)
+                              courant_monomial, fundamental_weight,
+                              is_balanced, localization_degree, mw_of_pp,
+                              mw_product, mw_to_pp, pl_cap,
+                              pushforward_witness, ray_monomial_class)
 
 
 def _p1():
@@ -198,3 +199,18 @@ def test_refusals_are_not_cached():
             localization_degree(one)
     with pytest.raises(ValueError, match="not a face"):
         partial.max_cone_over((0, 1, 2))
+
+
+def test_incomplete_fan_has_no_degree():
+    # full-dimensional top cones, but their ridges bound the support
+    quadrant = fans.fan_from_max_cones(2, [[(1, 0), (0, 1)]])
+    half = fans.fan_from_max_cones(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]])
+    p3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    p3_minus_one = fans.fan_from_max_cones(
+        3, [list(c) for c in itertools.combinations(p3, 3)][1:])
+    for fan in (quadrant, half, p3_minus_one):
+        assert not fan.is_complete()
+        top = courant_monomial(fan, range(fan.rank))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not complete"):
+                localization_degree(top)
