@@ -1,14 +1,17 @@
 """Exact integer and rational linear algebra for small dense systems.
 
-Matrices are plain lists of lists. Integer routines stay in Python ints
-(arbitrary precision), rational routines use fractions.Fraction. All of
-this is cubic-time elimination, which is plenty for the matrix sizes that
-fan and weight computations produce.
+Matrices are plain lists of lists with int or fractions.Fraction entries.
+Elimination is fraction-free: each row is scaled to integers by the lcm of
+its denominators, then eliminated in Python ints (arbitrary precision),
+Gauss-Jordan with every new row divided by its content, or Bareiss for
+det. Fractions are built only for the outputs of rref, solve, nullspace
+and det; rank builds none. All of this is cubic-time elimination, which
+is plenty for the matrix sizes that fan and weight computations produce.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 IntMatrix = list[list[int]]
 IntVector = tuple[int, ...]
@@ -214,19 +217,19 @@ def integer_kernel(a: IntMatrix) -> list[IntVector]:
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    r, pivots = rref(aug)
-    if len(pivots) < n:
+    rows, pivots = _integer_echelon(
+        [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)])
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     inv = []
     for i in range(n):
+        pv = rows[i][i]
         row = []
-        for j in range(n, 2 * n):
-            val = r[i][j]
-            if val.denominator != 1:
+        for x in rows[i][n:]:
+            q, r = divmod(x, pv)
+            if r:
                 raise ValueError("matrix is not unimodular")
-            row.append(int(val))
+            row.append(q)
         inv.append(row)
     return inv
 
@@ -258,30 +261,44 @@ def saturation_data(b: IntMatrix):
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# rational elimination, fraction-free
 
-def rref(a):
-    """Reduced row echelon form over Fraction. Returns (rows, pivot columns)."""
-    rows = [[Fraction(x) for x in row] for row in a]
+def _integer_rows(a):
+    """Each row of a rational matrix scaled by the lcm of its denominators."""
+    out = []
+    for row in a:
+        den = lcm(*[x.denominator for x in row])
+        out.append([x.numerator for x in row] if den == 1 else
+                   [x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _integer_echelon(a):
+    """Reduced row echelon form of a rational matrix, kept in integers.
+
+    Returns (rows, pivots): integer rows spanning the same row space. Row i
+    starts at column pivots[i] and is zero in every other pivot column; the
+    rows after the last pivot row are zero. Dividing row i by
+    rows[i][pivots[i]] gives the reduced row echelon form.
+    """
+    rows = _integer_rows(a)
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                new = [pv * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == m:
@@ -289,23 +306,28 @@ def rref(a):
     return rows, pivots
 
 
+def rref(a):
+    """Reduced row echelon form over Fraction. Returns (rows, pivot columns)."""
+    rows, pivots = _integer_echelon(a)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    out += [[Fraction(0)] * len(row) for row in rows[len(pivots):]]
+    return out, pivots
+
+
 def rank(a) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
+    return len(_integer_echelon(a)[1])
 
 
 def solve(a, b):
     """One solution of a x = b over the rationals, or None if inconsistent."""
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    r, pivots = rref(aug)
+    rows, pivots = _integer_echelon([list(a[i]) + [b[i]] for i in range(m)])
     if n in pivots:
         return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = r[i][n]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n], row[c])
     return tuple(x)
 
 
@@ -315,37 +337,35 @@ def nullspace(a):
     n = len(a[0]) if m else 0
     if n == 0:
         return []
-    r, pivots = rref(a)
+    rows, pivots = _integer_echelon(a)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
 
 def det(a) -> Fraction:
+    """Determinant by Bareiss elimination on the denominator-cleared rows."""
     n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    out = Fraction(1)
+    rows = _integer_rows(a)
+    scale = prod(lcm(*[x.denominator for x in row]) for row in a)
+    sign, prev = 1, 1
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
         if pr is None:
             return Fraction(0)
         if pr != c:
             rows[c], rows[pr] = rows[pr], rows[c]
-            out = -out
-        out *= rows[c][c]
-        inv = 1 / rows[c][c]
+            sign = -sign
+        prow = rows[c]
+        pv = prow[c]
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
+            f = rows[i][c]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        prev = pv
+    return Fraction(sign * prev, scale)

@@ -5,7 +5,10 @@ integer vectors; constraint form is a pair (equalities, inequalities) of
 primitive integer functionals, with equalities cutting out the linear span
 and inequalities the facets within it. Conversions in both directions go
 through brute-force subset enumeration, which is exact and fast at the
-dimensions that appear here (at most four or five).
+dimensions that appear here (at most four or five). Every kernel vector
+they use is scaled to a primitive integer vector first, so the subset
+loops run in int arithmetic; Fractions remain only in the affine routines
+(feasibility, polytope vertices and volume).
 """
 from __future__ import annotations
 
@@ -22,11 +25,9 @@ def _dot(a, b):
 
 def _to_primitive_int(v):
     """Scale a rational vector to a primitive integer vector."""
-    den = lcm(*(Fraction(x).denominator for x in v)) if v else 1
-    ints = [int(Fraction(x) * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    den = lcm(*[x.denominator for x in v])
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector")
     return tuple(x // g for x in ints)
@@ -64,8 +65,8 @@ def cone_constraints(generators, ambient_dim: int):
         ns = linalg.nullspace(gram if gram else [[0] * d])
         if len(ns) != 1:
             continue
-        t = ns[0]
-        w = tuple(sum(t[i] * Fraction(basis[i][j]) for i in range(d))
+        t = _to_primitive_int(ns[0])
+        w = tuple(sum(t[i] * basis[i][j] for i in range(d))
                   for j in range(ambient_dim))
         pos = any(_dot(w, g) > 0 for g in gens)
         neg = any(_dot(w, g) < 0 for g in gens)
@@ -99,8 +100,8 @@ def rays_from_constraints(constraints, ambient_dim: int):
     Raises ValueError when the cone contains a line.
     """
     eqs, ineqs = constraints
-    basis = linalg.nullspace(eqs) if eqs else [
-        tuple(Fraction(int(i == j)) for j in range(ambient_dim))
+    basis = [_to_primitive_int(b) for b in linalg.nullspace(eqs)] if eqs else [
+        tuple(int(i == j) for j in range(ambient_dim))
         for i in range(ambient_dim)]
     d = len(basis)
     if d == 0:
@@ -111,10 +112,10 @@ def rays_from_constraints(constraints, ambient_dim: int):
     rays = set()
     for subset in combinations(range(len(reduced)), d - 1):
         sub = [reduced[i] for i in subset]
-        ns = linalg.nullspace(sub if sub else [[Fraction(0)] * d])
+        ns = linalg.nullspace(sub if sub else [[0] * d])
         if len(ns) != 1:
             continue
-        y = ns[0]
+        y = _to_primitive_int(ns[0])
         x = tuple(sum(y[i] * basis[i][j] for i in range(d))
                   for j in range(ambient_dim))
         if all(_dot(a, x) >= 0 for a in ineqs):

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, polyhedra
 
@@ -340,12 +341,15 @@ class DRSubfan:
     contact: tuple
     pieces: tuple
 
+    @cached_property
+    def _piece_by_key(self):
+        return {piece.graph.canonical_key(): piece for piece in self.pieces}
+
     def piece_for(self, graph: WeightedDualGraph) -> DRPiece:
-        key = graph.canonical_key()
-        for piece in self.pieces:
-            if piece.graph.canonical_key() == key:
-                return piece
-        raise KeyError("graph is not part of this subfan")
+        try:
+            return self._piece_by_key[graph.canonical_key()]
+        except KeyError:
+            raise KeyError("graph is not part of this subfan") from None
 
 
 def _maximal_cones(cones):

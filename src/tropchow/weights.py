@@ -205,18 +205,22 @@ def mw_of_pp(f: PiecewisePolynomial, codim: int) -> MinkowskiWeight:
 # product by displacement
 
 def _generic_vector(fan: Fan):
-    """Test vector outside every proper subspace spanned by a cone pair."""
-    n = fan.rank
-    spans = []
-    for a, b in combinations_with_replacement(fan.cones, 2):
-        vecs = fan.cone_rays(a) + fan.cone_rays(b)
-        if linalg.rank(vecs) < n:
-            spans.append(vecs)
-    for t in _primes():
-        v = tuple(t ** i for i in range(n))
-        if all(linalg.rank(vecs + [v]) > linalg.rank(vecs) for vecs in spans):
-            return v
-    raise ArithmeticError("no generic displacement found")
+    """Test vector outside every proper subspace spanned by a cone pair,
+    found once per fan."""
+    def find():
+        n = fan.rank
+        spans = []
+        for a, b in combinations_with_replacement(fan.cones, 2):
+            vecs = fan.cone_rays(a) + fan.cone_rays(b)
+            if linalg.rank(vecs) < n:
+                spans.append(vecs)
+        for t in _primes():
+            v = tuple(t ** i for i in range(n))
+            if all(linalg.rank(vecs + [v]) > linalg.rank(vecs)
+                   for vecs in spans):
+                return v
+        raise ArithmeticError("no generic displacement found")
+    return fan.cached("generic_vector", find)
 
 
 def _displaced_meets(fan: Fan, sigma1, sigma2, v) -> bool:

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tropchow import linalg
 
 
@@ -115,3 +119,177 @@ def test_rational_solvers():
     assert v[0] + v[1] + v[2] == 0 and v[1] + 2 * v[2] == 0
     assert linalg.det([[1, 2], [3, 4]]) == -2
     assert linalg.rank([[1, 2], [2, 4]]) == 1
+
+
+def test_invert_unimodular_refusals():
+    with pytest.raises(ValueError, match="singular"):
+        linalg.invert_unimodular([[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="not unimodular"):
+        linalg.invert_unimodular([[2, 0], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the former Fraction Gauss-Jordan elimination, kept as a reference
+
+def _ref_rref(a):
+    rows = [[Fraction(x) for x in row] for row in a]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def _ref_det(a):
+    n = len(a)
+    rows = [[Fraction(x) for x in row] for row in a]
+    out = Fraction(1)
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            out = -out
+        out *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
+
+
+def _ref_nullspace(a):
+    n = len(a[0]) if a else 0
+    if n == 0:
+        return []
+    r, pivots = _ref_rref(a)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_solve(a, b):
+    n = len(a[0]) if a else 0
+    r, pivots = _ref_rref([list(row) + [y] for row, y in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = r[i][n]
+    return tuple(x)
+
+
+# small entries make rank drops likely, large ones test big integers
+INTS = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
+MIXED = st.one_of(INTS, st.fractions(-10**6, 10**6, max_denominator=10**3))
+
+
+@st.composite
+def _matrices(draw, entries, rows=st.integers(0, 5), cols=st.integers(0, 5)):
+    m, n = draw(rows), draw(cols)
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    # zero some rows and columns
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)):
+        a[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def _square(entries):
+    return st.integers(0, 5).flatmap(
+        lambda k: _matrices(entries, st.just(k), st.just(k)))
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+ORACLE = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@ORACLE
+@given(st.one_of(_matrices(INTS), _matrices(MIXED)))
+def test_rref_rank_nullspace_match_fraction_reference(a):
+    rows, pivots = linalg.rref(a)
+    assert (rows, pivots) == _ref_rref(a)
+    assert _all_fractions(rows)
+    assert linalg.rank(a) == len(pivots)
+    basis = linalg.nullspace(a)
+    assert basis == _ref_nullspace(a)
+    assert _all_fractions(basis)
+
+
+@ORACLE
+@given(st.one_of(_matrices(INTS), _matrices(MIXED)).flatmap(
+    lambda a: st.tuples(st.just(a), st.lists(MIXED, min_size=len(a),
+                                              max_size=len(a)))))
+def test_solve_matches_fraction_reference(ab):
+    a, b = ab
+    x = linalg.solve(a, b)
+    assert x == _ref_solve(a, b)
+    if x is not None:
+        assert all(type(t) is Fraction for t in x)
+
+
+@ORACLE
+@given(st.one_of(_square(INTS), _square(MIXED)))
+def test_det_matches_fraction_reference(a):
+    d = linalg.det(a)
+    assert type(d) is Fraction and d == _ref_det(a)
+
+
+def test_oracle_edge_shapes():
+    for a in ([], [[]], [[], []], [[0]], [[7]], [[Fraction(-3, 4)]],
+              [[0, 0, 0]], [[0], [0]], [[1, 2, 3]], [[1], [2], [3]]):
+        assert linalg.rref(a) == _ref_rref(a)
+        assert linalg.rank(a) == len(_ref_rref(a)[1])
+        assert linalg.nullspace(a) == _ref_nullspace(a)
+        assert linalg.solve(a, [1] * len(a)) == _ref_solve(a, [1] * len(a))
+    for a in ([], [[0]], [[7]], [[Fraction(-3, 4)]], [[10**6, 1], [1, 10**6]]):
+        assert linalg.det(a) == _ref_det(a)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(_matrices(INTS), _matrices(MIXED)))
+def test_rank_builds_no_fraction(a):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank built a Fraction")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "Fraction", refuse)
+        r = linalg.rank(a)
+        rows, pivots = linalg._integer_echelon(a)
+    assert r == len(pivots)
+    # the elimination itself stays in ints
+    assert all(type(x) is int for row in rows for x in row)

@@ -1,7 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
-from tropchow import polyhedra
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropchow import linalg, polyhedra, tropical
 
 
 def _cone_2d(*gens):
@@ -120,3 +126,158 @@ def test_volume_random_shear_invariance():
         # unimodular shear preserves area
         sheared = [(x + 2 * y, y) for x, y in pts]
         assert polyhedra.polytope_volume(sheared) == vol
+
+
+# ---------------------------------------------------------------------------
+# the former Fraction-basis conversions, kept as a reference
+
+def _ref_primitive(v):
+    den = lcm(*(Fraction(x).denominator for x in v)) if v else 1
+    ints = [int(Fraction(x) * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g == 0:
+        raise ValueError("zero vector")
+    return tuple(x // g for x in ints)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _ref_cone_constraints(generators, ambient_dim):
+    gens = [tuple(g) for g in generators if any(g)]
+    eqs = []
+    for w in linalg.nullspace(gens if gens else [[0] * ambient_dim]):
+        eqs.append(_ref_primitive(w))
+    if not gens:
+        eqs = [tuple(1 if j == i else 0 for j in range(ambient_dim))
+               for i in range(ambient_dim)]
+        return tuple(sorted(eqs)), ()
+    d = linalg.rank(gens)
+    basis = polyhedra._independent_subset(gens, d)
+    ineqs = set()
+    for subset in combinations(range(len(gens)), d - 1):
+        sub = [gens[i] for i in subset]
+        gram = [[_dot(b, s) for b in basis] for s in sub]
+        ns = linalg.nullspace(gram if gram else [[0] * d])
+        if len(ns) != 1:
+            continue
+        t = ns[0]
+        w = tuple(sum(t[i] * Fraction(basis[i][j]) for i in range(d))
+                  for j in range(ambient_dim))
+        pos = any(_dot(w, g) > 0 for g in gens)
+        neg = any(_dot(w, g) < 0 for g in gens)
+        if pos and neg:
+            continue
+        if neg:
+            w = tuple(-x for x in w)
+        ineqs.add(_ref_primitive(w))
+    return tuple(sorted(eqs)), tuple(sorted(ineqs))
+
+
+def _ref_rays_from_constraints(constraints, ambient_dim):
+    eqs, ineqs = constraints
+    basis = linalg.nullspace(eqs) if eqs else [
+        tuple(Fraction(int(i == j)) for j in range(ambient_dim))
+        for i in range(ambient_dim)]
+    d = len(basis)
+    if d == 0:
+        return ()
+    reduced = [[_dot(a, b) for b in basis] for a in ineqs]
+    if linalg.rank(reduced) < d:
+        raise ValueError("cone contains a line")
+    rays = set()
+    for subset in combinations(range(len(reduced)), d - 1):
+        sub = [reduced[i] for i in subset]
+        ns = linalg.nullspace(sub if sub else [[Fraction(0)] * d])
+        if len(ns) != 1:
+            continue
+        y = ns[0]
+        x = tuple(sum(y[i] * basis[i][j] for i in range(d))
+                  for j in range(ambient_dim))
+        if all(_dot(a, x) >= 0 for a in ineqs):
+            rays.add(_ref_primitive(x))
+        elif all(_dot(a, x) <= 0 for a in ineqs):
+            rays.add(_ref_primitive([-t for t in x]))
+    return tuple(sorted(rays))
+
+
+def _rays_or_refusal(rays_from_constraints, constraints, n):
+    try:
+        return rays_from_constraints(constraints, n)
+    except ValueError as e:
+        return str(e)
+
+
+def _in_cone(gens, point):
+    """point is a nonnegative combination of gens (Fourier-Motzkin)."""
+    k = len(gens)
+    eqs = [([g[i] for g in gens], point[i]) for i in range(len(point))]
+    ineqs = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
+    return polyhedra.fm_feasible(eqs, ineqs, k)
+
+
+def _extreme_rays(gens):
+    """Extreme rays of a pointed cone from its generators: the directions
+    not in the cone of the other directions."""
+    dirs = sorted({linalg.primitive_vector(g) for g in gens if any(g)})
+    return tuple(r for r in dirs
+                 if not _in_cone([s for s in dirs if s != r], r))
+
+
+def _is_pointed(gens):
+    """No nonzero nonnegative combination of gens vanishes."""
+    k, n = len(gens), len(gens[0])
+    eqs = [([g[i] for g in gens], 0) for i in range(n)]
+    ineqs = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
+    ineqs.append(((1,) * k, 1))
+    return not polyhedra.fm_feasible(eqs, ineqs, k)
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.sampled_from((3, 4)))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    return n, draw(st.lists(vec, min_size=1, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_generator_sets())
+def test_integer_kernels_match_fraction_basis_reference(data):
+    n, gens = data
+    cons = polyhedra.cone_constraints(gens, n)
+    assert cons == _ref_cone_constraints(gens, n)
+    rays = _rays_or_refusal(polyhedra.rays_from_constraints, cons, n)
+    assert rays == _rays_or_refusal(_ref_rays_from_constraints, cons, n)
+    if any(any(g) for g in gens) and _is_pointed(gens):
+        assert rays == _extreme_rays(gens)
+    elif any(any(g) for g in gens):
+        assert rays == "cone contains a line"
+    else:
+        assert rays == ()
+
+
+THREE_LEG_CLASSES = ((1, -1, 0), (2, -2, 0), (1, 1, -2), (-1, -1, 2),
+                     (0, 0, 0))
+
+
+@pytest.mark.parametrize("contact", THREE_LEG_CLASSES)
+def test_edge_cone_rays_match_fraction_basis_reference(monkeypatch, contact):
+    seen = []
+    native = tropical._edge_cone_rays
+
+    def record(equations, walls, ne):
+        seen.append((equations, walls, ne))
+        return native(equations, walls, ne)
+
+    monkeypatch.setattr(tropical, "_edge_cone_rays", record)
+    tropical.dr_subfan(1, 3, contact)
+    assert seen
+    for equations, walls, ne in seen:
+        orthant = tuple(tuple(int(i == j) for j in range(ne))
+                        for i in range(ne))
+        cons = (equations, orthant + walls)
+        assert (polyhedra.rays_from_constraints(cons, ne)
+                == _ref_rays_from_constraints(cons, ne))

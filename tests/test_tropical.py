@@ -261,3 +261,12 @@ def test_rubber_rays_match_homogenised_route(monkeypatch):
     native = rubber_subdivision(1, 3, (1, 1, -2))
     monkeypatch.setattr(tropical, "_edge_cone_rays", _homogenised_rays)
     assert rubber_subdivision(1, 3, (1, 1, -2)) == native
+
+
+def test_face_closure_and_piece_lookup_on_four_legs():
+    fan = dr_subfan(1, 4, (1, 1, -1, -1), 2)
+    assert verify_face_closure(fan) == []
+    for piece in fan.pieces:
+        assert fan.piece_for(piece.graph) is piece
+    with pytest.raises(KeyError):
+        fan.piece_for(LOOP)          # a graph of genus 1 with 2 legs

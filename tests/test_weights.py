@@ -185,6 +185,22 @@ def test_derived_data_is_kept_per_fan_object():
     assert set(f.max_cone_over((1,))) >= {1}
 
 
+def test_generic_vector_is_kept_per_fan_object():
+    f, g = _bl_p2(), _bl_p2()
+    v = weights._generic_vector(f)
+    assert weights._generic_vector(f) is v
+    assert weights._generic_vector(g) is not v
+    assert weights._generic_vector(g) == v
+    # mw_product finds the vector once and leaves it on the fan
+    h = _bl_p2()
+    a = mw_of_pp(_phi(h, (1, 0)), 1)
+    mw_product(a, a)
+
+    def rescan():
+        raise AssertionError("generic vector searched again")
+    assert h.cached("generic_vector", rescan) == v
+
+
 def test_refusals_are_not_cached():
     square = fans.fan_from_max_cones(3, [
         [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]])
