@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import io
 from .fans import (common_refinement, fan_from_max_cones, star_fan,
@@ -397,7 +398,10 @@ def cmd_tropdr_tc(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="tropchow",
         description="exact toric intersection theory and tropical "

@@ -116,9 +116,6 @@ class Fan:
                     best = c
         return best
 
-    def supports_point(self, point) -> bool:
-        return any(self.cone_contains(c, point) for c in self.max_cones)
-
     def cone_multiplicity(self, cone: ConeKey):
         """Lattice index of a simplicial cone; None when not simplicial."""
         rays = self.cone_rays(cone)

@@ -317,12 +317,6 @@ def setup_to_payload(setup: BlowupSetup, cycle: ToricCycle):
                           for c, v in sorted(cycle.coefficients.items())]}}
 
 
-def report_from_payload(payload):
-    if not isinstance(payload, dict):
-        raise DocumentError("report payload must be an object")
-    return payload
-
-
 def load(path: str) -> Document:
     try:
         with open(path, encoding="utf-8") as fh:

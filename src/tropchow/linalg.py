@@ -5,8 +5,9 @@ Elimination is fraction-free: each row is scaled to integers by the lcm of
 its denominators, then eliminated in Python ints (arbitrary precision),
 Gauss-Jordan with every new row divided by its content, or Bareiss for
 det. Fractions are built only for the outputs of rref, solve, nullspace
-and det; rank builds none. All of this is cubic-time elimination, which
-is plenty for the matrix sizes that fan and weight computations produce.
+and det; rank and primitive_kernel build none. All of this is cubic-time
+elimination, which is plenty for the matrix sizes that fan and weight
+computations produce.
 """
 from __future__ import annotations
 
@@ -56,12 +57,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(ai[j] * v[j] for j in range(len(v))) for ai in a)
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def smith_normal_form(a: IntMatrix):
@@ -346,6 +341,32 @@ def nullspace(a):
         for row, pc in zip(rows, pivots):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
+    return basis
+
+
+def primitive_kernel(a) -> list[IntVector]:
+    """Kernel basis of a rational matrix as primitive integer vectors.
+
+    Vector k is the positive primitive multiple of nullspace(a)[k], read
+    off the integer echelon rows without building a Fraction. Unlike
+    integer_kernel, the vectors need not span the kernel lattice.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if n == 0:
+        return []
+    rows, pivots = _integer_echelon(a)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        live = [(row, pc) for row, pc in zip(rows, pivots) if row[fc]]
+        den = lcm(*[row[pc] for row, pc in live])
+        v = [0] * n
+        v[fc] = den
+        for row, pc in live:
+            v[pc] = -row[fc] * (den // row[pc])
+        basis.append(primitive_vector(v))
     return basis
 
 

@@ -107,7 +107,7 @@ class PiecewisePolynomial:
                 continue
             rays = self.fan.cone_rays(c)
             for pt in _grid_points(rays, self.fan.rank, d):
-                if p.evaluate(pt) != 0:
+                if p.value(pt) != 0:
                     return False
         return True
 
@@ -131,7 +131,7 @@ class PiecewisePolynomial:
                     self.fan.rank)
                 p, q = self.pieces[maxes[i]], self.pieces[maxes[j]]
                 for pt in _grid_points(list(shared), self.fan.rank, degree):
-                    if p.evaluate(pt) != q.evaluate(pt):
+                    if p.value(pt) != q.value(pt):
                         return False
         return True
 
@@ -157,7 +157,7 @@ def _courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
         if ray_index not in m:
             pieces[m] = Polynomial.zero(fan.rank)
             continue
-        values = [Fraction(int(i == ray_index)) for i in m]
+        values = [int(i == ray_index) for i in m]
         pieces[m] = Polynomial.linear(_min_norm_functional(rays, values, fan.rank))
     return PiecewisePolynomial(fan, pieces)
 
@@ -168,7 +168,7 @@ def _min_norm_functional(rays, values, rank):
     w = linalg.solve(gram, values)
     if w is None:
         raise ValueError("rays are dependent")
-    return [sum(w[i] * Fraction(rays[i][j]) for i in range(len(rays)))
+    return [sum(w[i] * rays[i][j] for i in range(len(rays)))
             for j in range(rank)]
 
 
@@ -228,7 +228,7 @@ def pp_min(fan: Fan, functions) -> PiecewisePolynomial:
             _linear_coefficients(p, fan.rank)
         winner = None
         for j, lj in enumerate(linear):
-            if all((li - lj).evaluate(r) >= 0 for li in linear for r in rays):
+            if all((li - lj).value(r) >= 0 for li in linear for r in rays):
                 winner = lj
                 break
         if winner is None:
@@ -326,16 +326,16 @@ def pp_space_basis(fan: Fan, degree: int):
             if not shared:
                 continue
             for pt in _grid_points(list(shared), fan.rank, degree):
-                row = [Fraction(0)] * len(cols)
+                row = [0] * len(cols)
                 for e in monos:
-                    val = Fraction(1)
+                    val = 1
                     for x, k in zip(pt, e):
-                        val *= Fraction(x) ** k
+                        val *= x ** k
                     row[col_index[(maxes[i], e)]] += val
                     row[col_index[(maxes[j], e)]] -= val
                 rows.append(row)
     if not rows:
-        rows = [[Fraction(0)] * len(cols)]
+        rows = [[0] * len(cols)]
     return linalg.nullspace(rows)
 
 

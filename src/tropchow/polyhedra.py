@@ -6,9 +6,10 @@ primitive integer functionals, with equalities cutting out the linear span
 and inequalities the facets within it. Conversions in both directions go
 through brute-force subset enumeration, which is exact and fast at the
 dimensions that appear here (at most four or five). Every kernel vector
-they use is scaled to a primitive integer vector first, so the subset
-loops run in int arithmetic; Fractions remain only in the affine routines
-(feasibility, polytope vertices and volume).
+they use is a primitive integer vector read off the integer echelon form
+(linalg.primitive_kernel), so the subset loops run in int arithmetic;
+Fractions remain only in the affine routines (feasibility, polytope
+vertices and volume).
 """
 from __future__ import annotations
 
@@ -47,12 +48,8 @@ def cone_constraints(generators, ambient_dim: int):
         nonnegative on it and supporting within its span.
     """
     gens = [tuple(g) for g in generators if any(g)]
-    eqs = []
-    for w in linalg.nullspace(gens if gens else [[0] * ambient_dim]):
-        eqs.append(_to_primitive_int(w))
+    eqs = linalg.primitive_kernel(gens if gens else [[0] * ambient_dim])
     if not gens:
-        eqs = [tuple(1 if j == i else 0 for j in range(ambient_dim))
-               for i in range(ambient_dim)]
         return tuple(sorted(eqs)), ()
     d = linalg.rank(gens)
     basis = _independent_subset(gens, d)
@@ -62,10 +59,10 @@ def cone_constraints(generators, ambient_dim: int):
         # seek the normal inside the span itself: w = sum t_i b_i with
         # w.s = 0 for the chosen generators, unique up to scale
         gram = [[_dot(b, s) for b in basis] for s in sub]
-        ns = linalg.nullspace(gram if gram else [[0] * d])
+        ns = linalg.primitive_kernel(gram if gram else [[0] * d])
         if len(ns) != 1:
             continue
-        t = _to_primitive_int(ns[0])
+        t = ns[0]
         w = tuple(sum(t[i] * basis[i][j] for i in range(d))
                   for j in range(ambient_dim))
         pos = any(_dot(w, g) > 0 for g in gens)
@@ -74,7 +71,7 @@ def cone_constraints(generators, ambient_dim: int):
             continue
         if neg:
             w = tuple(-x for x in w)
-        ineqs.add(_to_primitive_int(w))
+        ineqs.add(linalg.primitive_vector(w))
     return tuple(sorted(eqs)), tuple(sorted(ineqs))
 
 
@@ -100,7 +97,7 @@ def rays_from_constraints(constraints, ambient_dim: int):
     Raises ValueError when the cone contains a line.
     """
     eqs, ineqs = constraints
-    basis = [_to_primitive_int(b) for b in linalg.nullspace(eqs)] if eqs else [
+    basis = linalg.primitive_kernel(eqs) if eqs else [
         tuple(int(i == j) for j in range(ambient_dim))
         for i in range(ambient_dim)]
     d = len(basis)
@@ -112,16 +109,16 @@ def rays_from_constraints(constraints, ambient_dim: int):
     rays = set()
     for subset in combinations(range(len(reduced)), d - 1):
         sub = [reduced[i] for i in subset]
-        ns = linalg.nullspace(sub if sub else [[0] * d])
+        ns = linalg.primitive_kernel(sub if sub else [[0] * d])
         if len(ns) != 1:
             continue
-        y = _to_primitive_int(ns[0])
+        y = ns[0]
         x = tuple(sum(y[i] * basis[i][j] for i in range(d))
                   for j in range(ambient_dim))
         if all(_dot(a, x) >= 0 for a in ineqs):
-            rays.add(_to_primitive_int(x))
+            rays.add(linalg.primitive_vector(x))
         elif all(_dot(a, x) <= 0 for a in ineqs):
-            rays.add(_to_primitive_int([-t for t in x]))
+            rays.add(linalg.primitive_vector([-t for t in x]))
     return tuple(sorted(rays))
 
 

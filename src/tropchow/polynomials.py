@@ -1,12 +1,24 @@
 """Multivariate polynomials with exact rational coefficients.
 
 A polynomial in n variables is stored as a mapping from exponent tuples to
-nonzero Fraction coefficients. Everything needed downstream is here:
-arithmetic, evaluation, linear substitution, and homogeneous truncation.
+nonzero coefficients: an integral coefficient is an int, any other a
+Fraction, so that integer inputs stay in int arithmetic. Both compare,
+hash and print alike, so equality and repr do not see the difference.
+Everything needed downstream is here: arithmetic, evaluation, linear
+substitution, and homogeneous truncation.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _exact(c):
+    """A rational value as int when it is integral, else as Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Polynomial:
@@ -17,8 +29,8 @@ class Polynomial:
     def __init__(self, nvars: int, terms=None):
         clean = {}
         for expt, coef in (terms or {}).items():
-            c = Fraction(coef)
-            if c != 0:
+            c = _exact(coef)
+            if c:
                 if len(expt) != nvars:
                     raise ValueError("exponent arity mismatch")
                 clean[tuple(expt)] = c
@@ -31,13 +43,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def linear(cls, coeffs) -> "Polynomial":
@@ -47,7 +59,7 @@ class Polynomial:
         for i, c in enumerate(coeffs):
             e = [0] * n
             e[i] = 1
-            terms[tuple(e)] = Fraction(c)
+            terms[tuple(e)] = c
         return cls(n, terms)
 
     def is_zero(self) -> bool:
@@ -64,7 +76,7 @@ class Polynomial:
             raise ValueError("variable count mismatch")
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Polynomial(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -80,25 +92,28 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial(self.nvars, terms)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
         return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
 
-    def evaluate(self, point) -> Fraction:
+    def value(self, point):
+        """Value at a point of int or Fraction entries, in the same types:
+        an int at an integer point with integer coefficients."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
+        total = 0
         for e, c in self.terms.items():
-            val = c
-            for x, k in zip(pt, e):
+            for x, k in zip(point, e):
                 if k:
-                    val *= x ** k
-            total += val
+                    c *= x ** k
+            total += c
         return total
+
+    def evaluate(self, point) -> Fraction:
+        """Value at a point, always as a Fraction."""
+        return Fraction(self.value(point))
 
     def compose_linear(self, matrix) -> "Polynomial":
         """Substitute x_i = sum_j matrix[i][j] * y_j.
@@ -109,7 +124,7 @@ class Polynomial:
         if len(matrix) != self.nvars:
             raise ValueError("matrix must have one row per variable")
         new_n = len(matrix[0]) if matrix else 0
-        images = [Polynomial.linear([Fraction(x) for x in row]) for row in matrix]
+        images = [Polynomial.linear(row) for row in matrix]
         out = Polynomial.zero(new_n)
         for e, c in self.terms.items():
             term = Polynomial.constant(new_n, c)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from . import linalg, polyhedra
 from .fans import Fan, resolve_smooth
@@ -129,9 +130,11 @@ def localization_degree(f: PiecewisePolynomial) -> Fraction:
     """Degree of the top homogeneous part of a function on a complete
     simplicial fan, by summing localized contributions at a test point.
 
-    The underlying rational function of the test point is constant, so
-    the first two evaluation points with nonvanishing denominators must
-    agree; this is asserted.
+    The contributions share one common denominator per test point, the
+    lcm of the per-cone denominators, so the sum runs over the numerators
+    and divides once. The underlying rational function of the test point
+    is constant, so the first two evaluation points with nonvanishing
+    denominators must agree; this is asserted.
     """
     fan = f.fan
     n = fan.rank
@@ -143,12 +146,12 @@ def localization_degree(f: PiecewisePolynomial) -> Fraction:
             pp_pullback(fine, linalg.identity_matrix(n), f))
     top = f.homogeneous_component(n)
     results = []
-    for point, denoms in fan.cached("localization_points",
-                                    lambda: _localization_points(fan)):
-        total = Fraction(0)
-        for m, denom in zip(fan.max_cones, denoms):
-            total += top.pieces[m].evaluate(point) / denom
-        results.append(total)
+    for point, common, mults in fan.cached(
+            "localization_points", lambda: _localization_points(fan)):
+        total = 0
+        for m, mult in zip(fan.max_cones, mults):
+            total += top.pieces[m].value(point) * mult
+        results.append(Fraction(total, common))
     if results[0] != results[1]:
         raise ArithmeticError("localization gave inconsistent values")
     return results[0]
@@ -156,7 +159,8 @@ def localization_degree(f: PiecewisePolynomial) -> Fraction:
 
 def _localization_points(fan: Fan):
     """The first two test points at which no dual basis vector of a top
-    cone vanishes, each with the product of those values per top cone."""
+    cone vanishes. Each comes with the lcm L of the per-cone products of
+    those values and, per top cone, L divided by its product."""
     duals = fan.unimodular_duals()
     points = []
     for t in _primes():
@@ -170,7 +174,8 @@ def _localization_points(fan: Fan):
                 break
             denoms.append(denom)
         else:
-            points.append((point, denoms))
+            common = lcm(*denoms)
+            points.append((point, common, [common // d for d in denoms]))
             if len(points) == 2:
                 return points
     raise ArithmeticError("no valid localization points found")

@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
+from test_acceptance import _cli_run
 from tropchow import io
-from tropchow.cli import main
+from tropchow.cli import build_parser, main
 from tropchow.fans import fan_from_max_cones
 from tropchow.ideals import MonomialIdeal
 from tropchow.piecewise import courant_function
@@ -283,3 +284,15 @@ def test_bad_flags_exit_2(capsys):
     assert main(["fan"]) == 2
     assert main(["tropdr", "subfan", "--g", "1", "--n", "2"]) == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_survives_bad_argv(capsys, tmp_path, p2_doc):
+    assert build_parser() is build_parser()
+    argv = ["--format", "json", "fan", "validate", "--fan", p2_doc]
+    assert main(["fan", "validate", "--no-such-flag"]) == 2
+    assert main(["tropdr", "subfan", "--g", "x"]) == 2
+    capsys.readouterr()
+    code, out, _ = _run(capsys, *argv)
+    fresh = _cli_run(argv, tmp_path, "0")
+    assert (code, out.encode()) == fresh[:2]
+    assert code == 0

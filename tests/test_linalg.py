@@ -293,3 +293,29 @@ def test_rank_builds_no_fraction(a):
     assert r == len(pivots)
     # the elimination itself stays in ints
     assert all(type(x) is int for row in rows for x in row)
+
+
+@ORACLE
+@given(st.one_of(_matrices(INTS), _matrices(MIXED)))
+def test_primitive_kernel_is_positive_multiple_of_nullspace(a):
+    kernel = linalg.primitive_kernel(a)
+    basis = linalg.nullspace(a)
+    assert len(kernel) == len(basis)
+    for v, q in zip(kernel, basis):
+        assert all(type(x) is int for x in v)
+        assert linalg.vector_gcd(v) == 1
+        i = next(i for i, x in enumerate(q) if x)
+        scale = v[i] / q[i]
+        assert scale > 0
+        assert list(v) == [scale * x for x in q]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(_matrices(INTS), _matrices(MIXED)))
+def test_primitive_kernel_builds_no_fraction(a):
+    expected = linalg.primitive_kernel(a)
+    def refuse(*args, **kwargs):
+        raise AssertionError("primitive_kernel built a Fraction")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "Fraction", refuse)
+        assert linalg.primitive_kernel(a) == expected

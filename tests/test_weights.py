@@ -230,3 +230,50 @@ def test_incomplete_fan_has_no_degree():
         for _ in range(2):
             with pytest.raises(ValueError, match="not complete"):
                 localization_degree(top)
+
+
+def _ref_localization_degree(f):
+    """Per-cone Fraction sum: each localized contribution divided by its
+    own denominator, at the first two valid test points."""
+    fan = f.fan
+    n = fan.rank
+    top = f.homogeneous_component(n)
+    duals = fan.unimodular_duals()
+    results = []
+    for t in weights._primes():
+        point = tuple(t ** i for i in range(n))
+        denoms = []
+        for m in fan.max_cones:
+            denom = 1
+            for row in duals[m]:
+                denom *= sum(a * b for a, b in zip(row, point))
+            denoms.append(denom)
+        if 0 in denoms:
+            continue
+        total = Fraction(0)
+        for m, denom in zip(fan.max_cones, denoms):
+            total += top.pieces[m].evaluate(point) / denom
+        results.append(total)
+        if len(results) == 2:
+            break
+    assert results[0] == results[1]
+    return results[0]
+
+
+def test_localization_degree_matches_per_cone_fraction_sum():
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    p3 = fans.fan_from_max_cones(3, [list(c) for c in itertools.combinations(e, 3)])
+    cube = fans.fan_from_max_cones(3, [
+        [(a, 0, 0), (0, b, 0), (0, 0, c)]
+        for a, b, c in itertools.product((1, -1), repeat=3)])
+    line = tuple(sorted(p3.rays.index(r) for r in ((1, 0, 0), (0, 1, 0))))
+    bl_line = fans.stellar_subdivision(p3, line)
+    for fan in (p3, cube, bl_line):
+        for k in range(fan.rank + 1):
+            for mono in itertools.combinations_with_replacement(
+                    range(len(fan.rays)), k):
+                f = courant_monomial(fan, mono)
+                for g in (f, f.scale(Fraction(2, 3))):
+                    got = localization_degree(g)
+                    assert type(got) is Fraction
+                    assert got == _ref_localization_degree(g)
