@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a checked identity or property fails, 2 bad
-input.  All output is deterministic; documents print in canonical form.
+input, 3 internal error (an ArithmeticError, RuntimeError or
+AssertionError inside the library, reported on one stderr line).  All
+output is deterministic; documents print in canonical form.
 """
 from __future__ import annotations
 
@@ -405,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropchow",
         description="exact toric intersection theory and tropical "
-                    "double ramification loci")
+                    "double ramification loci; exit codes: 0 success, "
+                    "1 a checked property fails, 2 bad input, "
+                    "3 internal error")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
     top = parser.add_subparsers(dest="command", required=True)
@@ -540,12 +544,13 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except io.DocumentError as e:
+    except ValueError as e:  # io.DocumentError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (ArithmeticError, RuntimeError, AssertionError) as e:
+        print(f"internal error: {str(e) or type(e).__name__}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

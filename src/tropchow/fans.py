@@ -22,7 +22,10 @@ class Fan:
     Data derived from the rays and cones (H-representations, faces, cone
     dimensions, smoothness, unimodular duals, ray functions, ...) is
     computed on first use and kept on this object, so a Fan must never be
-    mutated. Separately built fans share nothing, even when equal.
+    mutated. fan_from_max_cones hands over what it computes while closing
+    over faces: the H-representation and faces of every input cone and
+    the dimension of every cone. Separately built fans share nothing,
+    even when equal.
     """
 
     def __init__(self, rank: int, rays, cones):
@@ -108,13 +111,17 @@ class Fan:
         return tuple(sorted(out))
 
     def minimal_cone_containing(self, point):
-        """Smallest fan cone containing the point, or None if outside."""
-        best = None
-        for c in self.cones:
-            if self.cone_contains(c, point):
-                if best is None or self.cone_dim(c) < self.cone_dim(best):
-                    best = c
-        return best
+        """Smallest fan cone containing the point, or None if outside.
+
+        Assumes a fan that passes validate_fan, and returns the smallest
+        face of the first top cone that holds the point; in such a fan
+        that is the unique cone with the point in its relative interior.
+        """
+        for m in self.max_cones:
+            face = _minimal_face_containing_all(self, m, [point])
+            if face is not None:
+                return face
+        return None
 
     def cone_multiplicity(self, cone: ConeKey):
         """Lattice index of a simplicial cone; None when not simplicial."""
@@ -179,18 +186,21 @@ class Fan:
 
 def _faces_as_keys(fan: Fan, cone: ConeKey):
     if cone not in fan._faces:
-        eqs, ineqs = fan.cone_hrep(cone)
-        rays = fan.cone_rays(cone)
-        faces = set()
-        for k in range(len(ineqs) + 1):
-            for sub in combinations(ineqs, k):
-                face = tuple(idx for idx, r in zip(cone, rays)
-                             if all(sum(a * b for a, b in zip(w, r)) == 0
-                                    for w in sub))
-                faces.add(face)
-        faces.add(())
-        fan._faces[cone] = tuple(sorted(faces))
+        fan._faces[cone] = _face_keys(
+            cone, fan.cone_rays(cone), fan.cone_hrep(cone)[1])
     return fan._faces[cone]
+
+
+def _face_keys(cone: ConeKey, rays, ineqs):
+    """Faces of a cone with the given ray indices, rays and facet
+    inequalities: the rays on which each subset of inequalities vanishes."""
+    faces = {()}
+    for k in range(len(ineqs) + 1):
+        for sub in combinations(ineqs, k):
+            faces.add(tuple(idx for idx, r in zip(cone, rays)
+                            if all(sum(a * b for a, b in zip(w, r)) == 0
+                                   for w in sub)))
+    return tuple(sorted(faces))
 
 
 def fan_from_max_cones(rank: int, generator_lists) -> Fan:
@@ -199,25 +209,30 @@ def fan_from_max_cones(rank: int, generator_lists) -> Fan:
     Generators may be redundant or non-primitive; faces are closed over
     automatically. No fan axioms are checked here; see validate_fan.
     """
-    cone_ray_sets = []
+    cone_data = []
     for gens in generator_lists:
         cleaned = [linalg.primitive_vector(g) for g in gens if any(g)]
-        if not cleaned:
-            cone_ray_sets.append(())
-            continue
-        hrep = polyhedra.cone_constraints(cleaned, rank)
-        cone_ray_sets.append(polyhedra.rays_from_constraints(hrep, rank))
-    all_rays = sorted({r for rs in cone_ray_sets for r in rs})
+        if cleaned:
+            hrep = polyhedra.cone_constraints(cleaned, rank)
+            cone_data.append(
+                (polyhedra.rays_from_constraints(hrep, rank), hrep))
+    all_rays = sorted({r for rs, _ in cone_data for r in rs})
     index = {r: i for i, r in enumerate(all_rays)}
-    scratch = Fan(rank, all_rays,
-                  sorted({tuple(sorted(index[r] for r in rs))
-                          for rs in cone_ray_sets} | {()}))
-    cones = set()
-    for c in scratch.cones:
-        cones.update(_faces_as_keys(scratch, c))
-    ordered = sorted(cones, key=lambda c: (polyhedra.span_dim(
-        [all_rays[i] for i in c]), c))
-    return Fan(rank, all_rays, ordered)
+    hreps = {}
+    faces = {(): ((),)}
+    for rs, hrep in cone_data:
+        key = tuple(sorted(index[r] for r in rs))
+        if key not in faces:
+            # sorted primitive functionals: the same for any generators
+            hreps[key] = hrep
+            faces[key] = _face_keys(key, [all_rays[i] for i in key], hrep[1])
+    dims = {c: polyhedra.span_dim([all_rays[i] for i in c])
+            for c in {c for fs in faces.values() for c in fs}}
+    fan = Fan(rank, all_rays, sorted(dims, key=lambda c: (dims[c], c)))
+    fan._hrep.update(hreps)
+    fan._faces.update(faces)
+    fan._dim.update(dims)
+    return fan
 
 
 def validate_fan(fan: Fan) -> list[str]:

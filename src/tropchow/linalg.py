@@ -259,9 +259,13 @@ def saturation_data(b: IntMatrix):
 # rational elimination, fraction-free
 
 def _integer_rows(a):
-    """Each row of a rational matrix scaled by the lcm of its denominators."""
+    """Each row of a rational matrix scaled by the lcm of its denominators;
+    a row of ints is copied as it is."""
     out = []
     for row in a:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         den = lcm(*[x.denominator for x in row])
         out.append([x.numerator for x in row] if den == 1 else
                    [x.numerator * (den // x.denominator) for x in row])

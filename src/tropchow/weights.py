@@ -211,18 +211,22 @@ def mw_of_pp(f: PiecewisePolynomial, codim: int) -> MinkowskiWeight:
 
 def _generic_vector(fan: Fan):
     """Test vector outside every proper subspace spanned by a cone pair,
-    found once per fan."""
+    found once per fan: the first (1, t, t^2, ...) at which, for each
+    distinct ray union of a cone pair, some functional vanishing on the
+    union's rays is nonzero."""
     def find():
         n = fan.rank
-        spans = []
-        for a, b in combinations_with_replacement(fan.cones, 2):
-            vecs = fan.cone_rays(a) + fan.cone_rays(b)
-            if linalg.rank(vecs) < n:
-                spans.append(vecs)
+        unions = {tuple(sorted(set(a) | set(b)))
+                  for a, b in combinations_with_replacement(fan.cones, 2)}
+        kernels = []
+        for u in unions:
+            kernel = linalg.primitive_kernel(fan.cone_rays(u) or [[0] * n])
+            if kernel:  # the union spans a proper subspace
+                kernels.append(kernel)
         for t in _primes():
             v = tuple(t ** i for i in range(n))
-            if all(linalg.rank(vecs + [v]) > linalg.rank(vecs)
-                   for vecs in spans):
+            if all(any(sum(a * b for a, b in zip(w, v)) for w in k)
+                   for k in kernels):
                 return v
         raise ArithmeticError("no generic displacement found")
     return fan.cached("generic_vector", find)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from test_acceptance import _cli_run
-from tropchow import io
+from tropchow import cli, io
 from tropchow.cli import build_parser, main
 from tropchow.fans import fan_from_max_cones
 from tropchow.ideals import MonomialIdeal
@@ -296,3 +296,30 @@ def test_parser_is_built_once_and_survives_bad_argv(capsys, tmp_path, p2_doc):
     fresh = _cli_run(argv, tmp_path, "0")
     assert (code, out.encode()) == fresh[:2]
     assert code == 0
+
+
+def _raising(error):
+    def call(*args, **kwargs):
+        raise error
+    return call
+
+
+@pytest.mark.parametrize("error", [
+    ArithmeticError("no valid localization points found"),
+    RuntimeError("resolution did not terminate"),
+    AssertionError(),
+], ids=lambda e: type(e).__name__)
+def test_internal_error_exits_3(capsys, monkeypatch, p2_doc, error):
+    monkeypatch.setattr(cli, "validate_fan", _raising(error))
+    code, out, err = _run(capsys, "fan", "validate", "--fan", p2_doc)
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {str(error) or type(error).__name__}\n"
+    assert "Traceback" not in err
+
+
+def test_value_error_still_exits_2(capsys, monkeypatch, p2_doc):
+    monkeypatch.setattr(cli, "validate_fan",
+                        _raising(ValueError("fan is not complete")))
+    code, out, err = _run(capsys, "fan", "validate", "--fan", p2_doc)
+    assert (code, out, err) == (2, "", "error: fan is not complete\n")

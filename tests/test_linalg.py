@@ -319,3 +319,48 @@ def test_primitive_kernel_builds_no_fraction(a):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "Fraction", refuse)
         assert linalg.primitive_kernel(a) == expected
+
+
+# rows of plain ints take a copy, other rows the lcm of their denominators:
+# mix both kinds in one matrix, with bools and integral Fractions among them
+ROW_KINDS = st.sampled_from((
+    INTS, MIXED, st.booleans(), st.integers(-3, 3).map(Fraction),
+    st.one_of(st.booleans(), INTS, MIXED)))
+
+
+@st.composite
+def _mixed_row_matrices(draw, square=False):
+    m = draw(st.integers(0, 5))
+    n = m if square else draw(st.integers(0, 5))
+    return [[draw(entries) for _ in range(n)]
+            for entries in [draw(ROW_KINDS) for _ in range(m)]]
+
+
+@ORACLE
+@given(_mixed_row_matrices())
+def test_mixed_row_kinds_match_fraction_reference(a):
+    before = [list(row) for row in a]
+    rows, pivots = linalg.rref(a)
+    assert (rows, pivots) == _ref_rref(a)
+    assert linalg.rank(a) == len(pivots)
+    assert linalg.nullspace(a) == _ref_nullspace(a)
+    b = [Fraction(i, 2) for i in range(len(a))]
+    assert linalg.solve(a, b) == _ref_solve(a, b)
+    echelon, _ = linalg._integer_echelon(a)
+    assert all(type(x) is int for row in echelon for x in row)
+    assert a == before  # the copied int rows are not written through
+
+
+@ORACLE
+@given(_mixed_row_matrices(square=True))
+def test_det_of_mixed_row_kinds_matches_fraction_reference(a):
+    d = linalg.det(a)
+    assert type(d) is Fraction and d == _ref_det(a)
+
+
+def test_integer_rows_copies_int_rows_and_clears_the_rest():
+    a = [(1, -2, 3), [True, Fraction(1, 2), 0], [Fraction(4, 2), False]]
+    rows = linalg._integer_rows(a)
+    assert rows == [[1, -2, 3], [2, 1, 0], [2, 0]]
+    assert all(type(x) is int for row in rows for x in row)
+    assert type(rows[0]) is list and rows[0] is not a[0]
