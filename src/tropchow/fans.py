@@ -22,10 +22,13 @@ class Fan:
     Data derived from the rays and cones (H-representations, faces, cone
     dimensions, smoothness, unimodular duals, ray functions, ...) is
     computed on first use and kept on this object, so a Fan must never be
-    mutated. fan_from_max_cones hands over what it computes while closing
-    over faces: the H-representation and faces of every input cone and
-    the dimension of every cone. Separately built fans share nothing,
-    even when equal.
+    mutated. Construction hands over what it computes while closing over
+    faces: the extreme rays, H-representation and faces of every input
+    cone and the dimension of every cone. fan_from_max_cones reads the
+    rays off the generators and the one H-representation it computes per
+    generator list; fan_from_cells takes both from its caller, as
+    piecewise.min_refinement has them for each cell. Separately built fans
+    share nothing, even when equal.
     """
 
     def __init__(self, rank: int, rays, cones):
@@ -208,19 +211,28 @@ def fan_from_max_cones(rank: int, generator_lists) -> Fan:
 
     Generators may be redundant or non-primitive; faces are closed over
     automatically. No fan axioms are checked here; see validate_fan.
+    Raises ValueError when a generator set spans a cone with a line.
     """
-    cone_data = []
+    cells = []
     for gens in generator_lists:
-        cleaned = [linalg.primitive_vector(g) for g in gens if any(g)]
+        cleaned = sorted({linalg.primitive_vector(g) for g in gens if any(g)})
         if cleaned:
             hrep = polyhedra.cone_constraints(cleaned, rank)
-            cone_data.append(
-                (polyhedra.rays_from_constraints(hrep, rank), hrep))
-    all_rays = sorted({r for rs, _ in cone_data for r in rs})
+            cells.append((polyhedra.extreme_generators(cleaned, hrep), hrep))
+    return fan_from_cells(rank, cells)
+
+
+def fan_from_cells(rank: int, cells) -> Fan:
+    """Build a canonical fan from its top cones given as (rays, H-rep)
+    pairs: the sorted extreme primitive rays of each cone and its
+    constraint form as polyhedra.cone_constraints gives it. Both are
+    handed to the fan as they are; faces are closed over automatically.
+    """
+    all_rays = sorted({r for rs, _ in cells for r in rs})
     index = {r: i for i, r in enumerate(all_rays)}
     hreps = {}
     faces = {(): ((),)}
-    for rs, hrep in cone_data:
+    for rs, hrep in cells:
         key = tuple(sorted(index[r] for r in rs))
         if key not in faces:
             # sorted primitive functionals: the same for any generators
@@ -363,13 +375,21 @@ def _covering_defect(coarse: Fan, fine: Fan):
 
 
 def subdivision_assignment(fine: Fan, coarse: Fan) -> dict:
-    """Map each cone of a refinement to the coarse cone holding its interior."""
+    """Map each cone of a refinement to the coarse cone holding its interior.
+
+    As in minimal_cone_containing, the first top coarse cone holding the
+    cone's relative interior point is read: the cone refines the coarse
+    fan there when that top cone holds all its rays, and its target is
+    then the face on which they are tight.
+    """
     out = {}
     for c in fine.cones:
         pt = fine.relint_point(c)
-        target = coarse.minimal_cone_containing(pt)
-        if target is None or not all(
-                coarse.cone_contains(target, r) for r in fine.cone_rays(c)):
+        home = next((m for m in coarse.max_cones
+                     if coarse.cone_contains(m, pt)), None)
+        target = None if home is None else _minimal_face_containing_all(
+            coarse, home, fine.cone_rays(c))
+        if target is None:
             raise ValueError(f"cone {c} does not refine the target fan")
         out[c] = target
     return out
@@ -380,8 +400,14 @@ def resolve_smooth(fan: Fan, max_steps: int = 1000) -> Fan:
 
     Simplicial cones of multiplicity m > 1 are split at a parallelotope
     lattice point chosen to have minimal coefficient sum; this strictly
-    decreases multiplicities, so the loop terminates.
+    decreases multiplicities, so the loop terminates. Computed once per
+    fan object, which then returns the same fan.
     """
+    return fan.cached(("resolve_smooth", max_steps),
+                      lambda: _resolve_smooth(fan, max_steps))
+
+
+def _resolve_smooth(fan: Fan, max_steps: int) -> Fan:
     current = fan
     for _ in range(max_steps):
         target = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg, polyhedra
-from .fans import Fan, StarFan, fan_from_max_cones
+from .fans import Fan, StarFan, fan_from_cells
 from .polynomials import Polynomial
 
 
@@ -122,18 +122,26 @@ class PiecewisePolynomial:
         raise TypeError("piecewise polynomials are not hashable")
 
     def is_continuous(self) -> bool:
+        """Whether the pieces agree on every meet of two top cones.
+
+        Assumes a fan that passes validate_fan, where two top cones meet
+        in the face spanned by their shared rays.
+        """
         maxes = self.fan.max_cones
         degree = self.max_degree()
         for i in range(len(maxes)):
             for j in range(i + 1, len(maxes)):
-                shared = polyhedra.intersect_cones(
-                    self.fan.cone_hrep(maxes[i]), self.fan.cone_hrep(maxes[j]),
-                    self.fan.rank)
+                shared = _shared_rays(self.fan, maxes[i], maxes[j])
                 p, q = self.pieces[maxes[i]], self.pieces[maxes[j]]
-                for pt in _grid_points(list(shared), self.fan.rank, degree):
+                for pt in _grid_points(shared, self.fan.rank, degree):
                     if p.value(pt) != q.value(pt):
                         return False
         return True
+
+
+def _shared_rays(fan: Fan, a, b):
+    """Rays of the face in which two cones of a valid fan meet."""
+    return fan.cone_rays(sorted(set(a) & set(b)))
 
 
 def courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
@@ -172,21 +180,34 @@ def _min_norm_functional(rays, values, rank):
             for j in range(rank)]
 
 
+def cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
+    """Per top cone of the source fan, the first top cone of the target
+    holding its image under the matrix. Found once per (source fan,
+    target fan, matrix) and kept on the source fan; raises ValueError when
+    some image lies in no target cone."""
+    key = ("homes", target, tuple(tuple(row) for row in matrix))
+    return source_fan.cached(
+        key, lambda: _cone_homes(source_fan, matrix, target))
+
+
+def _cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
+    homes = {}
+    for m in source_fan.max_cones:
+        images = [linalg.mat_vec(matrix, r) for r in source_fan.cone_rays(m)]
+        home = next((c for c in target.max_cones
+                     if all(target.cone_contains(c, v) for v in images)), None)
+        if home is None:
+            raise ValueError(f"image of cone {m} lies in no target cone")
+        homes[m] = home
+    return homes
+
+
 def pp_pullback(source_fan: Fan, matrix, target_pp: PiecewisePolynomial
                 ) -> PiecewisePolynomial:
     """Compose a piecewise polynomial with a linear map that maps every
     source cone into some target cone."""
-    target = target_pp.fan
     pieces = {}
-    for m in source_fan.max_cones:
-        images = [linalg.mat_vec(matrix, r) for r in source_fan.cone_rays(m)]
-        home = None
-        for c in target.max_cones:
-            if all(target.cone_contains(c, v) for v in images):
-                home = c
-                break
-        if home is None:
-            raise ValueError(f"image of cone {m} lies in no target cone")
+    for m, home in cone_homes(source_fan, matrix, target_pp.fan).items():
         piece = target_pp.pieces[home].compose_linear(matrix)
         if piece.nvars != source_fan.rank:
             # an empty matrix cannot carry its column count
@@ -243,9 +264,10 @@ def min_refinement(fan: Fan, functions):
 
     Cells are cut out per top cone by the inequalities l_j <= l_i; cells
     of full dimension in their cone survive, and everything is closed
-    over faces and deduplicated.
+    over faces and deduplicated. Each cell's rays come from its rows, and
+    its facets are read off those rows against the rays.
     """
-    pieces = []
+    cells = []
     for m in fan.max_cones:
         eqs, ineqs = fan.cone_hrep(m)
         linear = [f.pieces[m] for f in functions]
@@ -258,10 +280,11 @@ def min_refinement(fan: Fan, functions):
                 if all(c == 0 for c in coeffs):
                     continue
                 rows.append(polyhedra._to_primitive_int(coeffs))
-            cell = polyhedra.rays_from_constraints((eqs, tuple(rows)), fan.rank)
+            cons = (eqs, tuple(rows))
+            cell = polyhedra.rays_from_constraints(cons, fan.rank)
             if polyhedra.span_dim(cell) == fan.cone_dim(m):
-                pieces.append(cell)
-    refined = fan_from_max_cones(fan.rank, pieces)
+                cells.append((cell, polyhedra.facet_constraints(cell, cons)))
+    refined = fan_from_cells(fan.rank, cells)
     out = pp_min(refined, [pp_pullback(refined, linalg.identity_matrix(fan.rank), f)
                            for f in functions])
     return refined, out
@@ -313,7 +336,11 @@ def _degree_monomials(rank: int, degree: int):
 
 def pp_space_basis(fan: Fan, degree: int):
     """Basis of homogeneous degree-d continuous piecewise polynomials,
-    as coefficient vectors indexed by (top cone, monomial)."""
+    as coefficient vectors indexed by (top cone, monomial).
+
+    Assumes a fan that passes validate_fan, where two top cones meet in
+    the face spanned by their shared rays.
+    """
     monos = _degree_monomials(fan.rank, degree)
     maxes = fan.max_cones
     cols = [(m, e) for m in maxes for e in monos]
@@ -321,11 +348,10 @@ def pp_space_basis(fan: Fan, degree: int):
     rows = []
     for i in range(len(maxes)):
         for j in range(i + 1, len(maxes)):
-            shared = polyhedra.intersect_cones(
-                fan.cone_hrep(maxes[i]), fan.cone_hrep(maxes[j]), fan.rank)
+            shared = _shared_rays(fan, maxes[i], maxes[j])
             if not shared:
                 continue
-            for pt in _grid_points(list(shared), fan.rank, degree):
+            for pt in _grid_points(shared, fan.rank, degree):
                 row = [0] * len(cols)
                 for e in monos:
                     val = 1

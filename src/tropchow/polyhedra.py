@@ -3,11 +3,16 @@
 Cones are handled in two representations. Generator form is a list of
 integer vectors; constraint form is a pair (equalities, inequalities) of
 primitive integer functionals, with equalities cutting out the linear span
-and inequalities the facets within it. Conversions in both directions go
-through brute-force subset enumeration, which is exact and fast at the
-dimensions that appear here (at most four or five). Every kernel vector
-they use is a primitive integer vector read off the integer echelon form
-(linalg.primitive_kernel), so the subset loops run in int arithmetic;
+and inequalities the facets within it. A full conversion in either
+direction (cone_constraints, rays_from_constraints) enumerates subsets of
+generators or of rows, which is exact and fast at the dimensions that
+appear here (at most four or five). When both forms of a cone are at hand,
+possibly redundant, the irredundant part of either is read off the other
+by one rank per candidate instead (extreme_generators, facet_constraints):
+in a pointed cone of dimension d, a generator is extreme and a row is a
+facet exactly when the partners vanishing on it have rank d - 1. Every
+kernel vector is a primitive integer vector read off the integer echelon
+form (linalg.primitive_kernel), so all of this runs in int arithmetic;
 Fractions remain only in the affine routines (feasibility, polytope
 vertices and volume).
 """
@@ -120,6 +125,57 @@ def rays_from_constraints(constraints, ambient_dim: int):
         elif all(_dot(a, x) <= 0 for a in ineqs):
             rays.add(linalg.primitive_vector([-t for t in x]))
     return tuple(sorted(rays))
+
+
+def _tight_rank_is(vector, partners, target: int) -> bool:
+    """Whether the partners vanishing on a vector have the given rank."""
+    tight = [p for p in partners if _dot(p, vector) == 0]
+    if len(tight) < target:
+        return False
+    return (linalg.rank(tight) if tight else 0) == target
+
+
+def extreme_generators(generators, constraints):
+    """Extreme rays of the cone spanned by distinct primitive generators,
+    given its constraint form (as from cone_constraints).
+
+    Independent generators are all extreme. Otherwise a generator is
+    extreme when the facets tight on it have rank d - 1, d the dimension
+    of the cone. Raises ValueError when the cone contains a line.
+    """
+    eqs, ineqs = constraints
+    d = len(generators[0]) - len(eqs)
+    if len(generators) > d:
+        if len(ineqs) < d or linalg.rank(ineqs) < d:
+            raise ValueError("cone contains a line")
+        generators = [g for g in generators if _tight_rank_is(g, ineqs, d - 1)]
+    return tuple(sorted(generators))
+
+
+def facet_constraints(rays, constraints):
+    """Constraint form of a pointed cone from its extreme rays and a pair
+    (equalities, rows): independent equalities cutting out the span of
+    the rays, and rows nonnegative on the rays, facets among them.
+
+    A row is a facet when the rays tight on it have rank d - 1, d the
+    dimension of the cone; its primitive normal within the span is the
+    canonical facet functional. The result equals cone_constraints(rays).
+    """
+    eqs, rows = constraints
+    d = len(rays[0]) - len(eqs)
+    facets = set()
+    for a in rows:
+        if not _tight_rank_is(a, rays, d - 1):
+            continue
+        if eqs:
+            tight = [r for r in rays if _dot(a, r) == 0]
+            w = linalg.primitive_kernel(tight + list(eqs))[0]
+            if any(_dot(w, r) < 0 for r in rays):
+                w = tuple(-x for x in w)
+        else:
+            w = linalg.primitive_vector(a)
+        facets.add(w)
+    return tuple(sorted(eqs)), tuple(sorted(facets))
 
 
 def intersect_cones(c1, c2, ambient_dim: int):

@@ -9,13 +9,13 @@ polynomial witnesses move classes back and forth.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from . import linalg, polyhedra
 from .fans import Fan, resolve_smooth
 from .piecewise import (PiecewisePolynomial, _min_norm_functional,
-                        courant_function, pp_pullback)
+                        cone_homes, courant_function, pp_pullback)
 
 
 class MinkowskiWeight:
@@ -128,33 +128,27 @@ def _primes():
 
 def localization_degree(f: PiecewisePolynomial) -> Fraction:
     """Degree of the top homogeneous part of a function on a complete
-    simplicial fan, by summing localized contributions at a test point.
+    simplicial fan: its weight on the zero cone, by mw_of_pp."""
+    return mw_of_pp(f, f.fan.rank).values[()]
 
-    The contributions share one common denominator per test point, the
-    lcm of the per-cone denominators, so the sum runs over the numerators
-    and divides once. The underlying rational function of the test point
-    is constant, so the first two evaluation points with nonvanishing
-    denominators must agree; this is asserted.
+
+def _localization(fan: Fan):
+    """Localization data of a complete simplicial fan, found once per fan.
+
+    Per test point: the point, the common denominator and, per top cone
+    of the smooth resolution (the fan itself when smooth), its home top
+    cone in the fan and its numerator multiplier.
     """
-    fan = f.fan
-    n = fan.rank
-    if n == 0:
-        return f.pieces[()].evaluate(())
-    if not fan.is_smooth():
-        fine = resolve_smooth(fan)
-        return localization_degree(
-            pp_pullback(fine, linalg.identity_matrix(n), f))
-    top = f.homogeneous_component(n)
-    results = []
-    for point, common, mults in fan.cached(
-            "localization_points", lambda: _localization_points(fan)):
-        total = 0
-        for m, mult in zip(fan.max_cones, mults):
-            total += top.pieces[m].value(point) * mult
-        results.append(Fraction(total, common))
-    if results[0] != results[1]:
-        raise ArithmeticError("localization gave inconsistent values")
-    return results[0]
+    def compute():
+        if fan.is_smooth():
+            smooth, homes = fan, {m: m for m in fan.max_cones}
+        else:
+            smooth = resolve_smooth(fan)
+            homes = cone_homes(smooth, linalg.identity_matrix(fan.rank), fan)
+        return [(point, common, [(homes[m], mult) for m, mult
+                                 in zip(smooth.max_cones, mults)])
+                for point, common, mults in _localization_points(smooth)]
+    return fan.cached("localization", compute)
 
 
 def _localization_points(fan: Fan):
@@ -198,12 +192,52 @@ def ray_monomial_class(fan: Fan, ray_indices) -> MinkowskiWeight:
 
 def mw_of_pp(f: PiecewisePolynomial, codim: int) -> MinkowskiWeight:
     """Weight of a degree-k function: at each codimension-k cone, the
-    degree of the function multiplied by that cone's ray functions."""
+    degree of the function multiplied by that cone's ray functions.
+
+    Each degree is a sum of localized contributions at a test point. The
+    degree-k part of the function and the ray functions are evaluated
+    once per top cone, so each weight is a sum of products of numbers,
+    without forming the product of functions. On a fan that is not smooth
+    the sum runs over the top cones of its smooth resolution, each taking
+    the pieces of its home top cone: the degree of the product pulled
+    back to the resolution. The contributions share one common
+    denominator per test point, so each sum runs over the numerators and
+    divides once. The underlying rational function of the test point is
+    constant, so the first two evaluation points with nonvanishing
+    denominators must agree; this is asserted.
+    """
     fan = f.fan
-    values = {}
-    for tau in fan.cones_of_dim(fan.rank - codim):
-        values[tau] = localization_degree(f * courant_monomial(fan, tau))
-    return MinkowskiWeight(fan, codim, values)
+    k = fan.rank - codim
+    taus = fan.cones_of_dim(k)
+    if not taus:
+        return MinkowskiWeight(fan, codim)
+    part = {m: p.homogeneous_component(codim) for m, p in f.pieces.items()}
+    # weights on the zero cone need no ray function, nor a simplicial fan
+    rayfns = ([courant_function(fan, i) for i in range(len(fan.rays))]
+              if k else [])
+    results = {tau: [] for tau in taus}
+    for point, common, cones in _localization(fan):
+        totals = dict.fromkeys(taus, 0)
+        for home, mult in cones:
+            value = part[home].value(point) * mult
+            if not value:
+                continue
+            at = ([rayfns[i].pieces[home].value(point) for i in home]
+                  if k else [])
+            for sub in combinations(range(len(home)), k):
+                tau = tuple(home[j] for j in sub)
+                if tau in totals:
+                    term = value
+                    for j in sub:
+                        term *= at[j]
+                    totals[tau] += term
+        for tau in taus:
+            results[tau].append(Fraction(totals[tau], common))
+    for first, second in results.values():
+        if first != second:
+            raise ArithmeticError("localization gave inconsistent values")
+    return MinkowskiWeight(fan, codim,
+                           {tau: vals[0] for tau, vals in results.items()})
 
 
 # ---------------------------------------------------------------------------
