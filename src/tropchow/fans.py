@@ -20,7 +20,7 @@ class Fan:
     """Immutable fan; build through fan_from_max_cones or module helpers.
 
     Data derived from the rays and cones (H-representations, faces, cone
-    dimensions, smoothness, unimodular duals, ray functions, ...) is
+    dimensions, dual bases, smoothness, ray functions, ...) is
     computed on first use and kept on this object, so a Fan must never be
     mutated. Construction hands over what it computes while closing over
     faces: the extreme rays, H-representation and faces of every input
@@ -140,6 +140,11 @@ class Fan:
         return self.cached("smooth", lambda: all(
             self.cone_multiplicity(c) == 1 for c in self.max_cones))
 
+    def cone_dual_basis(self, cone: ConeKey):
+        """polyhedra.dual_basis of a simplicial cone's rays, kept per cone."""
+        return self.cached(("dual_basis", cone),
+                           lambda: polyhedra.dual_basis(self.cone_rays(cone)))
+
     def unimodular_duals(self) -> dict:
         """Integer inverse of the ray matrix of every top cone, keyed by
         cone: its rows are the dual basis. Needs a smooth fan whose top
@@ -156,9 +161,11 @@ class Fan:
                 raise ValueError("fan is not complete")
             for ridge in combinations(m, n - 1) if n else ():
                 ridges[ridge] = ridges.get(ridge, 0) + 1
-            rays = self.cone_rays(m)
-            duals[m] = linalg.invert_unimodular(
-                [[r[i] for r in rays] for i in range(n)])
+            # len(m) > n: a top cone that is not simplicial
+            basis = self.cone_dual_basis(m) if len(m) == n else None
+            if basis is None or any(x % p for u, p in basis for x in u):
+                raise ValueError("matrix is not unimodular")
+            duals[m] = [[x // p for x in u] for u, p in basis]
         if any(count != 2 for count in ridges.values()):
             raise ValueError("fan is not complete")
         return duals

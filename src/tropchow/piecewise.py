@@ -147,10 +147,12 @@ def _shared_rays(fan: Fan, a, b):
 def courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
     """Conewise linear function taking 1 at one ray and 0 at the others.
 
-    Requires a simplicial fan. On top cones of less than full dimension
-    the linear piece is pinned down by least squares, which keeps the
-    choice canonical; values on the fan support do not depend on it.
-    Computed once per fan object, which then returns the same function.
+    Requires a simplicial fan. On each top cone through the ray the linear
+    piece is the ray's vector of the dual basis within the span of the
+    cone (Fan.cone_dual_basis), which keeps the choice canonical on top
+    cones of less than full dimension; values on the fan support do not
+    depend on it. Computed once per fan object, which then returns the
+    same function.
     """
     return fan.cached(("courant", ray_index),
                       lambda: _courant_function(fan, ray_index))
@@ -159,25 +161,14 @@ def courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
 def _courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
     pieces = {}
     for m in fan.max_cones:
-        rays = fan.cone_rays(m)
-        if len(rays) != fan.cone_dim(m):
+        if len(m) != fan.cone_dim(m):
             raise ValueError("fan is not simplicial")
         if ray_index not in m:
             pieces[m] = Polynomial.zero(fan.rank)
             continue
-        values = [int(i == ray_index) for i in m]
-        pieces[m] = Polynomial.linear(_min_norm_functional(rays, values, fan.rank))
+        u, p = fan.cone_dual_basis(m)[m.index(ray_index)]
+        pieces[m] = Polynomial.linear([Fraction(x, p) for x in u])
     return PiecewisePolynomial(fan, pieces)
-
-
-def _min_norm_functional(rays, values, rank):
-    """Least-norm linear functional with given values on independent rays."""
-    gram = [[sum(a * b for a, b in zip(r, s)) for s in rays] for r in rays]
-    w = linalg.solve(gram, values)
-    if w is None:
-        raise ValueError("rays are dependent")
-    return [sum(w[i] * rays[i][j] for i in range(len(rays)))
-            for j in range(rank)]
 
 
 def cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
@@ -202,13 +193,23 @@ def _cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
     return homes
 
 
+def _is_identity(matrix, n: int) -> bool:
+    return len(matrix) == n and all(
+        len(row) == n and all(x == (i == j) for j, x in enumerate(row))
+        for i, row in enumerate(matrix))
+
+
 def pp_pullback(source_fan: Fan, matrix, target_pp: PiecewisePolynomial
                 ) -> PiecewisePolynomial:
     """Compose a piecewise polynomial with a linear map that maps every
-    source cone into some target cone."""
+    source cone into some target cone. Under the identity each source
+    cone takes its home cone's piece as it is."""
+    identity = _is_identity(matrix, source_fan.rank)
     pieces = {}
     for m, home in cone_homes(source_fan, matrix, target_pp.fan).items():
-        piece = target_pp.pieces[home].compose_linear(matrix)
+        piece = target_pp.pieces[home]
+        if not identity:
+            piece = piece.compose_linear(matrix)
         if piece.nvars != source_fan.rank:
             # an empty matrix cannot carry its column count
             piece = Polynomial.constant(
@@ -262,15 +263,25 @@ def min_refinement(fan: Fan, functions):
     """Refine a fan so the pointwise minimum of conewise linear functions
     becomes conewise linear; returns (refined fan, minimum).
 
-    Cells are cut out per top cone by the inequalities l_j <= l_i; cells
-    of full dimension in their cone survive, and everything is closed
-    over faces and deduplicated. Each cell's rays come from its rows, and
-    its facets are read off those rows against the rays.
+    A top cone on which one function is at most every other at every ray
+    is its own cell, with the rays and H-rep the fan has for it: any other
+    cell of full dimension there lies where its function equals that one,
+    which is the whole cone again. Any other top cone is cut into cells by
+    the inequalities l_j <= l_i; cells of full dimension in their cone
+    survive, each with its rays from its rows and its facets read off
+    those rows against the rays. Everything is closed over faces and
+    deduplicated.
     """
     cells = []
     for m in fan.max_cones:
-        eqs, ineqs = fan.cone_hrep(m)
+        rays, hrep = fan.cone_rays(m), fan.cone_hrep(m)
         linear = [f.pieces[m] for f in functions]
+        values = [[lj.value(r) for r in rays] for lj in linear]
+        if any(all(a <= b for vi in values for a, b in zip(vj, vi))
+               for vj in values):
+            cells.append((tuple(rays), hrep))
+            continue
+        eqs, ineqs = hrep
         for j, lj in enumerate(linear):
             rows = list(ineqs)
             for i, li in enumerate(linear):

@@ -3,16 +3,19 @@
 Cones are handled in two representations. Generator form is a list of
 integer vectors; constraint form is a pair (equalities, inequalities) of
 primitive integer functionals, with equalities cutting out the linear span
-and inequalities the facets within it. A full conversion in either
-direction (cone_constraints, rays_from_constraints) enumerates subsets of
-generators or of rows, which is exact and fast at the dimensions that
-appear here (at most four or five). When both forms of a cone are at hand,
-possibly redundant, the irredundant part of either is read off the other
-by one rank per candidate instead (extreme_generators, facet_constraints):
-in a pointed cone of dimension d, a generator is extreme and a row is a
-facet exactly when the partners vanishing on it have rank d - 1. Every
-kernel vector is a primitive integer vector read off the integer echelon
-form (linalg.primitive_kernel), so all of this runs in int arithmetic;
+and inequalities the facets within it. A simplicial cone is read off the
+dual basis of its rays within their span (dual_basis): one elimination of
+the Gram matrix gives every facet normal, up to scale. Otherwise a full
+conversion (cone_constraints on generators that are not independent,
+rays_from_constraints) enumerates subsets of generators or of rows, which
+is exact and fast at the dimensions that appear here (at most four or
+five). When both forms of a cone are at hand, possibly redundant, the
+irredundant part of either is read off the other by one rank per
+candidate instead (extreme_generators, facet_constraints): in a pointed
+cone of dimension d, a generator is extreme and a row is a facet exactly
+when the partners vanishing on it have rank d - 1. Every kernel vector is
+a primitive integer vector read off the integer echelon form
+(linalg.primitive_kernel), so all of this runs in int arithmetic;
 Fractions remain only in the affine routines (feasibility, polytope
 vertices and volume).
 """
@@ -44,8 +47,35 @@ def span_dim(vectors) -> int:
     return linalg.rank(vecs) if vecs else 0
 
 
+def dual_basis(rays):
+    """Dual basis of independent integer rays within their span.
+
+    Returns one pair (u_i, p_i) per ray: u_i an integer vector in the span
+    of the rays and p_i a nonzero integer with u_i . r_j = p_i if i == j
+    and 0 otherwise, so u_i / p_i is the dual basis vector. All of them
+    come from one integer elimination of [Gram | I]: the Gram matrix
+    inverted gives the coefficients of each u_i in the rays. Raises
+    ValueError when the rays are dependent.
+    """
+    k = len(rays)
+    gram = [[_dot(r, s) for s in rays] + [int(i == j) for j in range(k)]
+            for i, r in enumerate(rays)]
+    rows, pivots = linalg._integer_echelon(gram)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("rays are dependent")
+    out = []
+    for i, row in enumerate(rows[:k]):
+        u = tuple(sum(row[k + j] * rays[j][c] for j in range(k))
+                  for c in range(len(rays[0])))
+        out.append((u, row[i]))
+    return tuple(out)
+
+
 def cone_constraints(generators, ambient_dim: int):
     """Constraint form of the cone spanned by integer generators.
+
+    Independent generators have the facets of their dual basis; otherwise
+    every (d-1)-subset of generators is tried as the rays of a facet.
 
     Returns:
         (equalities, inequalities): sorted tuples of primitive integer
@@ -56,7 +86,11 @@ def cone_constraints(generators, ambient_dim: int):
     eqs = linalg.primitive_kernel(gens if gens else [[0] * ambient_dim])
     if not gens:
         return tuple(sorted(eqs)), ()
-    d = linalg.rank(gens)
+    d = ambient_dim - len(eqs)
+    if len(gens) == d:
+        ineqs = {linalg.primitive_vector(u if p > 0 else [-x for x in u])
+                 for u, p in dual_basis(gens)}
+        return tuple(sorted(eqs)), tuple(sorted(ineqs))
     basis = _independent_subset(gens, d)
     ineqs = set()
     for subset in combinations(range(len(gens)), d - 1):

@@ -14,8 +14,8 @@ from math import lcm
 
 from . import linalg, polyhedra
 from .fans import Fan, resolve_smooth
-from .piecewise import (PiecewisePolynomial, _min_norm_functional,
-                        cone_homes, courant_function, pp_pullback)
+from .piecewise import (PiecewisePolynomial, cone_homes, courant_function,
+                        pp_pullback)
 
 
 class MinkowskiWeight:
@@ -347,6 +347,16 @@ def pushforward_witness(source_fan: Fan, witness: PiecewisePolynomial,
 
 # ---------------------------------------------------------------------------
 # corner locus
+
+def _min_norm_functional(rays, values, rank):
+    """Least-norm linear functional with given values on independent rays."""
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in rays] for r in rays]
+    w = linalg.solve(gram, values)
+    if w is None:
+        raise ValueError("rays are dependent")
+    return [sum(w[i] * rays[i][j] for i in range(len(rays)))
+            for j in range(rank)]
+
 
 def _linear_extension_on(fan: Fan, phi: PiecewisePolynomial, tau):
     """Least-norm linear functional agreeing with phi on a cone."""

@@ -6,9 +6,13 @@ min_refinement hands over the rays and facets of its cells;
 minimal_cone_containing locates points through the top cones;
 pp_pullback keeps the home cones it finds; mw_of_pp sums localized
 values instead of multiplying functions out; _generic_vector takes one
-kernel per ray union of a cone pair. Each is checked here against an
-independent computation: fresh polyhedra calls, scans over all cones,
-the product route and the rank-based search.
+kernel per ray union of a cone pair; simplicial cones give their facets,
+ray functions and unimodular duals from one dual basis, and
+min_refinement keeps a top cone whole where the minimum is linear. Each
+is checked here against an independent computation: fresh polyhedra
+calls, scans over all cones, the product route, the rank-based search,
+the subset enumeration, a least-norm Gram solve and the per-cell
+enumeration.
 """
 import itertools
 from fractions import Fraction
@@ -605,3 +609,289 @@ def test_building_and_pulling_back_repeat_no_search(monkeypatch):
     piecewise.pp_pullback(bl, swap, f)
     assert calls["cone_contains"] > searched
     assert calls["rays_from_constraints"] == 0
+
+
+# ---------------------------------------------------------------------------
+# simplicial cones read off one dual basis
+
+
+def _subset_cone_constraints(generators, ambient_dim):
+    """Constraint form by trying every (d-1)-subset of generators as the
+    rays of a facet, for independent generators too."""
+    gens = [tuple(g) for g in generators if any(g)]
+    eqs = linalg.primitive_kernel(gens if gens else [[0] * ambient_dim])
+    if not gens:
+        return tuple(sorted(eqs)), ()
+    d = linalg.rank(gens)
+    basis = []
+    for g in gens:
+        if linalg.rank(basis + [g]) > len(basis):
+            basis.append(g)
+    dot = polyhedra._dot
+    ineqs = set()
+    for subset in itertools.combinations(gens, d - 1):
+        gram = [[dot(b, s) for b in basis] for s in subset]
+        ns = linalg.primitive_kernel(gram if gram else [[0] * d])
+        if len(ns) != 1:
+            continue
+        w = tuple(sum(t * b[j] for t, b in zip(ns[0], basis))
+                  for j in range(ambient_dim))
+        signs = {(dot(w, g) > 0) - (dot(w, g) < 0) for g in gens} - {0}
+        if len(signs) == 1:
+            sign = signs.pop()
+            ineqs.add(linalg.primitive_vector([sign * x for x in w]))
+    return tuple(sorted(eqs)), tuple(sorted(ineqs))
+
+
+def _least_norm_functional(rays, values, rank):
+    """The linear functional with given values on independent rays that
+    lies in their span, by a Fraction Gram solve."""
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in rays] for r in rays]
+    w = linalg.solve(gram, values)
+    return [sum(w[i] * rays[i][j] for i in range(len(rays)))
+            for j in range(rank)]
+
+
+@st.composite
+def _independent_generators(draw):
+    """1-3 independent, not necessarily primitive generators spanning a
+    proper subspace of Z^3 or Z^4."""
+    rank = draw(st.sampled_from((3, 4)))
+    k = draw(st.integers(1, min(3, rank - 1)))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank)
+    gens = draw(st.lists(vec, min_size=k, max_size=k).filter(
+        lambda gs: linalg.rank(gs) == k))
+    scales = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return rank, [tuple(s * x for x in g) for s, g in zip(scales, gens)]
+
+
+def _check_dual_basis(rays):
+    basis = polyhedra.dual_basis(rays)
+    assert len(basis) == len(rays)
+    for i, (u, p) in enumerate(basis):
+        assert p != 0 and all(type(x) is int for x in u)
+        assert [sum(a * b for a, b in zip(u, r)) for r in rays] == [
+            p * (i == j) for j in range(len(rays))]
+        assert linalg.rank(list(rays) + [u]) == len(rays)
+
+
+@FAN_ORACLE
+@given(_independent_generators())
+def test_independent_generators_read_off_the_dual_basis(data):
+    rank, gens = data
+    _check_dual_basis(gens)
+    assert polyhedra.cone_constraints(gens, rank) == (
+        _subset_cone_constraints(gens, rank))
+    fan = fans.fan_from_max_cones(rank, [gens])
+    (top,) = fan.max_cones
+    assert fan.cone_dim(top) < rank
+    for i in top:
+        piece = piecewise.courant_function(fan, i).pieces[top]
+        assert piece == Polynomial.linear(_least_norm_functional(
+            fan.cone_rays(top), [int(j == i) for j in top], rank))
+
+
+@FAN_ORACLE
+@given(_independent_generators(), st.data())
+def test_dual_basis_refuses_dependent_rays(data, draw):
+    rank, gens = data
+    a, b = draw.draw(st.integers(-2, 2)), draw.draw(st.integers(-2, 2))
+    extra = tuple(a * x + b * y for x, y in zip(gens[0], gens[-1]))
+    rays = draw.draw(st.permutations(gens + [extra]))
+    with pytest.raises(ValueError, match="dependent"):
+        polyhedra.dual_basis(rays)
+
+
+@FAN_ORACLE
+@given(_subdivided_fans())
+def test_fan_cones_read_off_the_dual_basis(fan):
+    for c in fan.cones:
+        rays = fan.cone_rays(c)
+        assert polyhedra.cone_constraints(rays, fan.rank) == (
+            _subset_cone_constraints(rays, fan.rank))
+        _check_dual_basis(rays)
+    for i in range(len(fan.rays)):
+        f = piecewise.courant_function(fan, i)
+        for m in fan.max_cones:
+            assert f.pieces[m] == Polynomial.linear(_least_norm_functional(
+                fan.cone_rays(m), [int(j == i) for j in m], fan.rank))
+
+
+def test_non_simplicial_generators_are_enumerated():
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    plane = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)]
+    for gens in (square, plane, square + [(0, 0, 1)]):
+        assert polyhedra.cone_constraints(gens, 3) == (
+            _subset_cone_constraints(gens, 3))
+    assert polyhedra.cone_constraints(square, 3)[1] == (
+        (-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
+
+
+def _enumerated_min_refinement(fan, functions):
+    """min_refinement with every (top cone, function) cell enumerated from
+    fresh H-reps, the fan built from generators and the minimum taken on
+    pullbacks found by scanning."""
+    cells = []
+    for m in fan.max_cones:
+        eqs, ineqs = polyhedra.cone_constraints(fan.cone_rays(m), fan.rank)
+        linear = [f.pieces[m] for f in functions]
+        for j, lj in enumerate(linear):
+            rows = list(ineqs)
+            for i, li in enumerate(linear):
+                coeffs = piecewise._linear_coefficients(li - lj, fan.rank)
+                if i != j and any(coeffs):
+                    rows.append(polyhedra._to_primitive_int(coeffs))
+            cell = polyhedra.rays_from_constraints((eqs, tuple(rows)),
+                                                   fan.rank)
+            if polyhedra.span_dim(cell) == fan.cone_dim(m):
+                cells.append(cell)
+    refined = fans.fan_from_max_cones(fan.rank, cells)
+    ident = linalg.identity_matrix(fan.rank)
+    return refined, piecewise.pp_min(
+        refined, [_scan_pullback(refined, ident, f) for f in functions])
+
+
+@st.composite
+def _courant_combinations(draw, fan):
+    """Integer combinations of ray functions, some repeated or shifted by
+    a multiple of one ray function, so that minima tie on whole cones."""
+    rays = st.integers(0, len(fan.rays) - 1)
+    functions = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = piecewise.PiecewisePolynomial.zero(fan)
+        for i in draw(st.lists(rays, min_size=1, max_size=3)):
+            f = f + piecewise.courant_function(fan, i).scale(
+                draw(st.integers(-2, 2)))
+        functions.append(f)
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from(functions))
+        functions.append(f + piecewise.courant_function(
+            fan, draw(rays)).scale(draw(st.integers(0, 1))))
+    return draw(st.permutations(functions))
+
+
+def _assert_same_refinement(fan, functions):
+    refined, minimum = piecewise.min_refinement(fan, functions)
+    expected, expected_min = _enumerated_min_refinement(fan, functions)
+    assert refined.rays == expected.rays
+    assert refined.cones == expected.cones
+    for c in refined.cones:
+        assert refined.cone_hrep(c) == polyhedra.cone_constraints(
+            refined.cone_rays(c), fan.rank)
+    assert minimum.pieces == expected_min.pieces
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_subdivided_fans(), st.data())
+def test_min_refinement_equals_per_cell_enumeration(fan, draw):
+    _assert_same_refinement(fan, draw.draw(_courant_combinations(fan)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_independent_generators(), st.data())
+def test_min_refinement_on_a_lower_dimensional_cone(data, draw):
+    rank, gens = data
+    fan = fans.fan_from_max_cones(rank, [gens])
+    _assert_same_refinement(fan, draw.draw(_courant_combinations(fan)))
+
+
+def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
+        monkeypatch):
+    calls = {"dual_basis": 0, "rays_from_constraints": 0}
+
+    def count(name):
+        compute = getattr(polyhedra, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return compute(*args)
+        monkeypatch.setattr(polyhedra, name, counted)
+
+    count("dual_basis")
+    count("rays_from_constraints")
+    p3 = fans.fan_from_max_cones(*BASES["P3"])
+    centre = p3.max_cones[0]
+    bl = fans.stellar_subdivision(p3, centre)
+    built = calls["dual_basis"]
+    rayfns = [piecewise.courant_function(bl, i) for i in range(len(bl.rays))]
+    # one elimination per top cone, shared by every ray function on it
+    assert calls["dual_basis"] == built + len(bl.max_cones) == built + 6
+    assert [piecewise.courant_function(bl, i)
+            for i in range(len(bl.rays))] == rayfns
+    duals = bl.unimodular_duals()
+    assert calls["dual_basis"] == built + 6
+    for m in bl.max_cones:
+        rays = bl.cone_rays(m)
+        assert duals[m] == linalg.invert_unimodular(
+            [[r[i] for r in rays] for i in range(3)])
+    ident = linalg.identity_matrix(3)
+    pulled = [piecewise.pp_pullback(bl, ident, piecewise.courant_function(
+        p3, i)) for i in centre]
+    refined, minimum = piecewise.min_refinement(bl, pulled)
+    assert calls["rays_from_constraints"] == 0
+    assert refined == bl
+    exc = bl.rays.index(linalg.primitive_vector(p3.relint_point(centre)))
+    assert minimum.pieces == rayfns[exc].pieces
+    # a minimum that bends inside a cone is still cut out: the two top
+    # cones through both rays are each cut in two
+    mixed = [piecewise.courant_function(p3, i) for i in centre[:2]]
+    refined, _ = piecewise.min_refinement(p3, mixed)
+    assert calls["rays_from_constraints"] > 0
+    assert len(refined.max_cones) == len(p3.max_cones) + 2
+
+
+def test_unimodular_duals_refusals():
+    weighted = fans.fan_from_max_cones(*WEIGHTED["P(1,1,2)"])
+    square = fans.fan_from_max_cones(3, [
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]])
+    quadrant = fans.fan_from_max_cones(2, [[(1, 0), (0, 1)]])
+    ray = fans.fan_from_max_cones(2, [[(1, 0)]])
+    for fan, message in ((weighted, "not unimodular"),
+                         (square, "not unimodular"),
+                         (quadrant, "not complete"), (ray, "not complete")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                fan.unimodular_duals()
+
+
+@FAN_ORACLE
+@given(_subdivided_fans())
+def test_unimodular_duals_equal_inverse_ray_matrices(fan):
+    if not fan.is_smooth():
+        with pytest.raises(ValueError, match="not unimodular"):
+            fan.unimodular_duals()
+        return
+    duals = fan.unimodular_duals()
+    for m in fan.max_cones:
+        rays = fan.cone_rays(m)
+        assert duals[m] == linalg.invert_unimodular(
+            [[r[i] for r in rays] for i in range(fan.rank)])
+
+
+def test_identity_pullback_reuses_pieces(monkeypatch):
+    calls = []
+    compose = Polynomial.compose_linear
+
+    def counted(self, matrix):
+        calls.append(matrix)
+        return compose(self, matrix)
+    monkeypatch.setattr(Polynomial, "compose_linear", counted)
+    p3 = fans.fan_from_max_cones(*BASES["P3"])
+    bl = fans.stellar_subdivision(p3, p3.max_cones[0])
+    f = weights.courant_monomial(p3, [0, 1]) + piecewise.courant_function(
+        p3, 2).scale(Fraction(1, 2))
+    for ident in (linalg.identity_matrix(3),
+                  [tuple(r) for r in linalg.identity_matrix(3)]):
+        pulled = piecewise.pp_pullback(bl, ident, f)
+        assert not calls
+        for m, home in piecewise.cone_homes(bl, ident, p3).items():
+            assert pulled.pieces[m] is f.pieces[home]
+        assert pulled.pieces == _scan_pullback(bl, ident, f).pieces
+        calls.clear()
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]  # symmetries of P3
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    for matrix in (swap, cycle):
+        pulled = piecewise.pp_pullback(bl, matrix, f)
+        assert len(calls) == len(bl.max_cones)
+        assert pulled.pieces == _scan_pullback(bl, matrix, f).pieces
+        calls.clear()
