@@ -26,7 +26,9 @@ class Fan:
     faces: the extreme rays, H-representation and faces of every input
     cone and the dimension of every cone. fan_from_max_cones reads the
     rays off the generators and the one H-representation it computes per
-    generator list; fan_from_cells takes both from its caller, as
+    generator list, and keeps the dual basis that the H-representation
+    of a simplicial cone is read off; fan_from_cells takes rays and
+    H-representations from its caller, as
     piecewise.min_refinement has them for each cell. Separately built fans
     share nothing, even when equal.
     """
@@ -221,12 +223,22 @@ def fan_from_max_cones(rank: int, generator_lists) -> Fan:
     Raises ValueError when a generator set spans a cone with a line.
     """
     cells = []
+    bases = []
     for gens in generator_lists:
         cleaned = sorted({linalg.primitive_vector(g) for g in gens if any(g)})
         if cleaned:
-            hrep = polyhedra.cone_constraints(cleaned, rank)
+            hrep, basis = polyhedra._constraints_and_basis(cleaned, rank)
             cells.append((polyhedra.extreme_generators(cleaned, hrep), hrep))
-    return fan_from_cells(rank, cells)
+            if basis is not None:
+                bases.append(dict(zip(cleaned, basis)))
+    fan = fan_from_cells(rank, cells)
+    # the dual basis each simplicial H-rep was read off, in cone_rays order
+    index = {r: i for i, r in enumerate(fan.rays)}
+    for by_ray in bases:
+        cone = tuple(sorted(index[r] for r in by_ray))
+        fan._derived[("dual_basis", cone)] = tuple(
+            by_ray[r] for r in fan.cone_rays(cone))
+    return fan
 
 
 def fan_from_cells(rank: int, cells) -> Fan:

@@ -192,23 +192,6 @@ def lattice_index(a: IntMatrix) -> int:
     return out
 
 
-def integer_kernel(a: IntMatrix) -> list[IntVector]:
-    """Basis of the integer kernel {x : a x = 0} as a list of vectors."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    d, _, v = smith_normal_form(a)
-    rank = 0
-    for i in range(min(m, n)):
-        if d[i][i] != 0:
-            rank += 1
-    cols = []
-    for j in range(rank, n):
-        cols.append(tuple(v[i][j] for i in range(n)))
-    return cols
-
-
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     n = len(a)
@@ -352,8 +335,8 @@ def primitive_kernel(a) -> list[IntVector]:
     """Kernel basis of a rational matrix as primitive integer vectors.
 
     Vector k is the positive primitive multiple of nullspace(a)[k], read
-    off the integer echelon rows without building a Fraction. Unlike
-    integer_kernel, the vectors need not span the kernel lattice.
+    off the integer echelon rows without building a Fraction. The vectors
+    span the kernel over the rationals but need not span its lattice.
     """
     m = len(a)
     n = len(a[0]) if m else 0

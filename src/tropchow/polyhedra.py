@@ -82,15 +82,22 @@ def cone_constraints(generators, ambient_dim: int):
         functionals. Equalities vanish on the cone; inequalities are
         nonnegative on it and supporting within its span.
     """
+    return _constraints_and_basis(generators, ambient_dim)[0]
+
+
+def _constraints_and_basis(generators, ambient_dim: int):
+    """cone_constraints, with the dual_basis of the nonzero generators
+    that its facets were read off when those are independent, else None."""
     gens = [tuple(g) for g in generators if any(g)]
     eqs = linalg.primitive_kernel(gens if gens else [[0] * ambient_dim])
     if not gens:
-        return tuple(sorted(eqs)), ()
+        return (tuple(sorted(eqs)), ()), None
     d = ambient_dim - len(eqs)
     if len(gens) == d:
+        duals = dual_basis(gens)
         ineqs = {linalg.primitive_vector(u if p > 0 else [-x for x in u])
-                 for u, p in dual_basis(gens)}
-        return tuple(sorted(eqs)), tuple(sorted(ineqs))
+                 for u, p in duals}
+        return (tuple(sorted(eqs)), tuple(sorted(ineqs))), duals
     basis = _independent_subset(gens, d)
     ineqs = set()
     for subset in combinations(range(len(gens)), d - 1):
@@ -111,7 +118,7 @@ def cone_constraints(generators, ambient_dim: int):
         if neg:
             w = tuple(-x for x in w)
         ineqs.add(linalg.primitive_vector(w))
-    return tuple(sorted(eqs)), tuple(sorted(ineqs))
+    return (tuple(sorted(eqs)), tuple(sorted(ineqs))), None
 
 
 def _independent_subset(vectors, target_rank):

@@ -80,22 +80,46 @@ class WeightedDualGraph:
     def total_genus(self) -> int:
         return sum(self.genus) + self.betti
 
+    @classmethod
+    def _trusted(cls, genus, edges, legs):
+        """A graph known to be stable and connected, with sorted edge
+        pairs, built without the checks of the constructor."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "genus", genus)
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "legs", legs)
+        return graph
+
     def canonical(self):
-        """(canonical graph, vertex relabelling onto it)."""
+        """(canonical graph, vertex relabelling onto it).
+
+        The canonical graph is the relabelling with the smallest key
+        (genus tuple, sorted edges, legs); among relabellings with that
+        key, the lexicographically smallest one is returned. Only the
+        relabellings that sort the genus tuple can reach the smallest
+        key, so just those are tried: within each block of equal genus,
+        every order of its vertices onto its block of positions.
+        """
+        genus = self.genus
+        order = sorted(range(len(genus)), key=genus.__getitem__)
+        blocks = [tuple(vs) for _, vs in
+                  itertools.groupby(order, key=genus.__getitem__)]
         best = None
-        best_perm = None
-        for perm in itertools.permutations(range(self.num_vertices)):
-            g = [0] * self.num_vertices
-            for v, h in enumerate(self.genus):
-                g[perm[v]] = h
-            key = (tuple(g),
-                   tuple(sorted(tuple(sorted((perm[a], perm[b])))
+        for arrangement in itertools.product(
+                *map(itertools.permutations, blocks)):
+            # arrangement lists, block by block, the vertex at each position
+            perm = [0] * len(genus)
+            for p, v in enumerate(itertools.chain.from_iterable(arrangement)):
+                perm[v] = p
+            key = (tuple(sorted(tuple(sorted((perm[a], perm[b])))
                                 for a, b in self.edges)),
-                   tuple(perm[v] for v in self.legs))
+                   tuple(perm[v] for v in self.legs),
+                   tuple(perm))
             if best is None or key < best:
                 best = key
-                best_perm = perm
-        return WeightedDualGraph(*best), best_perm
+        edges, legs, perm = best
+        return (WeightedDualGraph._trusted(tuple(sorted(genus)), edges, legs),
+                perm)
 
     def canonical_key(self):
         graph, _ = self.canonical()
@@ -106,13 +130,17 @@ def _degenerations(graph: WeightedDualGraph):
     """Every stable graph with one more edge that contracts back to this
     one: a unit of genus traded for a loop, or a vertex split in two
     joined by a new edge, sharing out its genus, its half-edges (a loop
-    has two) and its legs. Unstable candidates fail the constructor."""
+    has two) and its legs. A split is kept only when both of its
+    vertices are stable, 2h - 2 + val > 0, read off the counts of the
+    ends each one keeps; the new edge keeps it connected, so every
+    candidate is built without the checks of the constructor."""
     genus, edges, legs = graph.genus, graph.edges, graph.legs
     new = len(genus)
     for v, h in enumerate(genus):
         if h:
-            yield WeightedDualGraph(genus[:v] + (h - 1,) + genus[v + 1:],
-                                    edges + ((v, v),), legs)
+            yield WeightedDualGraph._trusted(
+                genus[:v] + (h - 1,) + genus[v + 1:], edges + ((v, v),),
+                legs)
         ends = [(i, k) for i, e in enumerate(edges) for k in (0, 1)
                 if e[k] == v]
         ends += [(j, None) for j, x in enumerate(legs) if x == v]
@@ -120,38 +148,52 @@ def _degenerations(graph: WeightedDualGraph):
             if moved[:1] == (1,):
                 continue  # mirrors the split keeping the first end at v
             out = {end for end, m in zip(ends, moved) if m}
+            # genus range keeping 2h - 2 + val > 0 on both sides, where
+            # each side also holds one end of the new edge
+            low = max(0, 1 - (len(ends) - len(out)) // 2)
+            high = h - max(0, 1 - len(out) // 2)
+            if low > high:
+                continue
             split_edges = tuple(
-                tuple(new if (i, k) in out else x for k, x in enumerate(e))
+                tuple(sorted(new if (i, k) in out else x
+                             for k, x in enumerate(e)))
                 for i, e in enumerate(edges)) + ((v, new),)
             split_legs = tuple(new if (j, None) in out else x
                                for j, x in enumerate(legs))
-            for h1 in range(h + 1):
-                try:
-                    cand = WeightedDualGraph(
-                        genus[:v] + (h1,) + genus[v + 1:] + (h - h1,),
-                        split_edges, split_legs)
-                except ValueError:
-                    continue
-                yield cand
+            for h1 in range(low, high + 1):
+                yield WeightedDualGraph._trusted(
+                    genus[:v] + (h1,) + genus[v + 1:] + (h - h1,),
+                    split_edges, split_legs)
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges=None):
     """All stable weighted dual graphs of genus g with n labelled legs and
-    at most max_edges edges, one per isomorphism class, in canonical order,
-    grown edge by edge from the one-vertex graph by degeneration (any edge
-    of a stable graph contracts to a stable graph; none has more than
-    3g - 3 + n edges)."""
+    at most max_edges edges, one per isomorphism class, in canonical order.
+
+    Graphs are grown edge by edge from the one-vertex graph: any edge of
+    a stable graph contracts to a stable graph, and none has more than
+    3g - 3 + n edges. Each layer keeps one graph per canonical key, and
+    only stable degenerations are ever built (_degenerations). Negative
+    g, n or max_edges are refused.
+    """
+    if g < 0 or n < 0:
+        raise ValueError("genus and leg count must be nonnegative")
+    if max_edges is not None and max_edges < 0:
+        raise ValueError("edge cap must be nonnegative")
     if 2 * g - 2 + n <= 0:
         raise ValueError("no stable graphs: 2g - 2 + n must be positive")
     cap = 3 * g - 3 + n if max_edges is None else min(max_edges, 3 * g - 3 + n)
     found = {}
     layer = (WeightedDualGraph((g,), (), (0,) * n),)
     for _ in range(cap + 1):
-        kept = {graph.canonical_key(): graph for graph in layer}
+        kept = {}
+        for graph in layer:
+            canon, _ = graph.canonical()
+            kept[(canon.genus, canon.edges, canon.legs)] = canon
         found.update(kept)
         layer = (cand for graph in kept.values()
                  for cand in _degenerations(graph))
-    return [WeightedDualGraph(*key) for key in sorted(found)]
+    return [found[key] for key in sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -188,46 +230,63 @@ class SlopeAssignment:
         return total
 
 
-def balanced_slopes(graph: WeightedDualGraph, contact, bound: int):
-    """Every integer slope assignment with all |slope| <= bound.
+def _spanning_tree(graph: WeightedDualGraph):
+    """Depth-first spanning tree from vertex 0: the vertices in the order
+    reached, and per vertex but the root (parent, edge index, sign), the
+    sign +1 when the parent is the edge's stored low endpoint."""
+    parent = {0: None}
+    order = [0]
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for i, (a, b) in enumerate(graph.edges):
+            if a == b:
+                continue
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in parent:
+                    parent[y] = (v, i, 1 if x == a else -1)
+                    order.append(y)
+                    frontier.append(y)
+    assert len(order) == graph.num_vertices
+    return parent, order
 
-    The balancing equations are solved once; their solution set is an
-    affine space parametrised by the free edge coordinates, so running
-    those over the integer box enumerates exactly the assignments whose
-    remaining coordinates come out integral and within the bound.
+
+def balanced_slopes(graph: WeightedDualGraph, contact, bound: int):
+    """Every integer slope assignment with all |slope| <= bound, sorted.
+
+    The slopes on the edges outside a spanning tree (loops included) are
+    free; each choice in [-bound, bound] fixes the tree slopes, read off
+    leaf to root as the flow each vertex must pass to its parent. The
+    incidence matrix is totally unimodular, so those come out integral;
+    the choices whose tree slopes stay within the bound are kept.
     """
     contact = tuple(contact)
     if sum(contact) != 0:
         raise ValueError("contact slopes must sum to zero")
     if bound < 0:
         raise ValueError("slope bound must be nonnegative")
-    ne = graph.num_edges
-    rhs = []
-    rows = []
-    for v in range(graph.num_vertices):
-        row = [0] * ne
-        for i, (a, b) in enumerate(graph.edges):
-            row[i] = (a == v) - (b == v)
-        rows.append(row)
-        rhs.append(-sum(s for x, s in zip(graph.legs, contact) if x == v))
-    if ne == 0:
-        if any(rhs):
-            return []
-        return [SlopeAssignment(graph, contact, ())]
-    part = linalg.solve(rows, rhs)
-    if part is None:
-        return []
-    kernel = linalg.nullspace(rows)
+    parent, order = _spanning_tree(graph)
+    tree = {edge for _, edge, _ in filter(None, parent.values())}
+    free = [i for i in range(graph.num_edges) if i not in tree]
+    at_vertex = [0] * graph.num_vertices
+    for x, s in zip(graph.legs, contact):
+        at_vertex[x] += s
     out = []
-    span = range(-bound, bound + 1)
-    for coeffs in itertools.product(span, repeat=len(kernel)):
-        m = list(part)
-        for t, vec in zip(coeffs, kernel):
-            for i in range(ne):
-                m[i] += t * vec[i]
-        if all(abs(x) <= bound and x.denominator == 1 for x in m):
-            out.append(SlopeAssignment(
-                graph, contact, tuple(int(x) for x in m)))
+    for choice in itertools.product(range(-bound, bound + 1),
+                                    repeat=len(free)):
+        slopes = [0] * graph.num_edges
+        excess = list(at_vertex)  # outflow at each vertex so far
+        for i, t in zip(free, choice):
+            a, b = graph.edges[i]
+            slopes[i] = t
+            excess[a] += t
+            excess[b] -= t
+        for v in reversed(order[1:]):
+            up, i, sign = parent[v]
+            slopes[i] = sign * excess[v]
+            excess[up] += excess[v]
+        if all(-bound <= m <= bound for m in slopes):
+            out.append(SlopeAssignment(graph, contact, tuple(slopes)))
     out.sort(key=lambda a: a.slopes)
     return out
 
@@ -235,23 +294,8 @@ def balanced_slopes(graph: WeightedDualGraph, contact, bound: int):
 def _cycle_rows(graph: WeightedDualGraph, slopes):
     """One row per independent cycle: the slope-weighted, orientation-
     signed length functional that a balanced function must annihilate."""
-    nv = graph.num_vertices
-    parent = {0: None}
-    order = [0]
-    tree = set()
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for i, (a, b) in enumerate(graph.edges):
-            if i in tree or a == b:
-                continue
-            for x, y in ((a, b), (b, a)):
-                if x == v and y not in parent:
-                    parent[y] = (v, i, 1 if x == a else -1)
-                    tree.add(i)
-                    order.append(y)
-                    frontier.append(y)
-    assert len(order) == nv
+    parent, _ = _spanning_tree(graph)
+    tree = {edge for _, edge, _ in filter(None, parent.values())}
 
     def chain(v):
         # signed tree-edge incidence of the path from the root to v
@@ -310,12 +354,36 @@ class DRCone:
                      for i in range(ne))
 
 
+def _wall_key(vec):
+    """The primitive multiple of a nonzero integer vector whose first
+    nonzero entry is positive."""
+    g = 0
+    for x in vec:
+        g = math.gcd(g, abs(x))
+    out = tuple(x // g for x in vec)
+    for x in out:
+        if x:
+            return out if x > 0 else tuple(-y for y in out)
+    return out
+
+
 def dr_cone(graph: WeightedDualGraph, assignment: SlopeAssignment) -> DRCone:
+    return _dr_cone(graph, assignment, {})
+
+
+def _dr_cone(graph, assignment, solved: dict) -> DRCone:
+    """dr_cone, taking the rays from solved when it holds the same cone:
+    keyed by the edge count and the set of cycle rows, each made
+    primitive with its first nonzero entry positive, which leaves the
+    cone unchanged."""
     if assignment.graph != graph:
         raise ValueError("assignment does not belong to this graph")
     ne = graph.num_edges
     equations = _cycle_rows(graph, assignment.slopes)
-    rays = _edge_cone_rays(equations, (), ne)
+    key = (ne, frozenset(map(_wall_key, equations)))
+    if key not in solved:
+        solved[key] = _edge_cone_rays(equations, (), ne)
+    rays = solved[key]
     full = all(any(r[i] for r in rays) for i in range(ne))
     return DRCone(assignment, equations, rays, full)
 
@@ -377,16 +445,18 @@ def dr_subfan(g: int, n: int, contact, bound=None) -> DRSubfan:
     """Per stable graph, the maximal edge-length cones admitting a
     balanced function with the given contact slopes and |slope| <= bound.
 
-    Completeness is always relative to the bound; no finiteness claim
-    beyond the box is made.
+    Many assignments share a cone; within one call the rays of each
+    distinct cone are solved once. Completeness is always relative to
+    the bound; no finiteness claim beyond the box is made.
     """
     contact = tuple(contact)
     if len(contact) != n:
         raise ValueError("one contact slope per leg is required")
     pieces = []
+    solved = {}
     for graph in enumerate_stable_graphs(g, n):
         b = default_bound(contact, graph.num_edges) if bound is None else bound
-        cones = [dr_cone(graph, assignment)
+        cones = [_dr_cone(graph, assignment, solved)
                  for assignment in balanced_slopes(graph, contact, b)]
         pieces.append(DRPiece(graph, b, _maximal_cones(cones)))
     return DRSubfan(g, n, contact, tuple(pieces))
@@ -569,17 +639,6 @@ class RubberPiece:
     @property
     def dim(self) -> int:
         return linalg.rank(list(self.rays)) if self.rays else 0
-
-
-def _wall_key(vec):
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
-    out = tuple(x // g for x in vec)
-    for x in out:
-        if x:
-            return out if x > 0 else tuple(-y for y in out)
-    return out
 
 
 def rubber_pieces(cone: DRCone):

@@ -238,6 +238,26 @@ def test_tropdr_graphs_example(capsys):
     assert code == 2
 
 
+def test_tropdr_graphs_refuses_negative_edge_cap(capsys):
+    code, out, err = _run(capsys, "tropdr", "graphs", "--g", "0", "--n", "3",
+                          "--max-edges=-1")
+    assert (code, out) == (2, "")
+    assert err == "error: edge cap must be nonnegative\n"
+
+
+def test_tropdr_graphs_refuses_negative_genus(capsys):
+    # 2g - 2 + n = 1 > 0, so this is refused for the genus itself
+    code, out, err = _run(capsys, "tropdr", "graphs", "--g=-1", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: genus and leg count must be nonnegative\n"
+
+
+def test_tropdr_graphs_refuses_negative_leg_count(capsys):
+    code, out, err = _run(capsys, "tropdr", "graphs", "--g", "3", "--n=-1")
+    assert (code, out) == (2, "")
+    assert err == "error: genus and leg count must be nonnegative\n"
+
+
 def test_tropdr_subfan_and_rubber_run(capsys):
     code, out, _ = _run(capsys, "--format", "json", "tropdr", "subfan",
                         "--g", "1", "--n", "2", "--contact", "1,-1",

@@ -158,7 +158,7 @@ def test_generic_vector_on_special_fans():
 
 
 def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
-    calls = {"cone_constraints": 0, "span_dim": 0, "_face_keys": 0}
+    calls = {"_constraints_and_basis": 0, "span_dim": 0, "_face_keys": 0}
 
     def count(module, name):
         compute = getattr(module, name)
@@ -168,15 +168,17 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
             return compute(*args)
         monkeypatch.setattr(module, name, counted)
 
-    count(polyhedra, "cone_constraints")
+    # every H-rep, the fan's own and cone_constraints', is computed here
+    count(polyhedra, "_constraints_and_basis")
     count(polyhedra, "span_dim")
     count(fans, "_face_keys")
     p3 = fans.fan_from_max_cones(*BASES["P3"])
     # one H-rep and one face list per generator list, one rank per cone
-    assert calls == {"cone_constraints": 4, "span_dim": 15, "_face_keys": 4}
+    assert calls == {"_constraints_and_basis": 4, "span_dim": 15,
+                     "_face_keys": 4}
     bl = fans.stellar_subdivision(p3, p3.max_cones[0])
     assert len(bl.max_cones) == 6 and len(bl.cones) == 1 + 5 + 9 + 6
-    assert calls == {"cone_constraints": 4 + 6, "span_dim": 15 + 21,
+    assert calls == {"_constraints_and_basis": 4 + 6, "span_dim": 15 + 21,
                      "_face_keys": 4 + 6}
     for m in bl.max_cones:
         bl.cone_hrep(m)
@@ -187,7 +189,8 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
         bl.cone_dim(c)
         # locating a point asks for no H-rep of a lower cone either
         assert bl.minimal_cone_containing(bl.relint_point(c)) == c
-    assert calls == {"cone_constraints": 10, "span_dim": 36, "_face_keys": 10}
+    assert calls == {"_constraints_and_basis": 10, "span_dim": 36,
+                     "_face_keys": 10}
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +815,16 @@ def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
     p3 = fans.fan_from_max_cones(*BASES["P3"])
     centre = p3.max_cones[0]
     bl = fans.stellar_subdivision(p3, centre)
-    built = calls["dual_basis"]
+    # one elimination per simplicial top cone, made while building: its
+    # H-rep and every ray function on it are read off the same one
+    built = len(p3.max_cones) + len(bl.max_cones)
+    assert calls["dual_basis"] == built == 4 + 6
     rayfns = [piecewise.courant_function(bl, i) for i in range(len(bl.rays))]
-    # one elimination per top cone, shared by every ray function on it
-    assert calls["dual_basis"] == built + len(bl.max_cones) == built + 6
+    assert calls["dual_basis"] == built
     assert [piecewise.courant_function(bl, i)
             for i in range(len(bl.rays))] == rayfns
     duals = bl.unimodular_duals()
-    assert calls["dual_basis"] == built + 6
+    assert calls["dual_basis"] == built
     for m in bl.max_cones:
         rays = bl.cone_rays(m)
         assert duals[m] == linalg.invert_unimodular(

@@ -61,18 +61,6 @@ def test_primitive_vector():
         pass
 
 
-def test_integer_kernel():
-    ker = linalg.integer_kernel([[1, 1, 1]])
-    assert len(ker) == 2
-    for v in ker:
-        assert sum(v) == 0
-    assert linalg.integer_kernel([[1, 0], [0, 1]]) == []
-    ker2 = linalg.integer_kernel([[2, -3]])
-    assert len(ker2) == 1
-    # kernel generator must be primitive: (3, 2) up to sign
-    assert tuple(map(abs, ker2[0])) == (3, 2)
-
-
 def test_invert_unimodular():
     a = [[1, 2], [1, 3]]
     ainv = linalg.invert_unimodular(a)

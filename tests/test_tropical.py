@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from tropchow import tropical
+from tropchow import linalg, polyhedra, tropical
 from tropchow.polyhedra import polytope_vertices
 from tropchow.tropical import (DRCone, SlopeAssignment, WeightedDualGraph,
                                balanced_slopes, dr_cone, dr_subfan,
@@ -38,7 +39,8 @@ def test_enumeration_counts():
 
 def test_enumeration_edge_cap():
     assert len(enumerate_stable_graphs(1, 2, max_edges=0)) == 1
-    assert enumerate_stable_graphs(1, 2, max_edges=-1) == []
+    with pytest.raises(ValueError, match="edge cap"):
+        enumerate_stable_graphs(1, 2, max_edges=-1)
     capped = enumerate_stable_graphs(1, 2, max_edges=1)
     assert capped == [g for g in enumerate_stable_graphs(1, 2)
                       if g.num_edges <= 1]
@@ -270,3 +272,188 @@ def test_face_closure_and_piece_lookup_on_four_legs():
         assert fan.piece_for(piece.graph) is piece
     with pytest.raises(KeyError):
         fan.piece_for(LOOP)          # a graph of genus 1 with 2 legs
+
+
+# ---------------------------------------------------------------------------
+# the enumeration, canonical form, slopes and cone rays against the former
+# algorithms, kept here as test-only references
+
+SMALL_MODULI = [(g, n) for g in range(3) for n in range(4)
+                if 2 * g - 2 + n > 0] + [(3, 0)]
+
+
+def _full_scan_canonical(graph):
+    """Every vertex permutation; the smallest key, and among tied keys
+    the first permutation in lexicographic order."""
+    best = best_perm = None
+    for perm in itertools.permutations(range(graph.num_vertices)):
+        genus = [0] * graph.num_vertices
+        for v, h in enumerate(graph.genus):
+            genus[perm[v]] = h
+        key = (tuple(genus),
+               tuple(sorted(tuple(sorted((perm[a], perm[b])))
+                            for a, b in graph.edges)),
+               tuple(perm[v] for v in graph.legs))
+        if best is None or key < best:
+            best, best_perm = key, perm
+    return WeightedDualGraph(*best), best_perm
+
+
+def _shuffled(graph, rng):
+    """The graph under a random vertex relabelling, with its edges in a
+    random order and each written either way round."""
+    perm = list(range(graph.num_vertices))
+    rng.shuffle(perm)
+    genus = [0] * graph.num_vertices
+    for v, h in enumerate(graph.genus):
+        genus[perm[v]] = h
+    edges = [(perm[a], perm[b])[::rng.choice((1, -1))]
+             for a, b in graph.edges]
+    rng.shuffle(edges)
+    return WeightedDualGraph(tuple(genus), tuple(edges),
+                             tuple(perm[v] for v in graph.legs))
+
+
+@pytest.mark.parametrize("g, n", SMALL_MODULI)
+def test_canonical_matches_full_permutation_scan(g, n):
+    rng = random.Random(f"{g},{n}")
+    for graph in enumerate_stable_graphs(g, n):
+        assert graph.canonical() == _full_scan_canonical(graph)
+        for _ in range(2):
+            moved = _shuffled(graph, rng)
+            canon, perm = moved.canonical()
+            assert (canon, perm) == _full_scan_canonical(moved)
+            assert canon == graph
+            assert moved.canonical_key() == (
+                graph.genus, graph.edges, graph.legs)
+
+
+def _fraction_box_slopes(graph, contact, bound):
+    """Balancing solved once over the rationals, a particular solution
+    plus the free coordinates of a nullspace basis run over the box, and
+    the integral points within the bound kept."""
+    rows = [[(a == v) - (b == v) for a, b in graph.edges]
+            for v in range(graph.num_vertices)]
+    rhs = [-sum(s for x, s in zip(graph.legs, contact) if x == v)
+           for v in range(graph.num_vertices)]
+    if not graph.edges:
+        return [] if any(rhs) else [()]
+    part = linalg.solve(rows, rhs)
+    if part is None:
+        return []
+    kernel = linalg.nullspace(rows)
+    out = []
+    for coeffs in itertools.product(range(-bound, bound + 1),
+                                    repeat=len(kernel)):
+        m = list(part)
+        for t, vec in zip(coeffs, kernel):
+            m = [x + t * y for x, y in zip(m, vec)]
+        if all(abs(x) <= bound and x.denominator == 1 for x in m):
+            out.append(tuple(int(x) for x in m))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("g, n", SMALL_MODULI)
+def test_balanced_slopes_match_fraction_box(g, n):
+    contacts = [c for c in itertools.product(range(-2, 3), repeat=n)
+                if sum(c) == 0]
+    for k, graph in enumerate(enumerate_stable_graphs(g, n)):
+        # at g=2 n=3 (555 graphs) each graph takes one contact vector in
+        # turn; the box reference would take about 40 s on all of them
+        for contact in (contacts if (g, n) != (2, 3)
+                        else [contacts[k % len(contacts)]]):
+            for bound in range(4):
+                slopes = [a.slopes
+                          for a in balanced_slopes(graph, contact, bound)]
+                assert slopes == _fraction_box_slopes(graph, contact, bound)
+
+
+def test_balanced_slopes_build_no_fraction(monkeypatch):
+    graphs = enumerate_stable_graphs(2, 2)
+    expected = [[a.slopes for a in balanced_slopes(graph, (1, -1), 2)]
+                for graph in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("balanced_slopes called into linalg")
+    for name in ("solve", "nullspace", "rref"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert [[a.slopes for a in balanced_slopes(graph, (1, -1), 2)]
+            for graph in graphs] == expected
+
+
+SUBFAN_CASES = ([(1, 3, c, None) for c in THREE_LEG_CLASSES]
+                + [(0, 4, (2, 1, -1, -2), None), (2, 2, (1, -1), 2),
+                   (1, 4, (1, 1, -1, -1), 2)])
+
+
+@pytest.mark.parametrize("g, n, contact, bound", SUBFAN_CASES)
+def test_dr_subfan_cones_match_fresh_solves(g, n, contact, bound):
+    for piece in dr_subfan(g, n, contact, bound).pieces:
+        ne = piece.graph.num_edges
+        for cone in piece.cones:
+            assert cone.rays == tropical._edge_cone_rays(
+                cone.equations, (), ne)
+            assert cone == dr_cone(piece.graph, cone.assignment)
+
+
+def _equation_set(ne, rows):
+    """The rows made primitive with their first nonzero entry positive."""
+    out = set()
+    for row in rows:
+        row = linalg.primitive_vector(row)
+        lead = next(x for x in row if x)
+        out.add(row if lead > 0 else tuple(-x for x in row))
+    return ne, frozenset(out)
+
+
+def test_dr_subfan_solves_each_distinct_cone_once(monkeypatch):
+    g, n, contact, bound = 2, 2, (1, -1), 2
+    distinct = set()
+    total = 0
+    for graph in enumerate_stable_graphs(g, n):
+        for a in balanced_slopes(graph, contact, bound):
+            total += 1
+            distinct.add(_equation_set(
+                graph.num_edges, dr_cone(graph, a).equations))
+    solves = []
+    original = polyhedra.rays_from_constraints
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+    monkeypatch.setattr(polyhedra, "rays_from_constraints", counted)
+    dr_subfan(g, n, contact, bound)
+    assert len(solves) == len(distinct) < total
+    # a second call shares nothing with the first
+    dr_subfan(g, n, contact, bound)
+    assert len(solves) == 2 * len(distinct)
+
+
+def test_enumeration_builds_only_stable_graphs(monkeypatch):
+    checks = {"run": 0, "refused": 0}
+    original = WeightedDualGraph.__post_init__
+
+    def counted(self):
+        checks["run"] += 1
+        try:
+            original(self)
+        except ValueError:
+            checks["refused"] += 1
+            raise
+    monkeypatch.setattr(WeightedDualGraph, "__post_init__", counted)
+    graphs = enumerate_stable_graphs(2, 2)
+    assert len(graphs) == 75
+    # only the one-vertex graph the degenerations start from is checked
+    assert checks == {"run": 1, "refused": 0}
+    for graph in graphs:
+        assert WeightedDualGraph(graph.genus, graph.edges, graph.legs) == graph
+    assert checks == {"run": 1 + 75, "refused": 0}
+
+
+def test_enumeration_refuses_negative_input():
+    with pytest.raises(ValueError, match="genus and leg count"):
+        enumerate_stable_graphs(-1, 5)
+    with pytest.raises(ValueError, match="genus and leg count"):
+        enumerate_stable_graphs(3, -1)
+    with pytest.raises(ValueError, match="genus and leg count"):
+        dr_subfan(-1, 5, (0,) * 5)
