@@ -299,7 +299,31 @@ def cmd_fulton_verify(args) -> int:
 
 # tropdr
 
+# Size limits of the tropdr commands; a value above one exits 2. The
+# genus limit depends on the command, the leg count is at most 6 - 2g.
+# With contact entries of +-1 the largest calls they admit run in under a
+# second, where graphs at g=2 n=4 would take about 30 s.
+TROPDR_MAX_GENUS = {"graphs": 3, "subfan": 2, "rubber": 2, "tc": 2}
+TROPDR_MAX_LEGS = 6
+TROPDR_MAX_EDGES = 6
+TROPDR_MAX_BOUND = 8
+
+
+def _check_size(args):
+    limits = [("--g", args.g, TROPDR_MAX_GENUS[args.subcommand]),
+              ("--n", args.n, TROPDR_MAX_LEGS - 2 * max(args.g, 0)),
+              ("--max-edges", getattr(args, "max_edges", None),
+               TROPDR_MAX_EDGES),
+              ("--bound", getattr(args, "bound", None), TROPDR_MAX_BOUND),
+              ("--bound2", getattr(args, "bound2", None), TROPDR_MAX_BOUND)]
+    for flag, value, limit in limits:
+        if value is not None and value > limit:
+            raise ValueError(f"{flag} {value} is above the limit {limit} "
+                             f"of tropdr {args.subcommand}")
+
+
 def cmd_tropdr_graphs(args) -> int:
+    _check_size(args)
     graphs = enumerate_stable_graphs(args.g, args.n, args.max_edges)
     if args.format == "json":
         _emit_doc(args, "report",
@@ -313,6 +337,7 @@ def cmd_tropdr_graphs(args) -> int:
 
 
 def cmd_tropdr_subfan(args) -> int:
+    _check_size(args)
     contact = _ints(args.contact, "--contact")
     sf = dr_subfan(args.g, args.n, contact, args.bound)
     if args.format == "json":
@@ -341,6 +366,7 @@ def cmd_tropdr_subfan(args) -> int:
 
 
 def cmd_tropdr_rubber(args) -> int:
+    _check_size(args)
     contact = _ints(args.contact, "--contact")
     pieces = rubber_subdivision(args.g, args.n, contact, args.bound)
     if args.format == "json":
@@ -371,6 +397,7 @@ def cmd_tropdr_rubber(args) -> int:
 
 
 def cmd_tropdr_tc(args) -> int:
+    _check_size(args)
     contact = _ints(args.contact, "--contact")
     contact2 = _ints(args.contact2, "--contact2")
     left = dr_subfan(args.g, args.n, contact, args.bound)
@@ -501,37 +528,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_fulton_verify)
 
-    trop = top.add_parser("tropdr").add_subparsers(dest="subcommand",
-                                                   required=True)
-    p = trop.add_parser("graphs")
-    p.add_argument("--g", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--max-edges", type=int)
+    genus = TROPDR_MAX_GENUS
+    trop = top.add_parser(
+        "tropdr",
+        description=f"Size limits (exit 2 above them): --g at most "
+                    f"{genus['graphs']} for graphs and {genus['subfan']} for "
+                    f"subfan, rubber and tc; --n at most {TROPDR_MAX_LEGS} "
+                    f"- 2g; --max-edges at most {TROPDR_MAX_EDGES}; --bound "
+                    f"and --bound2 at most {TROPDR_MAX_BOUND}."
+    ).add_subparsers(dest="subcommand", required=True)
+
+    def tropdr_parser(name, func):
+        p = trop.add_parser(name)
+        p.set_defaults(func=func)
+        p.add_argument("--g", required=True, type=int,
+                       help=f"genus, at most {genus[name]}")
+        p.add_argument("--n", required=True, type=int,
+                       help=f"number of legs, at most {TROPDR_MAX_LEGS} - 2g")
+        return p
+    at_most = f"at most {TROPDR_MAX_BOUND}"
+    p = tropdr_parser("graphs", cmd_tropdr_graphs)
+    p.add_argument("--max-edges", type=int,
+                   help=f"at most {TROPDR_MAX_EDGES}")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tropdr_graphs)
-    p = trop.add_parser("subfan")
-    p.add_argument("--g", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
+    p = tropdr_parser("subfan", cmd_tropdr_subfan)
     p.add_argument("--contact", required=True)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, help=at_most)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tropdr_subfan)
-    p = trop.add_parser("rubber")
-    p.add_argument("--g", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
+    p = tropdr_parser("rubber", cmd_tropdr_rubber)
     p.add_argument("--contact", required=True)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, help=at_most)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tropdr_rubber)
-    p = trop.add_parser("tc")
-    p.add_argument("--g", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
+    p = tropdr_parser("tc", cmd_tropdr_tc)
     p.add_argument("--contact", required=True)
     p.add_argument("--contact2", required=True)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--bound2", type=int)
+    p.add_argument("--bound", type=int, help=at_most)
+    p.add_argument("--bound2", type=int, help=at_most)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tropdr_tc)
 
     return parser
 

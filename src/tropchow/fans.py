@@ -147,6 +147,16 @@ class Fan:
         return self.cached(("dual_basis", cone),
                            lambda: polyhedra.dual_basis(self.cone_rays(cone)))
 
+    def cone_saturation(self, cone: ConeKey):
+        """linalg.saturation_data of a cone's ray columns, kept per cone:
+        (proj, sect, sat) with sat a basis of the saturated lattice of the
+        cone's span."""
+        def compute():
+            rays = self.cone_rays(cone)
+            return linalg.saturation_data(
+                [[r[i] for r in rays] for i in range(self.rank)])
+        return self.cached(("saturation", cone), compute)
+
     def unimodular_duals(self) -> dict:
         """Integer inverse of the ray matrix of every top cone, keyed by
         cone: its rows are the dual basis. Needs a smooth fan whose top

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from .fans import Fan, fan_from_max_cones, validate_fan
 from .ideals import MonomialIdeal
@@ -95,7 +96,46 @@ def parse_document(text: str) -> Document:
 def print_document(doc: Document) -> str:
     body = {"kind": doc.kind, "version": DOCUMENT_VERSION,
             "payload": doc.payload}
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    out = []
+    _write_json(body, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline, out):
+    """Append the text of json.dumps(value, indent=2, sort_keys=True) to
+    out, with newline the line break plus indent of the current level.
+
+    CPython's C encoder does not indent, so json.dumps would run its
+    pure-Python encoder. Values other than lists, tuples, str-keyed dicts,
+    strings, ints, bools and None go to json.dumps, errors included.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_string(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is list or kind is tuple or (
+            kind is dict and all(type(key) is str for key in value)):
+        brackets = "{}" if kind is dict else "[]"
+        if not value:
+            out.append(brackets)
+            return
+        items = ([(_encode_string(key) + ": ", value[key])
+                  for key in sorted(value)] if kind is dict
+                 else [("", item) for item in value])
+        inner = newline + "  "
+        sep = brackets[0] + inner
+        for label, item in items:
+            out.append(sep + label)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + brackets[1])
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace(
+            "\n", newline))
 
 
 # fans
@@ -224,11 +264,6 @@ def pp_from_payload(payload) -> PiecewisePolynomial:
 
 # monomial ideals
 
-def ideal_to_payload(ideal: MonomialIdeal):
-    return {"fan": fan_to_payload(ideal.fan),
-            "generators": [list(g) for g in ideal.generators]}
-
-
 def ideal_from_payload(payload) -> MonomialIdeal:
     _expect_keys(payload, ("fan", "generators"), "ideal")
     fan = fan_from_payload(payload["fan"])
@@ -248,19 +283,6 @@ def graph_to_payload(graph: WeightedDualGraph):
     return {"genus": list(graph.genus),
             "edges": sorted(list(e) for e in graph.edges),
             "legs": list(graph.legs)}
-
-
-def graph_from_payload(payload) -> WeightedDualGraph:
-    _expect_keys(payload, ("genus", "edges", "legs"), "graph")
-    if not isinstance(payload["edges"], list):
-        raise DocumentError("edges must be a list")
-    try:
-        return WeightedDualGraph(
-            _int_list(payload["genus"], "genus"),
-            tuple(_int_list(e, "edge") for e in payload["edges"]),
-            _int_list(payload["legs"], "legs"))
-    except ValueError as e:
-        raise DocumentError(f"invalid graph: {e}")
 
 
 # blowup setups with their test cycle
@@ -304,17 +326,6 @@ def setup_from_payload(payload):
     except ValueError as e:
         raise DocumentError(f"invalid cycle: {e}")
     return setup, cycle
-
-
-def setup_to_payload(setup: BlowupSetup, cycle: ToricCycle):
-    return {"base": fan_to_payload(setup.base),
-            "center": _cone_payload(setup.base, setup.center),
-            "modification": fan_to_payload(setup.modification),
-            "cycle": {"codim": cycle.codim,
-                      "coefficients": [
-                          {"cone": _cone_payload(cycle.fan, c),
-                           "value": format_rational(v)}
-                          for c, v in sorted(cycle.coefficients.items())]}}
 
 
 def load(path: str) -> Document:

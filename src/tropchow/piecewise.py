@@ -48,12 +48,6 @@ class PiecewisePolynomial:
         return cls(fan, {c: Polynomial.constant(fan.rank, value)
                          for c in fan.max_cones})
 
-    @classmethod
-    def from_polynomial(cls, fan: Fan, p: Polynomial) -> "PiecewisePolynomial":
-        if p.nvars != fan.rank:
-            raise ValueError("variable count must match the fan rank")
-        return cls(fan, {c: p for c in fan.max_cones})
-
     def _binary(self, other, op):
         if self.fan != other.fan:
             raise ValueError("functions live on different fans")
@@ -120,23 +114,6 @@ class PiecewisePolynomial:
 
     def __hash__(self):
         raise TypeError("piecewise polynomials are not hashable")
-
-    def is_continuous(self) -> bool:
-        """Whether the pieces agree on every meet of two top cones.
-
-        Assumes a fan that passes validate_fan, where two top cones meet
-        in the face spanned by their shared rays.
-        """
-        maxes = self.fan.max_cones
-        degree = self.max_degree()
-        for i in range(len(maxes)):
-            for j in range(i + 1, len(maxes)):
-                shared = _shared_rays(self.fan, maxes[i], maxes[j])
-                p, q = self.pieces[maxes[i]], self.pieces[maxes[j]]
-                for pt in _grid_points(shared, self.fan.rank, degree):
-                    if p.value(pt) != q.value(pt):
-                        return False
-        return True
 
 
 def _shared_rays(fan: Fan, a, b):
@@ -374,18 +351,3 @@ def pp_space_basis(fan: Fan, degree: int):
     if not rows:
         rows = [[0] * len(cols)]
     return linalg.nullspace(rows)
-
-
-def pp_from_vector(fan: Fan, degree: int, vector) -> PiecewisePolynomial:
-    """Inverse of the coefficient-vector encoding used by pp_space_basis."""
-    monos = _degree_monomials(fan.rank, degree)
-    maxes = fan.max_cones
-    pieces = {}
-    idx = 0
-    for m in maxes:
-        terms = {}
-        for e in monos:
-            terms[e] = Fraction(vector[idx])
-            idx += 1
-        pieces[m] = Polynomial(fan.rank, terms)
-    return PiecewisePolynomial(fan, pieces)

@@ -17,7 +17,10 @@ when the partners vanishing on it have rank d - 1. Every kernel vector is
 a primitive integer vector read off the integer echelon form
 (linalg.primitive_kernel), so all of this runs in int arithmetic;
 Fractions remain only in the affine routines (feasibility, polytope
-vertices and volume).
+vertices and volume). Affine feasibility (fm_feasible) is Fourier-Motzkin
+elimination without pruning; its one library caller is the displaced meet
+of a cone pair in weights.mw_product that is not simplicial, since a
+simplicial pair is decided by one square solve.
 """
 from __future__ import annotations
 

@@ -76,10 +76,6 @@ class WeightedDualGraph:
     def betti(self) -> int:
         return self.num_edges - self.num_vertices + 1
 
-    @property
-    def total_genus(self) -> int:
-        return sum(self.genus) + self.betti
-
     @classmethod
     def _trusted(cls, genus, edges, legs):
         """A graph known to be stable and connected, with sorted edge

@@ -79,12 +79,7 @@ def fundamental_weight(fan: Fan) -> MinkowskiWeight:
 def _quotient_normals(fan: Fan, tau):
     """Projection killing a cone's span plus, per cone covering it in one
     dimension more, the primitive image of the extra rays."""
-    rays = fan.cone_rays(tau)
-    if rays:
-        cols = [[r[i] for r in rays] for i in range(fan.rank)]
-        proj, _, _ = linalg.saturation_data(cols)
-    else:
-        proj = linalg.identity_matrix(fan.rank)
+    proj = fan.cone_saturation(tau)[0]
     covers = []
     d = fan.cone_dim(tau)
     for sigma in fan.cones_of_dim(d + 1):
@@ -266,7 +261,52 @@ def _generic_vector(fan: Fan):
     return fan.cached("generic_vector", find)
 
 
+def _pair_multiplicity(fan: Fan, sigma1, sigma2, v) -> int:
+    """Fulton-Sturmfels multiplicity of two cones displaced by v: the index
+    of the sum of their lattices in the ambient lattice when the spans
+    fill the space and sigma1 meets sigma2 + v, else 0.
+
+    For simplicial cones whose rays number at most the rank together, the
+    meet holds exactly when v = sum c_k r_k over the union of rays has
+    c_k >= 0 on the rays of sigma1 alone and c_k <= 0 on those of sigma2
+    alone. One integer elimination of [rays | v] gives the coordinates and
+    the rank; on a smooth fan the index is the determinant of the rays.
+    Other pairs are decided by Fourier-Motzkin on the H-representations.
+    """
+    n = fan.rank
+    union = sorted(set(sigma1) | set(sigma2))
+    if (len(union) <= n and len(sigma1) == fan.cone_dim(sigma1)
+            and len(sigma2) == fan.cone_dim(sigma2)):
+        if len(union) < n:
+            return 0
+        rays = fan.cone_rays(union)
+        rows, pivots = linalg._integer_echelon(
+            [[r[i] for r in rays] + [v[i]] for i in range(n)])
+        if pivots != list(range(n)):
+            return 0
+        for k, i in enumerate(union):
+            sign = rows[k][n] * rows[k][k]
+            if sign < 0 and i not in sigma2 or sign > 0 and i not in sigma1:
+                return 0
+        if fan.is_smooth():
+            return abs(linalg.det(rays).numerator)
+        return linalg.lattice_index(_saturated_sum(fan, sigma1, sigma2))
+    merged = _saturated_sum(fan, sigma1, sigma2)
+    if linalg.rank(merged) < n or not _displaced_meets(fan, sigma1, sigma2, v):
+        return 0
+    return linalg.lattice_index(merged)
+
+
+def _saturated_sum(fan: Fan, sigma1, sigma2):
+    """Columns of the saturated bases of both cone lattices, side by side."""
+    sat1 = fan.cone_saturation(sigma1)[2]
+    sat2 = fan.cone_saturation(sigma2)[2]
+    return [a + b for a, b in zip(sat1, sat2)]
+
+
 def _displaced_meets(fan: Fan, sigma1, sigma2, v) -> bool:
+    """Whether sigma1 meets sigma2 + v, by Fourier-Motzkin elimination on
+    the two H-representations."""
     eqs = []
     ineqs = []
     e1, i1 = fan.cone_hrep(sigma1)
@@ -282,25 +322,14 @@ def _displaced_meets(fan: Fan, sigma1, sigma2, v) -> bool:
     return polyhedra.fm_feasible(eqs, ineqs, fan.rank)
 
 
-def _span_sum_index(fan: Fan, sigma1, sigma2):
-    """Index of the sum of the two cone lattices in the ambient lattice,
-    or None when the spans do not fill the space."""
-    merged = [[] for _ in range(fan.rank)]
-    for s in (sigma1, sigma2):
-        rays = fan.cone_rays(s)
-        if not rays:
-            continue
-        cols = [[r[i] for r in rays] for i in range(fan.rank)]
-        _, _, sat = linalg.saturation_data(cols)
-        for i in range(fan.rank):
-            merged[i].extend(sat[i])
-    if not merged or not merged[0] or linalg.rank(merged) < fan.rank:
-        return None
-    return linalg.lattice_index(merged)
-
-
 def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
-    """Cup product of two weights by generic displacement."""
+    """Cup product of two weights by the displacement rule.
+
+    The product's weight at a cone tau sums a(sigma1) * b(sigma2) times
+    the multiplicity of the pair displaced by the fan's generic vector,
+    over the cones sigma1 and sigma2 of the two weights' dimensions that
+    contain tau (Fulton-Sturmfels).
+    """
     if a.fan != b.fan:
         raise ValueError("weights live on different fans")
     fan = a.fan
@@ -319,12 +348,9 @@ def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
             for s2 in fan.cones_of_dim(dim_b):
                 if not set(tau) <= set(s2) or b.values[s2] == 0:
                     continue
-                idx = _span_sum_index(fan, s1, s2)
-                if idx is None:
-                    continue
-                if not _displaced_meets(fan, s1, s2, v):
-                    continue
-                total += idx * a.values[s1] * b.values[s2]
+                idx = _pair_multiplicity(fan, s1, s2, v)
+                if idx:
+                    total += idx * a.values[s1] * b.values[s2]
         values[tau] = total
     return MinkowskiWeight(fan, codim, values)
 
@@ -385,7 +411,7 @@ def pl_cap(phi: PiecewisePolynomial, w: MinkowskiWeight) -> MinkowskiWeight:
     values = {}
     for tau in fan.cones_of_dim(fan.rank - w.codim - 1):
         _, covers = _quotient_normals(fan, tau)
-        _, sect, _ = _tau_split(fan, tau)
+        sect = fan.cone_saturation(tau)[1]
         ext = _linear_extension_on(fan, phi, tau)
         bend = Fraction(0)
         drift = [Fraction(0)] * fan.rank
@@ -399,15 +425,6 @@ def pl_cap(phi: PiecewisePolynomial, w: MinkowskiWeight) -> MinkowskiWeight:
         bend -= sum(e * x for e, x in zip(ext, drift))
         values[tau] = bend
     return MinkowskiWeight(fan, w.codim + 1, values)
-
-
-def _tau_split(fan: Fan, tau):
-    rays = fan.cone_rays(tau)
-    if rays:
-        cols = [[r[i] for r in rays] for i in range(fan.rank)]
-        return linalg.saturation_data(cols)
-    ident = linalg.identity_matrix(fan.rank)
-    return ident, ident, []
 
 
 # ---------------------------------------------------------------------------

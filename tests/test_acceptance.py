@@ -12,13 +12,14 @@ import sys
 import time
 from fractions import Fraction
 
+from helpers import ideal_to_payload, pp_from_polynomial, pp_from_vector
 from tropchow import io
 from tropchow.fans import fan_from_max_cones, insert_ray, stellar_subdivision
 from tropchow.ideals import MonomialIdeal, pullback_ideal, segre_class
 from tropchow.linalg import identity_matrix, rank
 from tropchow.piecewise import (PiecewisePolynomial, _grid_points,
                                 courant_function, excess_chern_class,
-                                pp_from_vector, pp_pullback, pp_space_basis,
+                                pp_pullback, pp_space_basis,
                                 pp_space_dimension)
 from tropchow.polynomials import Polynomial
 from tropchow.transforms import (BlowupSetup, ToricCycle, fundamental_cycle,
@@ -211,7 +212,7 @@ def _linear_span_rank(fan, degree):
     coords = []
     for i in range(fan.rank):
         e = tuple(1 if j == i else 0 for j in range(fan.rank))
-        coords.append(PiecewisePolynomial.from_polynomial(
+        coords.append(pp_from_polynomial(
             fan, Polynomial(fan.rank, {e: Fraction(1)})))
     products = [c * f for c in coords for f in prev]
     points = set()
@@ -307,9 +308,9 @@ def test_criterion_9_cli_determinism(tmp_path):
             "modification": None,
             "cycle": {"codim": 1,
                       "coefficients": [{"cone": [[1, 0]], "value": 1}]}}),
-        "pt.json": ("ideal", io.ideal_to_payload(
+        "pt.json": ("ideal", ideal_to_payload(
             MonomialIdeal(p2, ((0, 0, 1), (0, 1, 0))))),
-        "m2.json": ("ideal", io.ideal_to_payload(
+        "m2.json": ("ideal", ideal_to_payload(
             MonomialIdeal(p2, ((0, 0, 2), (0, 1, 1), (0, 2, 0))))),
         "h.json": ("weight", io.weight_to_payload(
             mw_of_pp(courant_function(p2, 2), 1))),

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import ideal_to_payload
 from test_acceptance import _cli_run
 from tropchow import cli, io
 from tropchow.cli import build_parser, main
@@ -179,7 +180,7 @@ def test_pp_excess_chern_doc(capsys, p2_doc):
 def test_segre_point_ideal(capsys, tmp_path):
     fan = _p2()
     ideal = MonomialIdeal(fan, ((0, 0, 1), (0, 1, 0)))
-    path = _write(tmp_path, "pt.json", "ideal", io.ideal_to_payload(ideal))
+    path = _write(tmp_path, "pt.json", "ideal", ideal_to_payload(ideal))
     code, out, _ = _run(capsys, "segre", "--ideal", path)
     assert code == 0
     assert "s_2: 1*[origin]" in out
@@ -258,6 +259,64 @@ def test_tropdr_graphs_refuses_negative_leg_count(capsys):
     assert err == "error: genus and leg count must be nonnegative\n"
 
 
+def _refusal(capsys, *argv):
+    code, out, err = _run(capsys, "tropdr", *argv)
+    assert (code, out) == (2, "")
+    return err
+
+
+def test_tropdr_refuses_genus_above_limit(capsys):
+    assert _refusal(capsys, "graphs", "--g", "4", "--n", "0") == (
+        "error: --g 4 is above the limit 3 of tropdr graphs\n")
+    for command in ("subfan", "rubber"):
+        assert "--g 3 is above the limit 2" in _refusal(
+            capsys, command, "--g", "3", "--n", "0", "--contact=")
+
+
+def test_tropdr_refuses_legs_above_limit(capsys):
+    # at most 6 - 2g legs
+    assert _refusal(capsys, "graphs", "--g", "0", "--n", "7") == (
+        "error: --n 7 is above the limit 6 of tropdr graphs\n")
+    assert "--n 3 is above the limit 2" in _refusal(
+        capsys, "subfan", "--g", "2", "--n", "3", "--contact=1,-1,0")
+
+
+def test_tropdr_refuses_edge_cap_above_limit(capsys):
+    assert _refusal(capsys, "graphs", "--g", "0", "--n", "3",
+                    "--max-edges", "7") == (
+        "error: --max-edges 7 is above the limit 6 of tropdr graphs\n")
+
+
+def test_tropdr_refuses_bound_above_limit(capsys):
+    assert _refusal(capsys, "subfan", "--g", "1", "--n", "2",
+                    "--contact", "1,-1", "--bound", "9") == (
+        "error: --bound 9 is above the limit 8 of tropdr subfan\n")
+    assert "--bound2 9 is above the limit 8" in _refusal(
+        capsys, "tc", "--g", "1", "--n", "2", "--contact", "1,-1",
+        "--contact2", "0,0", "--bound2", "9")
+
+
+def test_tropdr_limits_admit_the_ladder_and_are_in_help(capsys):
+    ladder = [["graphs", "--g", "3", "--n", "0", "--max-edges", "6"],
+              ["graphs", "--g", "2", "--n", "2"],
+              ["graphs", "--g", "1", "--n", "4"],
+              ["graphs", "--g", "0", "--n", "6"],
+              ["subfan", "--g", "1", "--n", "4", "--contact=1,1,-1,-1"],
+              ["subfan", "--g", "2", "--n", "2", "--contact=1,-1"],
+              ["rubber", "--g", "2", "--n", "2", "--contact=1,-1"],
+              ["rubber", "--g", "0", "--n", "4", "--contact=2,1,-1,-2",
+               "--bound", "8"],
+              ["tc", "--g", "1", "--n", "2", "--contact=1,-1",
+               "--contact2=0,0", "--bound", "8", "--bound2", "8"]]
+    for argv in ladder:
+        cli._check_size(build_parser().parse_args(["tropdr"] + argv))
+    assert main(["tropdr", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--g at most 3 for graphs and 2 for subfan, rubber and tc; "
+            "--n at most 6 - 2g; --max-edges at most 6; --bound and "
+            "--bound2 at most 8.") in text
+
+
 def test_tropdr_subfan_and_rubber_run(capsys):
     code, out, _ = _run(capsys, "--format", "json", "tropdr", "subfan",
                         "--g", "1", "--n", "2", "--contact", "1,-1",
@@ -284,7 +343,7 @@ def test_tropdr_tc_runs(capsys):
 def test_json_outputs_reproducible(capsys, tmp_path):
     fan = _p2()
     ideal = MonomialIdeal(fan, ((0, 0, 1), (0, 1, 0)))
-    path = _write(tmp_path, "pt.json", "ideal", io.ideal_to_payload(ideal))
+    path = _write(tmp_path, "pt.json", "ideal", ideal_to_payload(ideal))
     runs = [_run(capsys, "--format", "json", "segre", "--ideal", path)
             for _ in range(2)]
     assert runs[0] == runs[1]

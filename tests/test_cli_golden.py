@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import ideal_to_payload
 from tropchow import io
 from tropchow.cli import main
 from tropchow.fans import fan_from_max_cones
@@ -45,9 +46,9 @@ def _documents():
         "h3cube.json": ("weight", io.weight_to_payload(
             mw_of_pp(courant_function(p3, 3) * courant_function(p3, 3)
                      * courant_function(p3, 3), 3))),
-        "pt3.json": ("ideal", io.ideal_to_payload(
+        "pt3.json": ("ideal", ideal_to_payload(
             MonomialIdeal(p3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))))),
-        "fat3.json": ("ideal", io.ideal_to_payload(
+        "fat3.json": ("ideal", ideal_to_payload(
             MonomialIdeal(p3, ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0))))),
     }
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_continuous, pp_from_polynomial
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
 from tropchow.polynomials import Polynomial
 
@@ -36,9 +37,9 @@ BASES = {
 
 
 @st.composite
-def _subdivided_fans(draw):
+def _subdivided_fans(draw, bases=BASES):
     """A base fan with 0-3 stellar subdivisions at drawn nonzero cones."""
-    rank, gens = BASES[draw(st.sampled_from(sorted(BASES)))]
+    rank, gens = bases[draw(st.sampled_from(sorted(bases)))]
     fan = fans.fan_from_max_cones(rank, gens)
     for _ in range(draw(st.integers(0, 3))):
         nonzero = fan.cones[1:]
@@ -143,6 +144,68 @@ def test_minimal_cone_outside_the_support():
 @given(_subdivided_fans())
 def test_generic_vector_equals_rank_search(fan):
     assert weights._generic_vector(fan) == _rank_generic_vector(fan)
+
+
+def _fm_meets(fan, sigma1, sigma2, v):
+    """Whether sigma1 meets sigma2 + v, by Fourier-Motzkin on fresh
+    H-representations."""
+    (e1, i1), (e2, i2) = (polyhedra.cone_constraints(fan.cone_rays(s),
+                                                     fan.rank)
+                          for s in (sigma1, sigma2))
+
+    def shift(a):
+        return sum(x * y for x, y in zip(a, v))
+    return polyhedra.fm_feasible(
+        [(e, 0) for e in e1] + [(e, shift(e)) for e in e2],
+        [(a, 0) for a in i1] + [(a, shift(a)) for a in i2], fan.rank)
+
+
+def _fresh_sum_index(fan, sigma1, sigma2):
+    """Index of the sum of two cone lattices, from fresh saturations."""
+    merged = [[] for _ in range(fan.rank)]
+    for s in (sigma1, sigma2):
+        cols = [[r[i] for r in fan.cone_rays(s)] for i in range(fan.rank)]
+        for row, extra in zip(merged, linalg.saturation_data(cols)[2]):
+            row.extend(extra)
+    return linalg.lattice_index(merged)
+
+
+# smooth complete 3-fans; in F3 x P1 the rays (1, 0, 0), (-1, -3, 0) and
+# (0, 0, 1) span a sublattice of index 3, and some such pairs meet
+F3 = [(1, 0), (0, 1), (-1, -3), (0, -1)]
+SMOOTH_3FANS = {
+    "P3": BASES["P3"], "P1^3": BASES["P1^3"],
+    "F3xP1": (3, [[a + (0,), b + (0,), (0, 0, c)]
+                  for a, b in zip(F3, F3[1:] + F3[:1]) for c in (1, -1)]),
+}
+
+
+@FAN_ORACLE
+@given(_subdivided_fans(SMOOTH_3FANS), st.data())
+def test_pair_multiplicity_equals_fourier_motzkin(fan, data):
+    v = weights._generic_vector(fan)
+    assert fan.is_smooth()
+    for _ in range(12):
+        s1 = data.draw(st.sampled_from(fan.cones))
+        # mostly pairs whose rays number at most the rank together, as in
+        # mw_product, where the decision is one square solve
+        square = [c for c in fan.cones if len(set(s1) | set(c)) <= fan.rank]
+        s2 = data.draw(st.sampled_from(square) | st.sampled_from(fan.cones))
+        rays = fan.cone_rays(s1) + fan.cone_rays(s2)
+        fills = bool(rays) and linalg.rank(rays) == fan.rank
+        mult = weights._pair_multiplicity(fan, s1, s2, v)
+        assert (mult != 0) == (fills and _fm_meets(fan, s1, s2, v))
+        if mult:
+            assert mult == _fresh_sum_index(fan, s1, s2)
+
+
+def test_pair_multiplicity_above_one_on_a_smooth_fan():
+    fan = fans.fan_from_max_cones(*SMOOTH_3FANS["F3xP1"])
+    v = weights._generic_vector(fan)
+    ray, plane = fan.rays.index((-1, -3, 0)), tuple(sorted(
+        fan.rays.index(r) for r in ((1, 0, 0), (0, 0, 1))))
+    assert fan.is_smooth() and plane in fan.cones
+    assert weights._pair_multiplicity(fan, plane, (ray,), v) == 3
 
 
 def test_generic_vector_on_special_fans():
@@ -262,7 +325,7 @@ def test_min_refinement_cells_equal_fresh_conversion(fan, draw):
     coeffs = st.lists(st.integers(-2, 2), min_size=fan.rank,
                       max_size=fan.rank)
     functions = [
-        piecewise.PiecewisePolynomial.from_polynomial(
+        pp_from_polynomial(
             fan, Polynomial.linear(draw.draw(coeffs)))
         for _ in range(draw.draw(st.integers(2, 3)))]
     ray = draw.draw(st.integers(0, len(fan.rays) - 1))
@@ -368,8 +431,8 @@ def test_meets_of_top_cones_from_shared_rays(fan, draw):
         st.integers(-1, 1), min_size=fan.rank, max_size=fan.rank)))
     g = piecewise.PiecewisePolynomial(fan, {
         c: p + bump if c == m else p for c, p in f.pieces.items()})
-    assert f.is_continuous() and _continuous_by_intersection(f)
-    assert g.is_continuous() == _continuous_by_intersection(g)
+    assert is_continuous(f) and _continuous_by_intersection(f)
+    assert is_continuous(g) == _continuous_by_intersection(g)
 
 
 # ---------------------------------------------------------------------------

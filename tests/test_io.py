@@ -1,7 +1,12 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import graph_from_payload, ideal_to_payload, setup_to_payload
 from tropchow import io
 from tropchow.fans import fan_from_max_cones
 from tropchow.ideals import MonomialIdeal
@@ -107,7 +112,7 @@ def test_pp_roundtrip():
 def test_ideal_roundtrip():
     fan = _p2()
     ideal = MonomialIdeal(fan, ((0, 0, 1), (0, 1, 0)))
-    payload = io.ideal_to_payload(ideal)
+    payload = ideal_to_payload(ideal)
     assert io.ideal_from_payload(payload) == ideal
 
 
@@ -116,9 +121,9 @@ def test_graph_roundtrip():
     payload = io.graph_to_payload(g)
     assert payload == {"genus": [0, 0], "edges": [[0, 1], [0, 1]],
                        "legs": [0, 1]}
-    assert io.graph_from_payload(payload) == g
+    assert graph_from_payload(payload) == g
     with pytest.raises(io.DocumentError, match="invalid graph"):
-        io.graph_from_payload({"genus": [0], "edges": [], "legs": []})
+        graph_from_payload({"genus": [0], "edges": [], "legs": []})
 
 
 def test_setup_roundtrip():
@@ -132,6 +137,39 @@ def test_setup_roundtrip():
     assert setup.base == fan and setup.modification == fan
     assert setup.center == (1, 2)
     assert cycle.codim == 1 and cycle.coefficients == {(2,): 1}
-    emitted = io.setup_to_payload(setup, cycle)
+    emitted = setup_to_payload(setup, cycle)
     setup2, cycle2 = io.setup_from_payload(emitted)
     assert setup2.center == setup.center and cycle2 == cycle
+
+
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+                | st.characters(), max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(-2 ** 200, 2 ** 200) | _TEXT)
+_PAYLOADS = st.recursive(
+    _SCALARS, lambda inner: (st.lists(inner, max_size=4)
+                             | st.lists(inner, max_size=4).map(tuple)
+                             | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_PAYLOADS)
+def test_printed_documents_equal_json_dumps(payload):
+    body = {"kind": "report", "version": io.DOCUMENT_VERSION,
+            "payload": payload}
+    assert io.print_document(io.Document("report", payload)) == json.dumps(
+        body, indent=2, sort_keys=True) + "\n"
+
+
+def test_other_values_print_as_json_dumps_does():
+    payload = {"a": [1.5, {2: "x", 1: None}], "b": ({}, [], ())}
+    body = {"kind": "report", "version": 1, "payload": payload}
+    assert io.print_document(io.Document("report", payload)) == json.dumps(
+        body, indent=2, sort_keys=True) + "\n"
+    for bad in (Fraction(1, 2), {(1,): 0}, {1: 0, "x": 0}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps({"payload": bad}, indent=2, sort_keys=True)
+        message = re.escape(str(expected.value)[:24])
+        with pytest.raises(TypeError, match=message):
+            io.print_document(io.Document("report", bad))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import pp_from_polynomial
 from tropchow import fans, linalg, piecewise, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
@@ -103,7 +104,7 @@ def test_product_with_fundamental_is_identity():
 def test_corner_locus_of_linear_is_zero():
     f = _p2()
     from tropchow.polynomials import Polynomial
-    lin = PiecewisePolynomial.from_polynomial(f, Polynomial.linear([3, -2]))
+    lin = pp_from_polynomial(f, Polynomial.linear([3, -2]))
     out = pl_cap(lin, fundamental_weight(f))
     assert out.is_zero()
 
@@ -277,3 +278,98 @@ def test_localization_degree_matches_per_cone_fraction_sum():
                     got = localization_degree(g)
                     assert type(got) is Fraction
                     assert got == _ref_localization_degree(g)
+
+
+def _p112():
+    """The weighted projective plane P(1,1,2): simplicial, not smooth."""
+    return fans.fan_from_max_cones(2, [
+        [(1, 0), (0, 1)], [(0, 1), (-1, -2)], [(-1, -2), (1, 0)]])
+
+
+def _cube_fan():
+    """The complete fan over the faces of the cube: no top cone is
+    simplicial."""
+    corners = list(itertools.product((1, -1), repeat=3))
+    return fans.fan_from_max_cones(3, [
+        [r for r in corners if r[i] == s] for i in range(3) for s in (1, -1)])
+
+
+def _count_fm_calls(monkeypatch):
+    calls = []
+    real = weights.polyhedra.fm_feasible
+    monkeypatch.setattr(weights.polyhedra, "fm_feasible",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_product_on_weighted_plane_matches_function_product(monkeypatch):
+    f = _p112()
+    assert not f.is_smooth()
+    calls = _count_fm_calls(monkeypatch)
+    for i, j in itertools.product(range(3), repeat=2):
+        phi, psi = courant_function(f, i), courant_function(f, j)
+        assert mw_product(mw_of_pp(phi, 1), mw_of_pp(psi, 1)) == mw_of_pp(
+            phi * psi, 2)
+    assert not calls  # every pair is simplicial
+
+
+def _by_rays(w):
+    return {tuple(w.fan.rays[i] for i in c): str(v)
+            for c, v in w.values.items()}
+
+
+def test_product_on_non_simplicial_cube_fan(monkeypatch):
+    cube = _cube_fan()
+    edges = MinkowskiWeight(cube, 1, {
+        c: k + 1 for k, c in enumerate(cube.cones_of_dim(2))})
+    top = MinkowskiWeight(cube, 0, {
+        c: k + 1 for k, c in enumerate(cube.max_cones)})
+    calls = _count_fm_calls(monkeypatch)
+    m, p = -1, 1
+    assert _by_rays(mw_product(edges, top)) == {
+        ((m, m, m), (m, m, p)): "2", ((m, m, m), (m, p, m)): "6",
+        ((m, m, m), (p, m, m)): "9", ((m, m, p), (m, p, p)): "4",
+        ((m, m, p), (p, m, p)): "10", ((m, p, m), (m, p, p)): "6",
+        ((m, p, m), (p, p, m)): "21", ((m, p, p), (p, p, p)): "40",
+        ((p, m, m), (p, m, p)): "18", ((p, m, m), (p, p, m)): "30",
+        ((p, m, p), (p, p, p)): "66", ((p, p, m), (p, p, p)): "72"}
+    assert calls  # a top cone of the cube fan has four rays
+    assert mw_product(top, top).values == {
+        c: v * v for c, v in top.values.items()}
+    # two edge cones are simplicial, but their lattices are not saturated
+    assert _by_rays(mw_product(edges, edges)) == {
+        ((m, m, m),): "3", ((m, m, p),): "4", ((m, p, m),): "12",
+        ((m, p, p),): "48", ((p, m, m),): "27", ((p, m, p),): "99",
+        ((p, p, m),): "120", ((p, p, p),): "96"}
+
+
+def test_saturation_is_kept_per_cone_object(monkeypatch):
+    f = _p112()
+    a = mw_of_pp(_phi(f, (1, 0)), 1)
+    b = mw_of_pp(_phi(f, (-1, -2)), 1)
+    seen = []
+    real = linalg.saturation_data
+    monkeypatch.setattr(linalg, "saturation_data",
+                        lambda cols: seen.append(cols) or real(cols))
+    first = mw_product(a, b)
+    assert seen  # off a smooth fan the index needs the saturations
+    assert len(seen) == len({str(cols) for cols in seen})
+    count = len(seen)
+    assert mw_product(a, b) == first
+    assert len(seen) == count
+    # the balancing check shares them; each cone's is computed once
+    assert is_balanced(a) and is_balanced(first)
+    for cone in f.cones:
+        assert f.cone_saturation(cone) is f.cone_saturation(cone)
+    assert len(seen) == len(f.cones)
+    # a fan built again computes its own
+    g = _p112()
+    mw_product(mw_of_pp(_phi(g, (1, 0)), 1), mw_of_pp(_phi(g, (-1, -2)), 1))
+    assert len(seen) > len(f.cones)
+
+
+def test_product_on_the_point_fan():
+    # the one top cone is the zero cone; its lattice fills the rank-0 space
+    point = fans.fan_from_max_cones(0, [])
+    one = fundamental_weight(point)
+    assert mw_product(one, one) == one
