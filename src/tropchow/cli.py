@@ -19,7 +19,7 @@ from .ideals import segre_class
 from .linalg import identity_matrix, primitive_vector
 from .piecewise import courant_function, excess_chern_class, pp_pullback
 from .transforms import verify_fulton_identity
-from .tropical import (dr_subfan, enumerate_stable_graphs,
+from .tropical import (default_bound, dr_subfan, enumerate_stable_graphs,
                        rubber_subdivision, tc_fiber_product)
 from .weights import (is_balanced, mw_of_pp, mw_product, mw_to_pp,
                       pushforward_witness)
@@ -301,8 +301,12 @@ def cmd_fulton_verify(args) -> int:
 
 # Size limits of the tropdr commands; a value above one exits 2. The
 # genus limit depends on the command, the leg count is at most 6 - 2g.
-# With contact entries of +-1 the largest calls they admit run in under a
-# second, where graphs at g=2 n=4 would take about 30 s.
+# A bound left out takes its default on the graph with the most edges,
+# 3g - 3 + n, and is held to the same limit: the slope box grows with
+# the contact entries (contact 6,-6 at g=2 n=2 defaults to 30 and would
+# take about 8 s). With contact entries of +-1 the largest calls they
+# admit run in under a second, where graphs at g=2 n=4 would take about
+# 30 s.
 TROPDR_MAX_GENUS = {"graphs": 3, "subfan": 2, "rubber": 2, "tc": 2}
 TROPDR_MAX_LEGS = 6
 TROPDR_MAX_EDGES = 6
@@ -320,6 +324,19 @@ def _check_size(args):
         if value is not None and value > limit:
             raise ValueError(f"{flag} {value} is above the limit {limit} "
                              f"of tropdr {args.subcommand}")
+    for bound, contact in (("bound", "contact"), ("bound2", "contact2")):
+        text = getattr(args, contact, None)
+        if text is None or getattr(args, bound) is not None:
+            continue
+        slopes = _ints(text, f"--{contact}")
+        if len(slopes) != args.n:
+            continue  # the command refuses it
+        value = default_bound(slopes, 3 * args.g - 3 + args.n)
+        if value > TROPDR_MAX_BOUND:
+            raise ValueError(
+                f"--{bound} defaults to {value} for this --{contact}, above "
+                f"the limit {TROPDR_MAX_BOUND} of tropdr {args.subcommand}; "
+                f"give --{bound}")
 
 
 def cmd_tropdr_graphs(args) -> int:
@@ -535,7 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
                     f"{genus['graphs']} for graphs and {genus['subfan']} for "
                     f"subfan, rubber and tc; --n at most {TROPDR_MAX_LEGS} "
                     f"- 2g; --max-edges at most {TROPDR_MAX_EDGES}; --bound "
-                    f"and --bound2 at most {TROPDR_MAX_BOUND}."
+                    f"and --bound2 at most {TROPDR_MAX_BOUND}. An omitted "
+                    f"bound defaults to max(1, sum of the positive contact "
+                    f"entries) times 3g - 3 + n and is held to the same "
+                    f"limit."
     ).add_subparsers(dest="subcommand", required=True)
 
     def tropdr_parser(name, func):

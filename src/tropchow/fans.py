@@ -4,10 +4,12 @@ A Fan stores primitive ray vectors in lex order and every cone (including
 the zero cone) as a sorted tuple of ray indices. Builders canonicalize
 arbitrary generator input, so two fans with the same support and cones
 compare equal. Subdivision, quotient (star), refinement, and resolution
-all return new canonical fans.
+all return canonical fans, and an equal fan that is still alive is
+returned as it is (see Fan).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -29,8 +31,16 @@ class Fan:
     generator list, and keeps the dual basis that the H-representation
     of a simplicial cone is read off; fan_from_cells takes rays and
     H-representations from its caller, as
-    piecewise.min_refinement has them for each cell. Separately built fans
-    share nothing, even when equal.
+    piecewise.min_refinement has them for each cell.
+
+    Every builder ends in fan_from_cells, which returns the live fan equal
+    to the one it builds when there is one, so equal fans built while one
+    of them is alive are one object and share all derived data. The table
+    of live fans holds them weakly: a fan no caller holds any more is
+    dropped (at the next garbage collection when its cached functions
+    refer back to it), so nothing outlives the computation that built
+    it. The table is module state without a lock; the library is
+    single-threaded. A Fan constructed directly is never shared.
     """
 
     def __init__(self, rank: int, rays, cones):
@@ -129,12 +139,16 @@ class Fan:
         return None
 
     def cone_multiplicity(self, cone: ConeKey):
-        """Lattice index of a simplicial cone; None when not simplicial."""
+        """Lattice index of a simplicial cone; None when not simplicial.
+
+        For a full-dimensional cone that is |det| of its rays."""
         rays = self.cone_rays(cone)
         if len(rays) != self.cone_dim(cone):
             return None
         if not rays:
             return 1
+        if len(rays) == self.rank:
+            return abs(linalg.det(rays).numerator)
         mat = [[r[i] for r in rays] for i in range(self.rank)]
         return linalg.lattice_index(mat)
 
@@ -246,9 +260,13 @@ def fan_from_max_cones(rank: int, generator_lists) -> Fan:
     index = {r: i for i, r in enumerate(fan.rays)}
     for by_ray in bases:
         cone = tuple(sorted(index[r] for r in by_ray))
-        fan._derived[("dual_basis", cone)] = tuple(
-            by_ray[r] for r in fan.cone_rays(cone))
+        fan._derived.setdefault(("dual_basis", cone), tuple(
+            by_ray[r] for r in fan.cone_rays(cone)))
     return fan
+
+
+# every live fan that fan_from_cells returned, keyed by (rank, rays, cones)
+_LIVE_FANS = weakref.WeakValueDictionary()
 
 
 def fan_from_cells(rank: int, cells) -> Fan:
@@ -256,23 +274,37 @@ def fan_from_cells(rank: int, cells) -> Fan:
     pairs: the sorted extreme primitive rays of each cone and its
     constraint form as polyhedra.cone_constraints gives it. Both are
     handed to the fan as they are; faces are closed over automatically.
+    Every face of a simplicial cell has as many dimensions as rays.
+
+    Returns the live fan with the same rank, rays and cones when there
+    is one, so that its derived data is shared (see Fan).
     """
     all_rays = sorted({r for rs, _ in cells for r in rs})
     index = {r: i for i, r in enumerate(all_rays)}
     hreps = {}
     faces = {(): ((),)}
+    dims = {(): 0}
     for rs, hrep in cells:
         key = tuple(sorted(index[r] for r in rs))
         if key not in faces:
             # sorted primitive functionals: the same for any generators
             hreps[key] = hrep
             faces[key] = _face_keys(key, [all_rays[i] for i in key], hrep[1])
-    dims = {c: polyhedra.span_dim([all_rays[i] for i in c])
-            for c in {c for fs in faces.values() for c in fs}}
-    fan = Fan(rank, all_rays, sorted(dims, key=lambda c: (dims[c], c)))
-    fan._hrep.update(hreps)
-    fan._faces.update(faces)
-    fan._dim.update(dims)
+            # the equalities are a basis of the functionals vanishing on
+            # the cell, so it is simplicial when its rays number rank - eqs
+            if len(key) == rank - len(hrep[0]):
+                dims.update((f, len(f)) for f in faces[key])
+    for c in {c for fs in faces.values() for c in fs} - dims.keys():
+        dims[c] = polyhedra.span_dim([all_rays[i] for i in c])
+    cones = tuple(sorted(dims, key=lambda c: (dims[c], c)))
+    key = (rank, tuple(all_rays), cones)
+    fan = _LIVE_FANS.get(key)
+    if fan is None:
+        fan = Fan(rank, all_rays, cones)
+        fan._hrep.update(hreps)
+        fan._faces.update(faces)
+        fan._dim.update(dims)
+        _LIVE_FANS[key] = fan
     return fan
 
 
@@ -406,22 +438,46 @@ def _covering_defect(coarse: Fan, fine: Fan):
 def subdivision_assignment(fine: Fan, coarse: Fan) -> dict:
     """Map each cone of a refinement to the coarse cone holding its interior.
 
-    As in minimal_cone_containing, the first top coarse cone holding the
-    cone's relative interior point is read: the cone refines the coarse
-    fan there when that top cone holds all its rays, and its target is
-    then the face on which they are tight.
+    Each top cone of the refinement is homed once: as in
+    minimal_cone_containing, its home is the first top coarse cone
+    holding its relative interior point, and it refines the coarse fan
+    there when that home holds all its rays. Each cone then maps to the
+    minimal face of its top cone's home (Fan.max_cone_over) holding its
+    rays: the home's rays tight on every facet of the home that is tight
+    on all of the cone's rays. In a valid coarse fan that is the coarse
+    cone holding the cone's interior, whichever top cone the cone is read
+    from.
     """
+    homes = {}
     out = {}
     for c in fine.cones:
-        pt = fine.relint_point(c)
-        home = next((m for m in coarse.max_cones
-                     if coarse.cone_contains(m, pt)), None)
-        target = None if home is None else _minimal_face_containing_all(
-            coarse, home, fine.cone_rays(c))
-        if target is None:
-            raise ValueError(f"cone {c} does not refine the target fan")
-        out[c] = target
+        m = fine.max_cone_over(c)
+        if m not in homes:
+            homes[m] = _tight_facets_in_home(fine, m, coarse)
+        every, ray_tight, home_tight = homes[m]
+        active = every.intersection(*(ray_tight[i] for i in c))
+        out[c] = tuple(k for k, tight in home_tight if active <= tight)
     return out
+
+
+def _tight_facets_in_home(fine: Fan, m: ConeKey, coarse: Fan):
+    """The home of a top cone of a refinement, as its facet indices, the
+    facets tight on each ray of the top cone and those tight on each ray
+    of the home; raises ValueError when no home holds the top cone."""
+    pt = fine.relint_point(m)
+    home = next((h for h in coarse.max_cones
+                 if coarse.cone_contains(h, pt)), None)
+    if home is None or not all(coarse.cone_contains(home, r)
+                               for r in fine.cone_rays(m)):
+        raise ValueError(f"cone {m} does not refine the target fan")
+    ineqs = coarse.cone_hrep(home)[1]
+
+    def tight(v):
+        return frozenset(j for j, a in enumerate(ineqs)
+                         if sum(x * y for x, y in zip(a, v)) == 0)
+    return (frozenset(range(len(ineqs))),
+            {i: tight(fine.rays[i]) for i in m},
+            [(k, tight(coarse.rays[k])) for k in home])
 
 
 def resolve_smooth(fan: Fan, max_steps: int = 1000) -> Fan:

@@ -1,4 +1,4 @@
-"""Monomial ideals on toric fans: staircases, blowups, Segre classes.
+"""Monomial ideals on toric fans: blowups and Segre classes.
 
 An ideal is a finite set of exponent vectors over the fan's rays, each
 one standing for an effective divisor sum. The induced order function is
@@ -9,11 +9,9 @@ the exceptional function by pushing its powers back down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product as iproduct
 
-from . import linalg, polyhedra
-from .fans import Fan, fan_from_max_cones, resolve_smooth
+from . import linalg
+from .fans import Fan, resolve_smooth
 from .piecewise import (PiecewisePolynomial, courant_function, min_refinement,
                         pp_pullback)
 from .weights import MinkowskiWeight, pushforward_witness, ray_monomial_class
@@ -57,77 +55,11 @@ class MonomialIdeal:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class NewtonRegion:
-    """Staircase data of exponent points: the hull of their translated
-    orthants and the region left under it."""
-    ambient: int
-    generators: tuple
-    facets: tuple              # rows (a, b) meaning a.x >= b on the hull
-    bounded: bool
-    volume: Fraction | None    # of the region under the staircase
-    lattice_points: tuple | None   # integer points strictly under the hull
-
-
-def newton_region(points) -> NewtonRegion:
-    pts = {tuple(int(x) for x in p) for p in points}
-    if not pts:
-        raise ValueError("need at least one point")
-    n = len(next(iter(pts)))
-    if any(len(p) != n or min(p) < 0 for p in pts):
-        raise ValueError("points must be nonnegative and of equal length")
-    minimal = tuple(sorted(
-        p for p in pts
-        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)))
-    hom = [p + (1,) for p in minimal]
-    hom += [tuple(int(j == i) for j in range(n)) + (0,) for i in range(n)]
-    _, cone_ineqs = polyhedra.cone_constraints(hom, n + 1)
-    facets = tuple(sorted((row[:-1], -row[-1]) for row in cone_ineqs
-                          if any(row[:-1])))
-    bounded = all(any(all(x == 0 for j, x in enumerate(p) if j != i)
-                      for p in minimal) for i in range(n))
-    volume = None
-    lattice = None
-    if bounded:
-        big = max(x for p in minimal for x in p)
-        box = []
-        for i in range(n):
-            e = tuple(int(j == i) for j in range(n))
-            box.append((e, 0))
-            box.append((tuple(-x for x in e), -big))
-        verts, rays = polyhedra.polytope_vertices(list(facets) + box, n)
-        assert not rays
-        hull_vol = polyhedra.polytope_volume(verts) if verts else Fraction(0)
-        volume = Fraction(big) ** n - hull_vol
-        lattice = tuple(sorted(
-            q for q in iproduct(range(big + 1), repeat=n)
-            if not all(sum(a * x for a, x in zip(row, q)) >= b
-                       for row, b in facets)))
-    return NewtonRegion(n, minimal, facets, bounded, volume, lattice)
-
-
 def order_function(ideal: MonomialIdeal):
     """Minimum of the generator divisor functions, on the coarsest
     refinement where it is conewise linear (the normalized blowup fan)."""
     functions = [ideal.divisor_function(g) for g in ideal.generators]
     return min_refinement(ideal.fan, functions)
-
-
-def exceptional_class(ideal: MonomialIdeal) -> PiecewisePolynomial:
-    """The exceptional divisor function on the normalized blowup fan,
-    expanded over that fan's ray functions."""
-    blow_fan, ordf = order_function(ideal)
-    for m in blow_fan.max_cones:
-        if len(m) != blow_fan.cone_dim(m):
-            raise ValueError(
-                "normalized blowup fan is not simplicial; refine the ideal's "
-                "fan by stellar subdivisions and retry")
-    out = PiecewisePolynomial.zero(blow_fan)
-    for i, r in enumerate(blow_fan.rays):
-        v = ordf.evaluate(r)
-        if v:
-            out = out + courant_function(blow_fan, i).scale(v)
-    return out
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exact polyhedral primitives: cones, feasibility, polytope volume.
+"""Exact polyhedral primitives: cones and affine feasibility.
 
 Cones are handled in two representations. Generator form is a list of
 integer vectors; constraint form is a pair (equalities, inequalities) of
@@ -16,8 +16,7 @@ cone of dimension d, a generator is extreme and a row is a facet exactly
 when the partners vanishing on it have rank d - 1. Every kernel vector is
 a primitive integer vector read off the integer echelon form
 (linalg.primitive_kernel), so all of this runs in int arithmetic;
-Fractions remain only in the affine routines (feasibility, polytope
-vertices and volume). Affine feasibility (fm_feasible) is Fourier-Motzkin
+Fractions remain only in affine feasibility. Affine feasibility (fm_feasible) is Fourier-Motzkin
 elimination without pruning; its one library caller is the displaced meet
 of a cone pair in weights.mw_product that is not simplicial, since a
 simplicial pair is decided by one square solve.
@@ -267,105 +266,3 @@ def fm_feasible(equalities, inequalities, nvars: int) -> bool:
                 rest.append((coef, -aq[j] * bp + ap[j] * bq))
         ineqs = rest
     return all(b <= 0 for _, b in ineqs)
-
-
-# ---------------------------------------------------------------------------
-# polytopes
-
-def polytope_vertices(inequalities, dim: int):
-    """Vertices and recession rays of {x : a.x >= b for (a, b) given}.
-
-    The recession cone must be pointed. Returns (vertices, rays) with
-    vertices as Fraction tuples and rays as primitive integer tuples.
-    """
-    hom = [tuple(a) + (-Fraction(b),) for a, b in inequalities]
-    hom.append((0,) * dim + (1,))
-    gens = rays_from_constraints(((), tuple(hom)), dim + 1)
-    verts = []
-    rays = []
-    for g in gens:
-        if g[-1] == 0:
-            rays.append(g[:-1])
-        else:
-            verts.append(tuple(Fraction(x, g[-1]) for x in g[:-1]))
-    return sorted(verts), sorted(rays)
-
-
-def _affine_coords(points):
-    """Coordinates of points within their affine hull; returns (coords, rank)."""
-    p0 = points[0]
-    diffs = [tuple(Fraction(a) - Fraction(b) for a, b in zip(p, p0))
-             for p in points[1:]]
-    basis = _independent_subset([d for d in diffs if any(d)], len(p0))
-    k = len(basis)
-    coords = []
-    for p in points:
-        diff = [Fraction(a) - Fraction(b) for a, b in zip(p, p0)]
-        if k == 0:
-            coords.append(())
-            continue
-        sol = linalg.solve([list(col) for col in zip(*basis)], diff)
-        coords.append(tuple(sol))
-    return coords, k
-
-
-def _triangulate(points):
-    """Simplices (as point lists) triangulating the convex hull."""
-    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
-    coords, k = _affine_coords(pts)
-    if k == 0:
-        return [[pts[0]]]
-    if k == 1:
-        order = sorted(range(len(pts)), key=lambda i: coords[i])
-        return [[pts[order[0]], pts[order[-1]]]]
-    apex = pts[0]
-    apex_c = coords[0]
-    simplices = []
-    seen = set()
-    for subset in combinations(range(len(pts)), k):
-        sub = [coords[i] for i in subset]
-        base = sub[0]
-        rel = [[x - y for x, y in zip(s, base)] for s in sub[1:]]
-        ns = linalg.nullspace(rel if rel else [[Fraction(0)] * k])
-        if len(ns) != 1:
-            continue
-        a = ns[0]
-        b = _dot(a, base)
-        vals = [_dot(a, c) - b for c in coords]
-        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-            continue
-        if any(v < 0 for v in vals):
-            a = tuple(-x for x in a)
-            b = -b
-        key = _to_primitive_int(tuple(a) + (b,))
-        if key in seen:
-            continue
-        seen.add(key)
-        if _dot(a, apex_c) == b:
-            continue
-        facet_pts = [pts[i] for i, v in enumerate(vals) if v == 0]
-        for s in _triangulate(facet_pts):
-            simplices.append([apex] + s)
-    return simplices
-
-
-def polytope_volume(points) -> Fraction:
-    """Exact euclidean volume of the convex hull of full-dimensional points.
-
-    Returns 0 when the hull is lower-dimensional.
-    """
-    if not points:
-        return Fraction(0)
-    d = len(points[0])
-    _, k = _affine_coords([tuple(Fraction(x) for x in p) for p in points])
-    if k < d:
-        return Fraction(0)
-    fact = 1
-    for i in range(1, d + 1):
-        fact *= i
-    total = Fraction(0)
-    for simplex in _triangulate(points):
-        base = simplex[0]
-        mat = [[p[i] - base[i] for i in range(d)] for p in simplex[1:]]
-        total += abs(linalg.det(mat))
-    return total / fact

@@ -34,9 +34,17 @@ from .weights import (MinkowskiWeight, courant_monomial, localization_degree,
 
 class ToricCycle:
     """Invariant cycle: coefficients on cones of one dimension, plus the
-    derived witness function and degree-encoded class."""
+    degree-encoded class and a witness function.
 
-    __slots__ = ("fan", "codim", "coefficients", "witness", "class_weight")
+    The class is the coefficient sum of the ray-monomial classes of the
+    carrier cones (weights.ray_monomial_class, kept per fan), computed at
+    construction, so a fan the calculus refuses is refused here. That
+    equals mw_of_pp of the witness, the same sum of ray-function
+    monomials, since mw_of_pp is linear and exact; the witness is built
+    on first use.
+    """
+
+    __slots__ = ("fan", "codim", "coefficients", "class_weight", "_witness")
 
     def __init__(self, fan: Fan, codim: int, coefficients=None):
         if not 0 <= codim <= fan.rank:
@@ -50,11 +58,23 @@ class ToricCycle:
             raise ValueError("coefficients must sit on cones of the cycle's "
                              "codimension")
         self.coefficients = vals
-        w = PiecewisePolynomial.zero(fan)
+        # a zero cycle takes the zero function's weight, so that the
+        # fans mw_of_pp refuses are refused for it too
+        weight = (MinkowskiWeight(fan, codim) if vals
+                  else mw_of_pp(PiecewisePolynomial.zero(fan), codim))
         for c, v in sorted(vals.items()):
-            w = w + courant_monomial(fan, c).scale(v)
-        self.witness = w
-        self.class_weight = mw_of_pp(w, codim)
+            weight = weight + ray_monomial_class(fan, c).scale(v)
+        self.class_weight = weight
+        self._witness = None
+
+    @property
+    def witness(self) -> PiecewisePolynomial:
+        if self._witness is None:
+            w = PiecewisePolynomial.zero(self.fan)
+            for c, v in sorted(self.coefficients.items()):
+                w = w + courant_monomial(self.fan, c).scale(v)
+            self._witness = w
+        return self._witness
 
     def __eq__(self, other):
         return (isinstance(other, ToricCycle) and self.fan == other.fan

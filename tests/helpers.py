@@ -1,11 +1,16 @@
 """Test-side helpers that no command or library path needs: payload
 writers and readers the command line never calls, constructors of
-functions from raw data, and checks that tests use as oracles."""
+functions from raw data, polytope and staircase routines, and checks
+that tests use as oracles."""
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from itertools import product as iproduct
 
-from tropchow import io
+from tropchow import fans, io, linalg, polyhedra
+from tropchow.ideals import MonomialIdeal, order_function
 from tropchow.piecewise import (PiecewisePolynomial, _degree_monomials,
-                                _grid_points, _shared_rays)
+                                _grid_points, _shared_rays, courant_function)
 from tropchow.polynomials import Polynomial
 from tropchow.tropical import WeightedDualGraph
 
@@ -80,3 +85,193 @@ def is_continuous(f: PiecewisePolynomial) -> bool:
 
 def total_genus(graph: WeightedDualGraph) -> int:
     return sum(graph.genus) + graph.betti
+
+
+def subdivision_assignment_per_cone(fine, coarse) -> dict:
+    """fans.subdivision_assignment with a home sought for every cone: the
+    first top coarse cone holding the cone's relative interior point,
+    whose minimal face holding the cone's rays is its target."""
+    out = {}
+    for c in fine.cones:
+        pt = fine.relint_point(c)
+        home = next((m for m in coarse.max_cones
+                     if coarse.cone_contains(m, pt)), None)
+        target = None if home is None else fans._minimal_face_containing_all(
+            coarse, home, fine.cone_rays(c))
+        if target is None:
+            raise ValueError(f"cone {c} does not refine the target fan")
+        out[c] = target
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polytopes
+
+def polytope_vertices(inequalities, dim: int):
+    """Vertices and recession rays of {x : a.x >= b for (a, b) given}.
+
+    The recession cone must be pointed. Returns (vertices, rays) with
+    vertices as Fraction tuples and rays as primitive integer tuples.
+    """
+    hom = [tuple(a) + (-Fraction(b),) for a, b in inequalities]
+    hom.append((0,) * dim + (1,))
+    gens = polyhedra.rays_from_constraints(((), tuple(hom)), dim + 1)
+    verts = []
+    rays = []
+    for g in gens:
+        if g[-1] == 0:
+            rays.append(g[:-1])
+        else:
+            verts.append(tuple(Fraction(x, g[-1]) for x in g[:-1]))
+    return sorted(verts), sorted(rays)
+
+
+def _affine_coords(points):
+    """Coordinates of points within their affine hull; returns (coords, rank)."""
+    p0 = points[0]
+    diffs = [tuple(Fraction(a) - Fraction(b) for a, b in zip(p, p0))
+             for p in points[1:]]
+    basis = polyhedra._independent_subset([d for d in diffs if any(d)],
+                                          len(p0))
+    k = len(basis)
+    coords = []
+    for p in points:
+        diff = [Fraction(a) - Fraction(b) for a, b in zip(p, p0)]
+        if k == 0:
+            coords.append(())
+            continue
+        sol = linalg.solve([list(col) for col in zip(*basis)], diff)
+        coords.append(tuple(sol))
+    return coords, k
+
+
+def _triangulate(points):
+    """Simplices (as point lists) triangulating the convex hull."""
+    dot = polyhedra._dot
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    coords, k = _affine_coords(pts)
+    if k == 0:
+        return [[pts[0]]]
+    if k == 1:
+        order = sorted(range(len(pts)), key=lambda i: coords[i])
+        return [[pts[order[0]], pts[order[-1]]]]
+    apex = pts[0]
+    apex_c = coords[0]
+    simplices = []
+    seen = set()
+    for subset in combinations(range(len(pts)), k):
+        sub = [coords[i] for i in subset]
+        base = sub[0]
+        rel = [[x - y for x, y in zip(s, base)] for s in sub[1:]]
+        ns = linalg.nullspace(rel if rel else [[Fraction(0)] * k])
+        if len(ns) != 1:
+            continue
+        a = ns[0]
+        b = dot(a, base)
+        vals = [dot(a, c) - b for c in coords]
+        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+            continue
+        if any(v < 0 for v in vals):
+            a = tuple(-x for x in a)
+            b = -b
+        key = polyhedra._to_primitive_int(tuple(a) + (b,))
+        if key in seen:
+            continue
+        seen.add(key)
+        if dot(a, apex_c) == b:
+            continue
+        facet_pts = [pts[i] for i, v in enumerate(vals) if v == 0]
+        for s in _triangulate(facet_pts):
+            simplices.append([apex] + s)
+    return simplices
+
+
+def polytope_volume(points) -> Fraction:
+    """Exact euclidean volume of the convex hull of full-dimensional points.
+
+    Returns 0 when the hull is lower-dimensional.
+    """
+    if not points:
+        return Fraction(0)
+    d = len(points[0])
+    _, k = _affine_coords([tuple(Fraction(x) for x in p) for p in points])
+    if k < d:
+        return Fraction(0)
+    fact = 1
+    for i in range(1, d + 1):
+        fact *= i
+    total = Fraction(0)
+    for simplex in _triangulate(points):
+        base = simplex[0]
+        mat = [[p[i] - base[i] for i in range(d)] for p in simplex[1:]]
+        total += abs(linalg.det(mat))
+    return total / fact
+
+
+# ---------------------------------------------------------------------------
+# staircases
+
+@dataclass(frozen=True)
+class NewtonRegion:
+    """Staircase data of exponent points: the hull of their translated
+    orthants and the region left under it."""
+    ambient: int
+    generators: tuple
+    facets: tuple              # rows (a, b) meaning a.x >= b on the hull
+    bounded: bool
+    volume: Fraction | None    # of the region under the staircase
+    lattice_points: tuple | None   # integer points strictly under the hull
+
+
+def newton_region(points) -> NewtonRegion:
+    pts = {tuple(int(x) for x in p) for p in points}
+    if not pts:
+        raise ValueError("need at least one point")
+    n = len(next(iter(pts)))
+    if any(len(p) != n or min(p) < 0 for p in pts):
+        raise ValueError("points must be nonnegative and of equal length")
+    minimal = tuple(sorted(
+        p for p in pts
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)))
+    hom = [p + (1,) for p in minimal]
+    hom += [tuple(int(j == i) for j in range(n)) + (0,) for i in range(n)]
+    _, cone_ineqs = polyhedra.cone_constraints(hom, n + 1)
+    facets = tuple(sorted((row[:-1], -row[-1]) for row in cone_ineqs
+                          if any(row[:-1])))
+    bounded = all(any(all(x == 0 for j, x in enumerate(p) if j != i)
+                      for p in minimal) for i in range(n))
+    volume = None
+    lattice = None
+    if bounded:
+        big = max(x for p in minimal for x in p)
+        box = []
+        for i in range(n):
+            e = tuple(int(j == i) for j in range(n))
+            box.append((e, 0))
+            box.append((tuple(-x for x in e), -big))
+        verts, rays = polytope_vertices(list(facets) + box, n)
+        assert not rays
+        hull_vol = polytope_volume(verts) if verts else Fraction(0)
+        volume = Fraction(big) ** n - hull_vol
+        lattice = tuple(sorted(
+            q for q in iproduct(range(big + 1), repeat=n)
+            if not all(sum(a * x for a, x in zip(row, q)) >= b
+                       for row, b in facets)))
+    return NewtonRegion(n, minimal, facets, bounded, volume, lattice)
+
+
+def exceptional_class(ideal: MonomialIdeal) -> PiecewisePolynomial:
+    """The exceptional divisor function on the normalized blowup fan,
+    expanded over that fan's ray functions."""
+    blow_fan, ordf = order_function(ideal)
+    for m in blow_fan.max_cones:
+        if len(m) != blow_fan.cone_dim(m):
+            raise ValueError(
+                "normalized blowup fan is not simplicial; refine the ideal's "
+                "fan by stellar subdivisions and retry")
+    out = PiecewisePolynomial.zero(blow_fan)
+    for i, r in enumerate(blow_fan.rays):
+        v = ordf.evaluate(r)
+        if v:
+            out = out + courant_function(blow_fan, i).scale(v)
+    return out

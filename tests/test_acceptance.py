@@ -49,10 +49,12 @@ def _blp2():
 @functools.lru_cache(maxsize=None)
 def suite_blowup_identities():
     """Blowups of both surfaces, at a point and along a divisor, against
-    three carrier subdivisions and five cycles each."""
+    three carrier subdivisions and five cycles each; the input cycles
+    come last."""
     t0 = time.monotonic()
     reports = []
     weights = []
+    inputs = []
     for base, extras in ((_p2(), [(-1, 0), (0, -1)]),
                          (_p1xp1(), [(-1, -1), (-1, 1)])):
         corner = tuple(sorted((base.rays.index((0, 1)),
@@ -74,6 +76,7 @@ def suite_blowup_identities():
                     ToricCycle(carrier, 2, {maxes[0]: 1}),
                     ToricCycle(carrier, 2, {maxes[-1]: 3}),
                 ]
+                inputs.extend(cycles)
                 for cycle in cycles:
                     rep = verify_fulton_identity(cycle, setup)
                     reports.append(rep)
@@ -81,7 +84,7 @@ def suite_blowup_identities():
                                     rep.strict.class_weight,
                                     rep.correction.class_weight])
                     weights.extend(c.weight for c in rep.decomposition)
-    return reports, weights, time.monotonic() - t0
+    return reports, weights, time.monotonic() - t0, inputs
 
 
 def _oracle_ideals():
@@ -151,12 +154,23 @@ def suite_ring_consistency():
 
 
 def test_criterion_1_blowup_identity_suite():
-    reports, _, elapsed = suite_blowup_identities()
+    reports, _, elapsed, _ = suite_blowup_identities()
     assert len(reports) >= 30
     assert all(r.verdict == "verified" for r in reports)
     assert elapsed < 60
     print(f"criterion 1 (blowup identity suite, {len(reports)} instances, "
           f"{elapsed:.2f}s): PASS", flush=True)
+
+
+def test_cycle_classes_are_the_weights_of_their_witnesses():
+    # ToricCycle sums cached ray-monomial classes; mw_of_pp of the witness
+    # is the independent route
+    reports, _, _, inputs = suite_blowup_identities()
+    cycles = inputs + [c for r in reports
+                       for c in (r.total, r.strict, r.correction)]
+    assert len(cycles) == 4 * len(reports)
+    for cycle in cycles:
+        assert cycle.class_weight == mw_of_pp(cycle.witness, cycle.codim)
 
 
 def test_criterion_2_segre_oracles():

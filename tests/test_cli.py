@@ -296,6 +296,21 @@ def test_tropdr_refuses_bound_above_limit(capsys):
         "--contact2", "0,0", "--bound2", "9")
 
 
+def test_tropdr_refuses_a_defaulted_bound_above_limit(capsys):
+    # the default bound on the graph with the most edges, 3g - 3 + n = 5
+    assert _refusal(capsys, "subfan", "--g", "2", "--n", "2",
+                    "--contact=6,-6") == (
+        "error: --bound defaults to 30 for this --contact, above the limit "
+        "8 of tropdr subfan; give --bound\n")
+    assert "--bound2 defaults to 10 for this --contact2" in _refusal(
+        capsys, "tc", "--g", "1", "--n", "2", "--contact=1,-1",
+        "--contact2=5,-5")
+    # a bound that is given is the one held to the limit
+    code, _, _ = _run(capsys, "tropdr", "subfan", "--g", "2", "--n", "2",
+                      "--contact=6,-6", "--bound", "1")
+    assert code == 0
+
+
 def test_tropdr_limits_admit_the_ladder_and_are_in_help(capsys):
     ladder = [["graphs", "--g", "3", "--n", "0", "--max-edges", "6"],
               ["graphs", "--g", "2", "--n", "2"],

@@ -14,6 +14,7 @@ calls, scans over all cones, the product route, the rank-based search,
 the subset enumeration, a least-norm Gram solve and the per-cell
 enumeration.
 """
+import gc
 import itertools
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_continuous, pp_from_polynomial
+from helpers import (is_continuous, pp_from_polynomial,
+                     subdivision_assignment_per_cone)
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
 from tropchow.polynomials import Polynomial
 
@@ -236,12 +238,13 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
     count(polyhedra, "span_dim")
     count(fans, "_face_keys")
     p3 = fans.fan_from_max_cones(*BASES["P3"])
-    # one H-rep and one face list per generator list, one rank per cone
-    assert calls == {"_constraints_and_basis": 4, "span_dim": 15,
+    # one H-rep and one face list per generator list; no rank, since
+    # every face of a simplicial cell has as many dimensions as rays
+    assert calls == {"_constraints_and_basis": 4, "span_dim": 0,
                      "_face_keys": 4}
     bl = fans.stellar_subdivision(p3, p3.max_cones[0])
     assert len(bl.max_cones) == 6 and len(bl.cones) == 1 + 5 + 9 + 6
-    assert calls == {"_constraints_and_basis": 4 + 6, "span_dim": 15 + 21,
+    assert calls == {"_constraints_and_basis": 4 + 6, "span_dim": 0,
                      "_face_keys": 4 + 6}
     for m in bl.max_cones:
         bl.cone_hrep(m)
@@ -252,7 +255,7 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
         bl.cone_dim(c)
         # locating a point asks for no H-rep of a lower cone either
         assert bl.minimal_cone_containing(bl.relint_point(c)) == c
-    assert calls == {"_constraints_and_basis": 10, "span_dim": 36,
+    assert calls == {"_constraints_and_basis": 10, "span_dim": 0,
                      "_face_keys": 10}
 
 
@@ -963,3 +966,117 @@ def test_identity_pullback_reuses_pieces(monkeypatch):
         assert len(calls) == len(bl.max_cones)
         assert pulled.pieces == _scan_pullback(bl, matrix, f).pieces
         calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# one object per live fan
+
+
+def _p2_corner(fan):
+    return tuple(sorted(fan.rays.index(r) for r in ((1, 0), (0, 1))))
+
+
+def test_equal_fans_built_while_one_is_alive_are_one_object():
+    p2 = fans.fan_from_max_cones(*BASES["P2"])
+    # redundant, non-primitive generators, top cones in another order
+    again = fans.fan_from_max_cones(2, [
+        [(0, 3), (-2, -2)], [(2, 0), (0, 1), (1, 1)], [(-1, -1), (5, 0)]])
+    assert again is p2
+    blown = fans.stellar_subdivision(p2, _p2_corner(p2))
+    assert fans.insert_ray(p2, (1, 1)) is blown
+    assert fans.common_refinement(blown, p2) is blown
+    # a minimum that is linear on every top cone refines nothing
+    functions = [piecewise.courant_function(p2, 0),
+                 piecewise.courant_function(p2, 0).scale(2)]
+    assert piecewise.min_refinement(p2, functions)[0] is p2
+    direct = fans.Fan(p2.rank, p2.rays, p2.cones)
+    assert direct == p2 and direct is not p2
+    assert fans.fan_from_max_cones(*BASES["P2"]) is p2
+
+
+def _blowup_report(base, center, carrier):
+    setup = transforms.BlowupSetup(base, center, carrier)
+    cycle = transforms.ToricCycle(setup.modification, 1, {(0,): 1})
+    return setup, transforms.verify_fulton_identity(cycle, setup)
+
+
+def test_live_fan_table_holds_only_live_fans():
+    gc.collect()
+    before = set(fans._LIVE_FANS.keys())
+    p2 = fans.fan_from_max_cones(*BASES["P2"])
+    setup, report = _blowup_report(p2, _p2_corner(p2),
+                                   fans.insert_ray(p2, (-1, 0)))
+    assert report.verdict == "verified"
+    live = set(fans._LIVE_FANS.keys())
+    fine = setup.refined
+    assert (fine.rank, fine.rays, fine.cones) in live
+    assert all(step.result is fans._LIVE_FANS[
+        step.result.rank, step.result.rays, step.result.cones]
+        for step in setup.tower())
+    del p2, setup, report, fine
+    gc.collect()
+    assert set(fans._LIVE_FANS.keys()) == before
+
+
+def _recompute(fan, key):
+    """The derived datum stored under a Fan.cached key, computed again on
+    the given fan."""
+    name, *args = key if isinstance(key, tuple) else (key,)
+    compute = {
+        "cones_by_dim": fan._cones_by_dim,
+        "max_over": fan.max_cone_over,
+        "smooth": fan.is_smooth,
+        "dual_basis": fan.cone_dual_basis,
+        "saturation": fan.cone_saturation,
+        "duals": fan.unimodular_duals,
+        "resolve_smooth": lambda steps: fans.resolve_smooth(fan, steps),
+        "courant": lambda i: piecewise.courant_function(fan, i),
+        "homes": lambda target, matrix: piecewise.cone_homes(
+            fan, matrix, target),
+        "localization": lambda: weights._localization(fan),
+        "ray_class": lambda mono: weights.ray_monomial_class(fan, mono),
+        "generic_vector": lambda: weights._generic_vector(fan),
+    }[name]
+    return compute(*args)
+
+
+def test_shared_derived_data_equals_a_fresh_fan():
+    p1xp1 = fans.fan_from_max_cones(*BASES["P1xP1"])
+    corner = tuple(sorted(p1xp1.rays.index(r) for r in ((1, 0), (0, 1))))
+    setup, report = _blowup_report(p1xp1, corner,
+                                   fans.insert_ray(p1xp1, (-1, -1)))
+    assert report.verdict == "verified"
+    shared = {setup.base, setup.blowup, setup.modification, setup.refined}
+    for step in setup.tower():
+        shared |= {step.base, step.result, step.exc_star.fan,
+                   step.cen_star.fan}
+    names = set()
+    for fan in shared:
+        fresh = fans.Fan(fan.rank, fan.rays, fan.cones)
+        for key, value in list(fan._derived.items()):
+            assert _recompute(fresh, key) == value, key
+            names.add(key if isinstance(key, str) else key[0])
+        for c in fan.cones:
+            assert fan.cone_dim(c) == fresh.cone_dim(c)
+            assert fan.cone_hrep(c) == fresh.cone_hrep(c)
+            assert fans._faces_as_keys(fan, c) == fans._faces_as_keys(
+                fresh, c)
+    assert {"courant", "dual_basis", "duals", "homes", "localization",
+            "ray_class", "smooth"} <= names
+
+
+@FAN_ORACLE
+@given(_subdivided_fans(SMOOTH_3FANS), st.data())
+def test_subdivision_assignment_equals_the_per_cone_search(fan, draw):
+    coarse = fans.fan_from_max_cones(
+        *SMOOTH_3FANS[draw.draw(st.sampled_from(sorted(SMOOTH_3FANS)))])
+    for fine, target in ((fan, coarse), (coarse, fan), (fan, fan)):
+        try:
+            got = fans.subdivision_assignment(fine, target)
+        except ValueError:
+            got = None
+        try:
+            want = subdivision_assignment_per_cone(fine, target)
+        except ValueError:
+            want = None
+        assert got == want

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import exceptional_class, newton_region
 from tropchow import fans
-from tropchow.ideals import (MonomialIdeal, exceptional_class, newton_region,
-                             order_function, pullback_ideal, segre_class)
+from tropchow.ideals import (MonomialIdeal, order_function, pullback_ideal,
+                             segre_class)
 from tropchow.piecewise import courant_function
 from tropchow.weights import (courant_monomial, is_balanced, mw_of_pp,
                               mw_product, mw_to_pp, pushforward_witness)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import polytope_vertices, polytope_volume
 from tropchow import linalg, polyhedra, tropical
 
 
@@ -93,39 +94,39 @@ def test_fm_feasible():
 def test_polytope_vertices():
     # unit square
     ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
-    verts, rays = polyhedra.polytope_vertices(ineqs, 2)
+    verts, rays = polytope_vertices(ineqs, 2)
     assert rays == []
     assert verts == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # upper-right quadrant shifted: vertex with recession rays
     ineqs = [((1, 0), 2), ((0, 1), 3)]
-    verts, rays = polyhedra.polytope_vertices(ineqs, 2)
+    verts, rays = polytope_vertices(ineqs, 2)
     assert verts == [(2, 3)]
     assert rays == [(0, 1), (1, 0)]
 
 
 def test_polytope_volume():
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert polyhedra.polytope_volume(square) == 1
+    assert polytope_volume(square) == 1
     tri = [(0, 0), (2, 0), (0, 2)]
-    assert polyhedra.polytope_volume(tri) == 2
+    assert polytope_volume(tri) == 2
     # extra interior and boundary points must not change anything
-    assert polyhedra.polytope_volume(tri + [(1, 0), (Fraction(1, 2), Fraction(1, 2))]) == 2
+    assert polytope_volume(tri + [(1, 0), (Fraction(1, 2), Fraction(1, 2))]) == 2
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    assert polyhedra.polytope_volume(cube) == 1
+    assert polytope_volume(cube) == 1
     simplex3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert polyhedra.polytope_volume(simplex3) == Fraction(1, 6)
+    assert polytope_volume(simplex3) == Fraction(1, 6)
     flat = [(0, 0), (1, 1), (2, 2)]
-    assert polyhedra.polytope_volume(flat) == 0
+    assert polytope_volume(flat) == 0
 
 
 def test_volume_random_shear_invariance():
     rng = random.Random(23)
     for _ in range(30):
         pts = [(rng.randrange(0, 5), rng.randrange(0, 5)) for _ in range(6)]
-        vol = polyhedra.polytope_volume(pts)
+        vol = polytope_volume(pts)
         # unimodular shear preserves area
         sheared = [(x + 2 * y, y) for x, y in pts]
-        assert polyhedra.polytope_volume(sheared) == vol
+        assert polytope_volume(sheared) == vol
 
 
 # ---------------------------------------------------------------------------

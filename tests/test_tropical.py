@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import total_genus
+from helpers import polytope_vertices, total_genus
 from tropchow import linalg, polyhedra, tropical
-from tropchow.polyhedra import polytope_vertices
 from tropchow.tropical import (DRCone, SlopeAssignment, WeightedDualGraph,
                                balanced_slopes, dr_cone, dr_subfan,
                                enumerate_stable_graphs, rubber_pieces,

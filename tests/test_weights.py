@@ -171,15 +171,21 @@ def test_balanced_ranks():
 
 
 def test_derived_data_is_kept_per_fan_object():
+    # equal fans built while one is alive are one object; a Fan
+    # constructed directly is not shared and derives its own data
     f, g = _bl_p2(), _bl_p2()
-    assert f == g and f is not g
-    assert courant_function(f, 1) is courant_function(f, 1)
-    assert courant_function(g, 1) is not courant_function(f, 1)
-    assert courant_function(g, 1) == courant_function(f, 1)
-    assert f.unimodular_duals() is f.unimodular_duals()
-    assert g.unimodular_duals() is not f.unimodular_duals()
-    assert ray_monomial_class(f, (2, 0)) is ray_monomial_class(f, (0, 2))
-    assert ray_monomial_class(g, (0, 2)) is not ray_monomial_class(f, (0, 2))
+    assert f is g
+    fresh = fans.Fan(f.rank, f.rays, f.cones)
+    assert fresh == f and fresh is not f
+    assert courant_function(f, 1) is courant_function(g, 1)
+    assert courant_function(fresh, 1) is not courant_function(f, 1)
+    assert courant_function(fresh, 1) == courant_function(f, 1)
+    assert f.unimodular_duals() is g.unimodular_duals()
+    assert fresh.unimodular_duals() is not f.unimodular_duals()
+    assert fresh.unimodular_duals() == f.unimodular_duals()
+    assert ray_monomial_class(f, (2, 0)) is ray_monomial_class(g, (0, 2))
+    assert ray_monomial_class(fresh, (0, 2)) is not ray_monomial_class(
+        f, (0, 2))
     assert ray_monomial_class(f, (0, 2)) == mw_of_pp(
         courant_function(f, 0) * courant_function(f, 2), 2)
     assert f.max_cone_over((1,)) in f.max_cones
@@ -187,13 +193,15 @@ def test_derived_data_is_kept_per_fan_object():
 
 
 def test_generic_vector_is_kept_per_fan_object():
-    f, g = _bl_p2(), _bl_p2()
+    f = _bl_p2()
     v = weights._generic_vector(f)
     assert weights._generic_vector(f) is v
-    assert weights._generic_vector(g) is not v
-    assert weights._generic_vector(g) == v
+    assert weights._generic_vector(_bl_p2()) is v
+    fresh = fans.Fan(f.rank, f.rays, f.cones)
+    assert weights._generic_vector(fresh) is not v
+    assert weights._generic_vector(fresh) == v
     # mw_product finds the vector once and leaves it on the fan
-    h = _bl_p2()
+    h = fans.Fan(f.rank, f.rays, f.cones)
     a = mw_of_pp(_phi(h, (1, 0)), 1)
     mw_product(a, a)
 
@@ -362,9 +370,14 @@ def test_saturation_is_kept_per_cone_object(monkeypatch):
     for cone in f.cones:
         assert f.cone_saturation(cone) is f.cone_saturation(cone)
     assert len(seen) == len(f.cones)
-    # a fan built again computes its own
+    # a fan built again while f is alive is f, and computes nothing
     g = _p112()
+    assert g is f
     mw_product(mw_of_pp(_phi(g, (1, 0)), 1), mw_of_pp(_phi(g, (-1, -2)), 1))
+    assert len(seen) == len(f.cones)
+    # a Fan constructed directly computes its own
+    h = fans.Fan(f.rank, f.rays, f.cones)
+    mw_product(mw_of_pp(_phi(h, (1, 0)), 1), mw_of_pp(_phi(h, (-1, -2)), 1))
     assert len(seen) > len(f.cones)
 
 
