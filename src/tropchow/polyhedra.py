@@ -1,29 +1,27 @@
-"""Exact polyhedral primitives: cones and affine feasibility.
+"""Exact polyhedral primitives on cones, in int arithmetic.
 
 Cones are handled in two representations. Generator form is a list of
 integer vectors; constraint form is a pair (equalities, inequalities) of
 primitive integer functionals, with equalities cutting out the linear span
 and inequalities the facets within it. A simplicial cone is read off the
 dual basis of its rays within their span (dual_basis): one elimination of
-the Gram matrix gives every facet normal, up to scale. Otherwise a full
-conversion (cone_constraints on generators that are not independent,
-rays_from_constraints) enumerates subsets of generators or of rows, which
-is exact and fast at the dimensions that appear here (at most four or
-five). When both forms of a cone are at hand, possibly redundant, the
-irredundant part of either is read off the other by one rank per
-candidate instead (extreme_generators, facet_constraints): in a pointed
-cone of dimension d, a generator is extreme and a row is a facet exactly
-when the partners vanishing on it have rank d - 1. Every kernel vector is
-a primitive integer vector read off the integer echelon form
-(linalg.primitive_kernel), so all of this runs in int arithmetic;
-Fractions remain only in affine feasibility. Affine feasibility (fm_feasible) is Fourier-Motzkin
-elimination without pruning; its one library caller is the displaced meet
-of a cone pair in weights.mw_product that is not simplicial, since a
-simplicial pair is decided by one square solve.
+the Gram matrix gives every facet normal, up to scale. There is one full
+conversion, rays_from_constraints, which enumerates (d-1)-subsets of rows;
+it is exact and fast at the dimensions that appear here (at most four or
+five). Generators that are not independent get their facets from it by
+duality: the facets of cone(G) within span(G) are the extreme rays of the
+dual cone {w in span(G) : g.w >= 0 for g in G}, which is pointed there.
+When both forms of a cone are at hand, possibly redundant, the irredundant
+part of either is read off the other by one rank per candidate instead
+(extreme_generators, facet_constraints): in a pointed cone of dimension d,
+a generator is extreme and a row is a facet exactly when the partners
+vanishing on it have rank d - 1. Every kernel vector is a primitive
+integer vector read off the integer echelon form (linalg.primitive_kernel).
+Nothing here decides affine feasibility: whether cone s1 meets s2 + v is
+whether v lies in the cone spanned by the rays of s1 and minus those of s2.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
@@ -76,8 +74,11 @@ def dual_basis(rays):
 def cone_constraints(generators, ambient_dim: int):
     """Constraint form of the cone spanned by integer generators.
 
-    Independent generators have the facets of their dual basis; otherwise
-    every (d-1)-subset of generators is tried as the rays of a facet.
+    Independent generators have the facets of their dual basis. Otherwise
+    the facets are the extreme rays of the dual cone within the span,
+    {w : e.w = 0 for the equalities e, g.w >= 0 for the generators g},
+    from rays_from_constraints; lineality among the generators needs no
+    special case, since that dual cone is always pointed.
 
     Returns:
         (equalities, inequalities): sorted tuples of primitive integer
@@ -100,37 +101,8 @@ def _constraints_and_basis(generators, ambient_dim: int):
         ineqs = {linalg.primitive_vector(u if p > 0 else [-x for x in u])
                  for u, p in duals}
         return (tuple(sorted(eqs)), tuple(sorted(ineqs))), duals
-    basis = _independent_subset(gens, d)
-    ineqs = set()
-    for subset in combinations(range(len(gens)), d - 1):
-        sub = [gens[i] for i in subset]
-        # seek the normal inside the span itself: w = sum t_i b_i with
-        # w.s = 0 for the chosen generators, unique up to scale
-        gram = [[_dot(b, s) for b in basis] for s in sub]
-        ns = linalg.primitive_kernel(gram if gram else [[0] * d])
-        if len(ns) != 1:
-            continue
-        t = ns[0]
-        w = tuple(sum(t[i] * basis[i][j] for i in range(d))
-                  for j in range(ambient_dim))
-        pos = any(_dot(w, g) > 0 for g in gens)
-        neg = any(_dot(w, g) < 0 for g in gens)
-        if pos and neg:
-            continue
-        if neg:
-            w = tuple(-x for x in w)
-        ineqs.add(linalg.primitive_vector(w))
-    return (tuple(sorted(eqs)), tuple(sorted(ineqs))), None
-
-
-def _independent_subset(vectors, target_rank):
-    out = []
-    for v in vectors:
-        if linalg.rank(out + [v]) > len(out):
-            out.append(v)
-            if len(out) == target_rank:
-                break
-    return out
+    ineqs = rays_from_constraints((eqs, tuple(gens)), ambient_dim)
+    return (tuple(sorted(eqs)), ineqs), None
 
 
 def cone_contains(constraints, point) -> bool:
@@ -226,43 +198,3 @@ def intersect_cones(c1, c2, ambient_dim: int):
     eqs = tuple(sorted(set(c1[0]) | set(c2[0])))
     ineqs = tuple(sorted(set(c1[1]) | set(c2[1])))
     return rays_from_constraints((eqs, ineqs), ambient_dim)
-
-
-# ---------------------------------------------------------------------------
-# affine feasibility
-
-def fm_feasible(equalities, inequalities, nvars: int) -> bool:
-    """Exact feasibility of {x : Ex = e, Ax >= b} by variable elimination.
-
-    Rows are (coefficients, rhs) pairs with rational entries.
-    """
-    eqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in equalities]
-    ineqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in inequalities]
-    live = list(range(nvars))
-    while eqs:
-        a, b = eqs.pop()
-        j = next((k for k in live if a[k] != 0), None)
-        if j is None:
-            if b != 0:
-                return False
-            continue
-        piv = a[j]
-        for rows in (eqs, ineqs):
-            for idx, (c, d0) in enumerate(rows):
-                if c[j] == 0:
-                    continue
-                f = c[j] / piv
-                newc = [c[k] - f * a[k] for k in range(nvars)]
-                newc[j] = Fraction(0)
-                rows[idx] = (newc, d0 - f * b)
-        live.remove(j)
-    for j in live:
-        lowers = [r for r in ineqs if r[0][j] > 0]
-        uppers = [r for r in ineqs if r[0][j] < 0]
-        rest = [r for r in ineqs if r[0][j] == 0]
-        for (ap, bp) in lowers:
-            for (aq, bq) in uppers:
-                coef = [-aq[j] * ap[k] + ap[j] * aq[k] for k in range(nvars)]
-                rest.append((coef, -aq[j] * bp + ap[j] * bq))
-        ineqs = rest
-    return all(b <= 0 for _, b in ineqs)

@@ -271,7 +271,7 @@ def _pair_multiplicity(fan: Fan, sigma1, sigma2, v) -> int:
     c_k >= 0 on the rays of sigma1 alone and c_k <= 0 on those of sigma2
     alone. One integer elimination of [rays | v] gives the coordinates and
     the rank; on a smooth fan the index is the determinant of the rays.
-    Other pairs are decided by Fourier-Motzkin on the H-representations.
+    Other pairs are decided by cone membership (_displaced_meets).
     """
     n = fan.rank
     union = sorted(set(sigma1) | set(sigma2))
@@ -305,21 +305,12 @@ def _saturated_sum(fan: Fan, sigma1, sigma2):
 
 
 def _displaced_meets(fan: Fan, sigma1, sigma2, v) -> bool:
-    """Whether sigma1 meets sigma2 + v, by Fourier-Motzkin elimination on
-    the two H-representations."""
-    eqs = []
-    ineqs = []
-    e1, i1 = fan.cone_hrep(sigma1)
-    e2, i2 = fan.cone_hrep(sigma2)
-    for e in e1:
-        eqs.append((e, 0))
-    for a in i1:
-        ineqs.append((a, 0))
-    for e in e2:
-        eqs.append((e, sum(x * y for x, y in zip(e, v))))
-    for a in i2:
-        ineqs.append((a, sum(x * y for x, y in zip(a, v))))
-    return polyhedra.fm_feasible(eqs, ineqs, fan.rank)
+    """Whether sigma1 meets sigma2 + v, that is, whether v lies in the
+    cone spanned by the rays of sigma1 and the negated rays of sigma2."""
+    gens = fan.cone_rays(sigma1) + [tuple(-x for x in r)
+                                    for r in fan.cone_rays(sigma2)]
+    return polyhedra.cone_contains(
+        polyhedra.cone_constraints(gens, fan.rank), v)
 
 
 def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:

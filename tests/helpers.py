@@ -105,6 +105,70 @@ def subdivision_assignment_per_cone(fine, coarse) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# oracles for cone questions
+
+def fm_feasible(equalities, inequalities, nvars: int) -> bool:
+    """Exact feasibility of {x : Ex = e, Ax >= b} by variable elimination.
+
+    Rows are (coefficients, rhs) pairs with rational entries. Fourier-
+    Motzkin elimination over Fractions, without pruning.
+    """
+    eqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in equalities]
+    ineqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in inequalities]
+    live = list(range(nvars))
+    while eqs:
+        a, b = eqs.pop()
+        j = next((k for k in live if a[k] != 0), None)
+        if j is None:
+            if b != 0:
+                return False
+            continue
+        piv = a[j]
+        for rows in (eqs, ineqs):
+            for idx, (c, d0) in enumerate(rows):
+                if c[j] == 0:
+                    continue
+                f = c[j] / piv
+                newc = [c[k] - f * a[k] for k in range(nvars)]
+                newc[j] = Fraction(0)
+                rows[idx] = (newc, d0 - f * b)
+        live.remove(j)
+    for j in live:
+        lowers = [r for r in ineqs if r[0][j] > 0]
+        uppers = [r for r in ineqs if r[0][j] < 0]
+        rest = [r for r in ineqs if r[0][j] == 0]
+        for (ap, bp) in lowers:
+            for (aq, bq) in uppers:
+                coef = [-aq[j] * ap[k] + ap[j] * aq[k] for k in range(nvars)]
+                rest.append((coef, -aq[j] * bp + ap[j] * bq))
+        ineqs = rest
+    return all(b <= 0 for _, b in ineqs)
+
+
+def fm_displaced_meets(hrep1, hrep2, v) -> bool:
+    """Whether the cone hrep1 meets the cone hrep2 + v, both in
+    constraint form, by fm_feasible."""
+    (e1, i1), (e2, i2) = hrep1, hrep2
+
+    def shift(a):
+        return sum(x * y for x, y in zip(a, v))
+    return fm_feasible(
+        [(e, 0) for e in e1] + [(e, shift(e)) for e in e2],
+        [(a, 0) for a in i1] + [(a, shift(a)) for a in i2], len(v))
+
+
+def _independent_subset(vectors, target_rank):
+    """The first vectors, in order, that raise the rank, up to target_rank."""
+    out = []
+    for v in vectors:
+        if linalg.rank(out + [v]) > len(out):
+            out.append(v)
+            if len(out) == target_rank:
+                break
+    return out
+
+
+# ---------------------------------------------------------------------------
 # polytopes
 
 def polytope_vertices(inequalities, dim: int):
@@ -131,8 +195,7 @@ def _affine_coords(points):
     p0 = points[0]
     diffs = [tuple(Fraction(a) - Fraction(b) for a, b in zip(p, p0))
              for p in points[1:]]
-    basis = polyhedra._independent_subset([d for d in diffs if any(d)],
-                                          len(p0))
+    basis = _independent_subset([d for d in diffs if any(d)], len(p0))
     k = len(basis)
     coords = []
     for p in points:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (is_continuous, pp_from_polynomial,
+from helpers import (fm_displaced_meets, is_continuous, pp_from_polynomial,
                      subdivision_assignment_per_cone)
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
 from tropchow.polynomials import Polynomial
@@ -148,20 +148,6 @@ def test_generic_vector_equals_rank_search(fan):
     assert weights._generic_vector(fan) == _rank_generic_vector(fan)
 
 
-def _fm_meets(fan, sigma1, sigma2, v):
-    """Whether sigma1 meets sigma2 + v, by Fourier-Motzkin on fresh
-    H-representations."""
-    (e1, i1), (e2, i2) = (polyhedra.cone_constraints(fan.cone_rays(s),
-                                                     fan.rank)
-                          for s in (sigma1, sigma2))
-
-    def shift(a):
-        return sum(x * y for x, y in zip(a, v))
-    return polyhedra.fm_feasible(
-        [(e, 0) for e in e1] + [(e, shift(e)) for e in e2],
-        [(a, 0) for a in i1] + [(a, shift(a)) for a in i2], fan.rank)
-
-
 def _fresh_sum_index(fan, sigma1, sigma2):
     """Index of the sum of two cone lattices, from fresh saturations."""
     merged = [[] for _ in range(fan.rank)]
@@ -196,7 +182,10 @@ def test_pair_multiplicity_equals_fourier_motzkin(fan, data):
         rays = fan.cone_rays(s1) + fan.cone_rays(s2)
         fills = bool(rays) and linalg.rank(rays) == fan.rank
         mult = weights._pair_multiplicity(fan, s1, s2, v)
-        assert (mult != 0) == (fills and _fm_meets(fan, s1, s2, v))
+        # Fourier-Motzkin on fresh H-representations
+        hreps = (polyhedra.cone_constraints(fan.cone_rays(s), fan.rank)
+                 for s in (s1, s2))
+        assert (mult != 0) == (fills and fm_displaced_meets(*hreps, v))
         if mult:
             assert mult == _fresh_sum_index(fan, s1, s2)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import polytope_vertices, polytope_volume
+from helpers import (_independent_subset, fm_feasible, polytope_vertices,
+                     polytope_volume)
 from tropchow import linalg, polyhedra, tropical
 
 
@@ -78,17 +79,17 @@ def test_intersection():
 
 def test_fm_feasible():
     # x >= 1, y >= 1, x + y <= 1 is infeasible
-    assert not polyhedra.fm_feasible(
+    assert not fm_feasible(
         [], [((1, 0), 1), ((0, 1), 1), ((-1, -1), -1)], 2)
-    assert polyhedra.fm_feasible(
+    assert fm_feasible(
         [], [((1, 0), 1), ((0, 1), 1), ((-1, -1), -3)], 2)
     # equality x = y with x + y = 3 forces x = 3/2
-    assert polyhedra.fm_feasible(
+    assert fm_feasible(
         [((1, -1), 0), ((1, 1), 3)], [((1, 0), Fraction(3, 2))], 2)
-    assert not polyhedra.fm_feasible(
+    assert not fm_feasible(
         [((1, -1), 0), ((1, 1), 3)], [((1, 0), 2)], 2)
     # pure equality contradiction
-    assert not polyhedra.fm_feasible([((0, 0), 1)], [], 2)
+    assert not fm_feasible([((0, 0), 1)], [], 2)
 
 
 def test_polytope_vertices():
@@ -157,7 +158,7 @@ def _ref_cone_constraints(generators, ambient_dim):
                for i in range(ambient_dim)]
         return tuple(sorted(eqs)), ()
     d = linalg.rank(gens)
-    basis = polyhedra._independent_subset(gens, d)
+    basis = _independent_subset(gens, d)
     ineqs = set()
     for subset in combinations(range(len(gens)), d - 1):
         sub = [gens[i] for i in subset]
@@ -217,7 +218,7 @@ def _in_cone(gens, point):
     k = len(gens)
     eqs = [([g[i] for g in gens], point[i]) for i in range(len(point))]
     ineqs = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
-    return polyhedra.fm_feasible(eqs, ineqs, k)
+    return fm_feasible(eqs, ineqs, k)
 
 
 def _extreme_rays(gens):
@@ -234,14 +235,19 @@ def _is_pointed(gens):
     eqs = [([g[i] for g in gens], 0) for i in range(n)]
     ineqs = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
     ineqs.append(((1,) * k, 1))
-    return not polyhedra.fm_feasible(eqs, ineqs, k)
+    return not fm_feasible(eqs, ineqs, k)
 
 
 @st.composite
 def _generator_sets(draw):
-    n = draw(st.sampled_from((3, 4)))
+    """Generators in rank 3-5; appending -g0 makes dependent sets with
+    lineality common."""
+    n = draw(st.sampled_from((3, 4, 5)))
     vec = st.tuples(*[st.integers(-3, 3)] * n)
-    return n, draw(st.lists(vec, min_size=1, max_size=6))
+    gens = draw(st.lists(vec, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in gens[0]))
+    return n, gens
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

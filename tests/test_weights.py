@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import pp_from_polynomial
+from helpers import fm_displaced_meets, pp_from_polynomial
 from tropchow import fans, linalg, piecewise, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
@@ -302,10 +302,21 @@ def _cube_fan():
         [r for r in corners if r[i] == s] for i in range(3) for s in (1, -1)])
 
 
-def _count_fm_calls(monkeypatch):
+def _prism_fan():
+    """The complete fan over the faces of a triangular prism: two
+    simplicial top cones and three with four rays."""
+    tri = [(1, 0), (0, 1), (-1, -1)]
+    quads = [[a + (s,) for a in (tri[i], tri[i - 1]) for s in (1, -1)]
+             for i in range(3)]
+    return fans.fan_from_max_cones(
+        3, [[a + (s,) for a in tri] for s in (1, -1)] + quads)
+
+
+def _count_meet_calls(monkeypatch):
+    """Record the pairs that mw_product decides by cone membership."""
     calls = []
-    real = weights.polyhedra.fm_feasible
-    monkeypatch.setattr(weights.polyhedra, "fm_feasible",
+    real = weights._displaced_meets
+    monkeypatch.setattr(weights, "_displaced_meets",
                         lambda *args: calls.append(args) or real(*args))
     return calls
 
@@ -313,7 +324,7 @@ def _count_fm_calls(monkeypatch):
 def test_product_on_weighted_plane_matches_function_product(monkeypatch):
     f = _p112()
     assert not f.is_smooth()
-    calls = _count_fm_calls(monkeypatch)
+    calls = _count_meet_calls(monkeypatch)
     for i, j in itertools.product(range(3), repeat=2):
         phi, psi = courant_function(f, i), courant_function(f, j)
         assert mw_product(mw_of_pp(phi, 1), mw_of_pp(psi, 1)) == mw_of_pp(
@@ -332,7 +343,7 @@ def test_product_on_non_simplicial_cube_fan(monkeypatch):
         c: k + 1 for k, c in enumerate(cube.cones_of_dim(2))})
     top = MinkowskiWeight(cube, 0, {
         c: k + 1 for k, c in enumerate(cube.max_cones)})
-    calls = _count_fm_calls(monkeypatch)
+    calls = _count_meet_calls(monkeypatch)
     m, p = -1, 1
     assert _by_rays(mw_product(edges, top)) == {
         ((m, m, m), (m, m, p)): "2", ((m, m, m), (m, p, m)): "6",
@@ -349,6 +360,29 @@ def test_product_on_non_simplicial_cube_fan(monkeypatch):
         ((m, m, m),): "3", ((m, m, p),): "4", ((m, p, m),): "12",
         ((m, p, p),): "48", ((p, m, m),): "27", ((p, m, p),): "99",
         ((p, p, m),): "120", ((p, p, p),): "96"}
+
+
+@pytest.mark.parametrize("build", [_cube_fan, _prism_fan])
+def test_displaced_meets_equals_fourier_motzkin(build):
+    fan = build()
+    generic = weights._generic_vector(fan)
+    zero = (0,) * fan.rank
+    outcomes = set()
+    for s1, s2 in itertools.product(fan.cones, repeat=2):
+        r1, r2 = fan.cone_rays(s1), fan.cone_rays(s2)
+        if linalg.rank(r1 + r2) < fan.rank:
+            continue
+        # besides the generic vector, displacements after which the cones
+        # can meet at a face only
+        neg2 = [tuple(-x for x in s) for s in r2]
+        tests = dict.fromkeys([generic, zero] + r1 + neg2 + [
+            tuple(x - y for x, y in zip(r, s)) for r in r1 for s in r2])
+        for v in tests:
+            meets = weights._displaced_meets(fan, s1, s2, v)
+            assert meets == fm_displaced_meets(
+                fan.cone_hrep(s1), fan.cone_hrep(s2), v), (s1, s2, v)
+            outcomes.add(meets)
+    assert outcomes == {True, False}
 
 
 def test_saturation_is_kept_per_cone_object(monkeypatch):
