@@ -336,8 +336,8 @@ def validate_fan(fan: Fan) -> list[str]:
                 problems.append(f"face {f} of cone {c} is not in the fan")
     maxes = fan.max_cones
     for a, b in combinations(maxes, 2):
-        inter = polyhedra.intersect_cones(
-            fan.cone_hrep(a), fan.cone_hrep(b), fan.rank)
+        (ea, ia), (eb, ib) = fan.cone_hrep(a), fan.cone_hrep(b)
+        inter = polyhedra.rays_from_constraints((ea + eb, ia + ib), fan.rank)
         for cone in (a, b):
             mf = _minimal_face_containing_all(fan, cone, inter)
             if mf is None or set(fan.cone_rays(mf)) != set(inter):
@@ -398,9 +398,9 @@ def common_refinement(fan1: Fan, fan2: Fan) -> Fan:
     pieces = []
     for a in fan1.max_cones:
         for b in fan2.max_cones:
-            rays = polyhedra.intersect_cones(
-                fan1.cone_hrep(a), fan2.cone_hrep(b), fan1.rank)
-            pieces.append(rays)
+            (ea, ia), (eb, ib) = fan1.cone_hrep(a), fan2.cone_hrep(b)
+            pieces.append(polyhedra.rays_from_constraints(
+                (ea + eb, ia + ib), fan1.rank))
     refined = fan_from_max_cones(fan1.rank, pieces)
     for coarse in (fan1, fan2):
         msg = _covering_defect(coarse, refined)

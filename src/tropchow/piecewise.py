@@ -243,11 +243,10 @@ def min_refinement(fan: Fan, functions):
     A top cone on which one function is at most every other at every ray
     is its own cell, with the rays and H-rep the fan has for it: any other
     cell of full dimension there lies where its function equals that one,
-    which is the whole cone again. Any other top cone is cut into cells by
+    which is the whole cone again. Any other top cone's rays are split by
     the inequalities l_j <= l_i; cells of full dimension in their cone
-    survive, each with its rays from its rows and its facets read off
-    those rows against the rays. Everything is closed over faces and
-    deduplicated.
+    survive, each with its facets read off its rows against its rays.
+    Everything is closed over faces and deduplicated.
     """
     cells = []
     for m in fan.max_cones:
@@ -260,18 +259,18 @@ def min_refinement(fan: Fan, functions):
             continue
         eqs, ineqs = hrep
         for j, lj in enumerate(linear):
-            rows = list(ineqs)
+            cell, rows = tuple(rays), ineqs
             for i, li in enumerate(linear):
                 if i == j:
                     continue
                 coeffs = _linear_coefficients(li - lj, fan.rank)
-                if all(c == 0 for c in coeffs):
-                    continue
-                rows.append(polyhedra._to_primitive_int(coeffs))
-            cons = (eqs, tuple(rows))
-            cell = polyhedra.rays_from_constraints(cons, fan.rank)
+                if any(coeffs):
+                    row = polyhedra._to_primitive_int(coeffs)
+                    cell = polyhedra.split(cell, rows, row)[0]
+                    rows += (row,)
             if polyhedra.span_dim(cell) == fan.cone_dim(m):
-                cells.append((cell, polyhedra.facet_constraints(cell, cons)))
+                cells.append((cell, polyhedra.facet_constraints(
+                    cell, (eqs, rows))))
     refined = fan_from_cells(fan.rank, cells)
     out = pp_min(refined, [pp_pullback(refined, linalg.identity_matrix(fan.rank), f)
                            for f in functions])

@@ -5,12 +5,12 @@ integer vectors; constraint form is a pair (equalities, inequalities) of
 primitive integer functionals, with equalities cutting out the linear span
 and inequalities the facets within it. A simplicial cone is read off the
 dual basis of its rays within their span (dual_basis): one elimination of
-the Gram matrix gives every facet normal, up to scale. There is one full
-conversion, rays_from_constraints, which enumerates (d-1)-subsets of rows;
-it is exact and fast at the dimensions that appear here (at most four or
-five). Generators that are not independent get their facets from it by
-duality: the facets of cone(G) within span(G) are the extreme rays of the
-dual cone {w in span(G) : g.w >= 0 for g in G}, which is pointed there.
+the Gram matrix gives every facet normal, up to scale. Every other
+conversion is built from split, one double-description step that cuts a
+cone's extreme rays by a hyperplane. Generators that are not independent
+get their facets from rays_from_constraints by duality: the facets of
+cone(G) within span(G) are the extreme rays of the dual cone
+{w in span(G) : g.w >= 0 for g in G}, which is pointed there.
 When both forms of a cone are at hand, possibly redundant, the irredundant
 part of either is read off the other by one rank per candidate instead
 (extreme_generators, facet_constraints): in a pointed cone of dimension d,
@@ -22,7 +22,7 @@ whether v lies in the cone spanned by the rays of s1 and minus those of s2.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import product
 from math import gcd, lcm
 
 from . import linalg
@@ -112,34 +112,55 @@ def cone_contains(constraints, point) -> bool:
 
 
 def rays_from_constraints(constraints, ambient_dim: int):
-    """Extreme rays of the pointed cone {x : Ex = 0, Ax >= 0}.
-
-    Raises ValueError when the cone contains a line.
+    """Extreme rays of the pointed cone {x : Ex = 0, Ax >= 0}, A possibly
+    rational: d independent rows of A cut out a simplicial cone on the
+    kernel of E, one kernel per ray, and the other rows split it. Raises
+    ValueError when the cone contains a line.
     """
     eqs, ineqs = constraints
-    basis = linalg.primitive_kernel(eqs) if eqs else [
-        tuple(int(i == j) for j in range(ambient_dim))
-        for i in range(ambient_dim)]
+    basis = linalg.primitive_kernel(eqs or [[0] * ambient_dim])
     d = len(basis)
-    if d == 0:
-        return ()
-    reduced = [[_dot(a, b) for b in basis] for a in ineqs]
-    if linalg.rank(reduced) < d:
+    reduced = linalg._integer_rows([[_dot(a, b) for b in basis]
+                                    for a in ineqs])
+    start = linalg._integer_echelon(list(zip(*reduced)))[1]
+    rows = [reduced[i] for i in start]
+    if len(rows) < d:
         raise ValueError("cone contains a line")
-    rays = set()
-    for subset in combinations(range(len(reduced)), d - 1):
-        sub = [reduced[i] for i in subset]
-        ns = linalg.primitive_kernel(sub if sub else [[0] * d])
-        if len(ns) != 1:
-            continue
-        y = ns[0]
-        x = tuple(sum(y[i] * basis[i][j] for i in range(d))
-                  for j in range(ambient_dim))
-        if all(_dot(a, x) >= 0 for a in ineqs):
-            rays.add(linalg.primitive_vector(x))
-        elif all(_dot(a, x) <= 0 for a in ineqs):
-            rays.add(linalg.primitive_vector([-t for t in x]))
-    return tuple(sorted(rays))
+    rays = []
+    for k, a in enumerate(rows):
+        y = linalg.primitive_kernel(rows[:k] + rows[k + 1:] or [[0] * d])[0]
+        rays.append(y if _dot(a, y) > 0 else tuple(-t for t in y))
+    for a in reduced:
+        if a not in rows:
+            rays = split(rays, rows, a)[0]
+            rows.append(a)
+    return tuple(sorted(linalg.primitive_vector(
+        [_dot(y, col) for col in zip(*basis)]) for y in rays))
+
+
+def split(rays, rows, a):
+    """One double-description step (Fukuda and Prodon 1996): the extreme
+    rays of the pointed cone C on each side of a.x = 0, sorted and
+    primitive, a.x >= 0 first. C has the given extreme rays; rows, maybe
+    redundant, cut it out within its span. Rays with a.r = 0 go to both
+    sides, and so does one ray per adjacent pair a.p > 0 > a.n, adjacent
+    when no third ray is tight on every row tight on both.
+    """
+    side = [_dot(a, r) for r in rays]
+    pos = [i for i, s in enumerate(side) if s > 0]
+    neg = [i for i, s in enumerate(side) if s < 0]
+    cut = []
+    if pos and neg:
+        tight = [sum(1 << k for k, row in enumerate(rows) if not _dot(row, r))
+                 for r in rays]
+        for p, n in product(pos, neg):
+            both = tight[p] & tight[n]
+            if sum(t & both == both for t in tight) == 2:
+                cut.append(linalg.primitive_vector(
+                    [side[p] * x - side[n] * y
+                     for x, y in zip(rays[n], rays[p])]))
+    return (tuple(sorted([r for r, s in zip(rays, side) if s >= 0] + cut)),
+            tuple(sorted([r for r, s in zip(rays, side) if s <= 0] + cut)))
 
 
 def _tight_rank_is(vector, partners, target: int) -> bool:
@@ -191,10 +212,3 @@ def facet_constraints(rays, constraints):
             w = linalg.primitive_vector(a)
         facets.add(w)
     return tuple(sorted(eqs)), tuple(sorted(facets))
-
-
-def intersect_cones(c1, c2, ambient_dim: int):
-    """Extreme rays of the intersection of two cones in constraint form."""
-    eqs = tuple(sorted(set(c1[0]) | set(c2[0])))
-    ineqs = tuple(sorted(set(c1[1]) | set(c2[1])))
-    return rays_from_constraints((eqs, ineqs), ambient_dim)

@@ -8,7 +8,6 @@ fiber products of two such subfans over the moduli complex.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -353,14 +352,8 @@ class DRCone:
 def _wall_key(vec):
     """The primitive multiple of a nonzero integer vector whose first
     nonzero entry is positive."""
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
-    out = tuple(x // g for x in vec)
-    for x in out:
-        if x:
-            return out if x > 0 else tuple(-y for y in out)
-    return out
+    out = linalg.primitive_vector(vec)
+    return out if next(x for x in out if x) > 0 else tuple(-x for x in out)
 
 
 def dr_cone(graph: WeightedDualGraph, assignment: SlopeAssignment) -> DRCone:
@@ -378,17 +371,17 @@ def _dr_cone(graph, assignment, solved: dict) -> DRCone:
     equations = _cycle_rows(graph, assignment.slopes)
     key = (ne, frozenset(map(_wall_key, equations)))
     if key not in solved:
-        solved[key] = _edge_cone_rays(equations, (), ne)
+        solved[key] = _edge_cone_rays(equations, ne)
     rays = solved[key]
     full = all(any(r[i] for r in rays) for i in range(ne))
     return DRCone(assignment, equations, rays, full)
 
 
-def _edge_cone_rays(equations, walls, ne: int):
-    """Extreme rays of {x >= 0 : equations vanish, walls nonnegative} in
-    the edge-length space, computed inside the kernel of the equations."""
-    orthant = tuple(tuple(int(i == j) for j in range(ne)) for i in range(ne))
-    return polyhedra.rays_from_constraints((equations, orthant + walls), ne)
+def _edge_cone_rays(equations, ne: int):
+    """Extreme rays of {x >= 0 : equations vanish} in the edge-length
+    space, computed inside the kernel of the equations."""
+    return polyhedra.rays_from_constraints(
+        (equations, linalg.identity_matrix(ne)), ne)
 
 
 @dataclass(frozen=True)
@@ -639,34 +632,27 @@ class RubberPiece:
 
 def rubber_pieces(cone: DRCone):
     """Split a cone along every hyperplane equating two vertex levels,
-    so the level picture is constant on each piece's interior."""
+    so the level picture is constant on each piece's interior. Each
+    region holds its rays and the rows cutting it out of its span."""
     graph = cone.graph
     ne = graph.num_edges
-    rows = _potential_rows(graph, cone.assignment.slopes)
-    walls = set()
-    for u in range(graph.num_vertices):
-        for v in range(u + 1, graph.num_vertices):
-            diff = tuple(a - b for a, b in zip(rows[u], rows[v]))
-            if any(diff):
-                walls.add(_wall_key(diff))
-    regions = [((), cone.rays)]
+    potential = _potential_rows(graph, cone.assignment.slopes)
+    walls = {_wall_key([a - b for a, b in zip(pu, pv)])
+             for pu, pv in itertools.combinations(potential, 2) if pu != pv}
+    regions = [(linalg.identity_matrix(ne), cone.rays)]
     for wall in sorted(walls):
         anti = tuple(-c for c in wall)
-        split = []
-        for sides, rays in regions:
-            upper = sides + (wall,)
-            lower = sides + (anti,)
-            up_rays = _edge_cone_rays(cone.equations, upper, ne)
-            if up_rays == rays:
-                split.append((upper, rays))
-                continue
-            low_rays = _edge_cone_rays(cone.equations, lower, ne)
-            if low_rays == rays:
-                split.append((lower, rays))
-                continue
-            split.append((upper, up_rays))
-            split.append((lower, low_rays))
-        regions = split
+        cut = []
+        for rows, rays in regions:
+            upper, lower = polyhedra.split(rays, rows, wall)
+            if upper == rays:
+                cut.append((rows + [wall], rays))
+            elif lower == rays:
+                cut.append((rows + [anti], rays))
+            else:
+                cut.append((rows + [wall], upper))
+                cut.append((rows + [anti], lower))
+        regions = cut
     out = []
     for rays in dict.fromkeys(rays for _, rays in regions):
         point = [Fraction(sum(r[i] for r in rays)) for i in range(ne)]
@@ -736,7 +722,7 @@ def tc_fiber_product(a: DRSubfan, b: DRSubfan) -> TCComplex:
                 equations = tuple(dict.fromkeys(cl.equations + cr.equations))
                 cones.append(TCCone(graph, cl.assignment, cr.assignment,
                                     equations,
-                                    _edge_cone_rays(equations, (), ne)))
+                                    _edge_cone_rays(equations, ne)))
         pieces.append(TCPiece(graph, _maximal_cones(cones)))
     return TCComplex(a.genus, a.num_legs, (a.contact, b.contact),
                      tuple(pieces))

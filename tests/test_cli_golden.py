@@ -82,6 +82,16 @@ GOLDEN = [
     (["--format", "json", "tropdr", "subfan", "--g", "0", "--n", "4",
       "--contact", "2,1,-1,-2", "--bound", "3"], 0,
      "2356271b8eade2cbd3371165398d4f741216fa3345a949e2f9aac788a7cd63bc"),
+    # the largest moduli the tropical checks reach, which no bench
+    # workload calls
+    (["tropdr", "rubber", "--g", "2", "--n", "2", "--contact=1,-1"], 0,
+     "c09d38949b7b6397afd08b0e28e33fc3fbe058fc4c96fb1051f4bed95cbae2ec"),
+    (["tropdr", "subfan", "--g", "2", "--n", "2", "--contact=1,-1"], 0,
+     "fb0d2b3a4db4ccbd758e0924b63e8d68025f02618829be3fd80a62e1f276fa44"),
+    (["tropdr", "rubber", "--g", "1", "--n", "4", "--contact=1,1,-1,-1"], 0,
+     "0b1616fae26e61ff72692f42bef994d665a44ef05c26cd5547371eefd9617e20"),
+    (["tropdr", "subfan", "--g", "1", "--n", "4", "--contact=1,1,-1,-1"], 0,
+     "3febf3a8a6e0400cb15b98767e89ed24f6f145ee05175d77226cfbe00819b38a"),
 ]
 
 

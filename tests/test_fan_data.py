@@ -375,15 +375,21 @@ def test_subdivision_assignment_equals_scan(fan, draw):
         assert got == _scan_assignment(fine, target)
 
 
+def _meet(fan, a, b):
+    """Extreme rays of the meet of two cones, from the union of their
+    H-reps."""
+    (ea, ia), (eb, ib) = fan.cone_hrep(a), fan.cone_hrep(b)
+    return polyhedra.rays_from_constraints((ea + eb, ia + ib), fan.rank)
+
+
 def _pp_space_basis_by_intersection(fan, degree):
-    """pp_space_basis with each meet of top cones from intersect_cones."""
+    """pp_space_basis with each meet of top cones from their H-reps."""
     monos = piecewise._degree_monomials(fan.rank, degree)
     cols = [(m, e) for m in fan.max_cones for e in monos]
     col_index = {c: i for i, c in enumerate(cols)}
     rows = []
     for a, b in itertools.combinations(fan.max_cones, 2):
-        shared = polyhedra.intersect_cones(
-            fan.cone_hrep(a), fan.cone_hrep(b), fan.rank)
+        shared = _meet(fan, a, b)
         if not shared:
             continue
         for pt in piecewise._grid_points(list(shared), fan.rank, degree):
@@ -401,8 +407,7 @@ def _pp_space_basis_by_intersection(fan, degree):
 def _continuous_by_intersection(f):
     fan = f.fan
     for a, b in itertools.combinations(fan.max_cones, 2):
-        shared = polyhedra.intersect_cones(
-            fan.cone_hrep(a), fan.cone_hrep(b), fan.rank)
+        shared = _meet(fan, a, b)
         for pt in piecewise._grid_points(list(shared), fan.rank,
                                          f.max_degree()):
             if f.pieces[a].value(pt) != f.pieces[b].value(pt):
@@ -855,7 +860,7 @@ def test_min_refinement_on_a_lower_dimensional_cone(data, draw):
 
 def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
         monkeypatch):
-    calls = {"dual_basis": 0, "rays_from_constraints": 0}
+    calls = {"dual_basis": 0, "rays_from_constraints": 0, "split": 0}
 
     def count(name):
         compute = getattr(polyhedra, name)
@@ -867,6 +872,7 @@ def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
 
     count("dual_basis")
     count("rays_from_constraints")
+    count("split")
     p3 = fans.fan_from_max_cones(*BASES["P3"])
     centre = p3.max_cones[0]
     bl = fans.stellar_subdivision(p3, centre)
@@ -888,16 +894,17 @@ def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
     pulled = [piecewise.pp_pullback(bl, ident, piecewise.courant_function(
         p3, i)) for i in centre]
     refined, minimum = piecewise.min_refinement(bl, pulled)
-    assert calls["rays_from_constraints"] == 0
+    assert calls["split"] == 0
     assert refined == bl
     exc = bl.rays.index(linalg.primitive_vector(p3.relint_point(centre)))
     assert minimum.pieces == rayfns[exc].pieces
     # a minimum that bends inside a cone is still cut out: the two top
-    # cones through both rays are each cut in two
+    # cones through both rays are each cut in two, out of their own rays
     mixed = [piecewise.courant_function(p3, i) for i in centre[:2]]
     refined, _ = piecewise.min_refinement(p3, mixed)
-    assert calls["rays_from_constraints"] > 0
+    assert calls["split"] > 0
     assert len(refined.max_cones) == len(p3.max_cones) + 2
+    assert calls["rays_from_constraints"] == 0
 
 
 def test_unimodular_duals_refusals():

@@ -66,15 +66,21 @@ def test_roundtrip_random():
             assert polyhedra.cone_contains(cons, r)
 
 
+def _meet(c1, c2, n):
+    """Extreme rays of the intersection of two cones in constraint form,
+    from the union of their rows."""
+    return polyhedra.rays_from_constraints(
+        (c1[0] + c2[0], c1[1] + c2[1]), n)
+
+
 def test_intersection():
     c1 = _cone_2d((1, 0), (1, 2))
     c2 = _cone_2d((2, 1), (0, 1))
-    got = polyhedra.intersect_cones(c1, c2, 2)
-    assert got == ((1, 2), (2, 1))
+    assert _meet(c1, c2, 2) == ((1, 2), (2, 1))
     # disjoint interiors meeting along a ray
     c3 = _cone_2d((1, 0), (0, 1))
     c4 = _cone_2d((0, 1), (-1, 0))
-    assert polyhedra.intersect_cones(c3, c4, 2) == ((0, 1),)
+    assert _meet(c3, c4, 2) == ((0, 1),)
 
 
 def test_fm_feasible():
@@ -266,6 +272,41 @@ def test_integer_kernels_match_fraction_basis_reference(data):
         assert rays == ()
 
 
+@st.composite
+def _cones_and_hyperplanes(draw):
+    """A pointed cone in rank 3-5 given by redundant rows, sometimes
+    inside a hyperplane, and a hyperplane to split it by."""
+    n = draw(st.sampled_from((3, 4, 5)))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    eqs = tuple(e for e in draw(st.lists(vec, max_size=1)) if any(e))
+    rows = draw(st.lists(vec, min_size=n, max_size=n + 2))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(tuple(x + draw(st.integers(0, 2)) * y
+                          for x, y in zip(a, b)))
+    rows = tuple(rows)
+    try:
+        _ref_rays_from_constraints((eqs, rows), n)
+    except ValueError:
+        # a line: the orthant rows make the cone pointed
+        rows += tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return n, eqs, rows, draw(vec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_cones_and_hyperplanes())
+def test_split_matches_subset_enumeration(data):
+    n, eqs, rows, a = data
+    rays = _ref_rays_from_constraints((eqs, rows), n)
+    upper, lower = polyhedra.split(rays, rows, a)
+    anti = tuple(-x for x in a)
+    assert upper == _ref_rays_from_constraints((eqs, rows + (a,)), n)
+    assert lower == _ref_rays_from_constraints((eqs, rows + (anti,)), n)
+    # each side's rows cut it out again: splitting by a once more keeps it
+    assert polyhedra.split(upper, rows + (a,), a)[0] == upper
+    assert polyhedra.split(lower, rows + (anti,), a)[1] == lower
+
+
 THREE_LEG_CLASSES = ((1, -1, 0), (2, -2, 0), (1, 1, -2), (-1, -1, 2),
                      (0, 0, 0))
 
@@ -275,16 +316,16 @@ def test_edge_cone_rays_match_fraction_basis_reference(monkeypatch, contact):
     seen = []
     native = tropical._edge_cone_rays
 
-    def record(equations, walls, ne):
-        seen.append((equations, walls, ne))
-        return native(equations, walls, ne)
+    def record(equations, ne):
+        seen.append((equations, ne))
+        return native(equations, ne)
 
     monkeypatch.setattr(tropical, "_edge_cone_rays", record)
     tropical.dr_subfan(1, 3, contact)
     assert seen
-    for equations, walls, ne in seen:
+    for equations, ne in seen:
         orthant = tuple(tuple(int(i == j) for j in range(ne))
                         for i in range(ne))
-        cons = (equations, orthant + walls)
+        cons = (equations, orthant)
         assert (polyhedra.rays_from_constraints(cons, ne)
                 == _ref_rays_from_constraints(cons, ne))

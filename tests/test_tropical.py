@@ -259,10 +259,75 @@ def test_dr_cone_rays_match_homogenised_route(contact):
     assert verify_face_closure(fan) == []
 
 
-def test_rubber_rays_match_homogenised_route(monkeypatch):
-    native = rubber_subdivision(1, 3, (1, 1, -2))
-    monkeypatch.setattr(tropical, "_edge_cone_rays", _homogenised_rays)
-    assert rubber_subdivision(1, 3, (1, 1, -2)) == native
+def _homogenised_regions(cone):
+    """The rays of the regions a cone is cut into along its level walls,
+    each region solved from its full constraint set (the cone's
+    equations, the orthant and one side of every wall so far) by the
+    homogenised route. A wall leaving a region whole on one side does not
+    cut it."""
+    ne = cone.graph.num_edges
+    potential = tropical._potential_rows(cone.graph, cone.assignment.slopes)
+    walls = {tropical._wall_key(tuple(a - b for a, b in zip(pu, pv)))
+             for pu, pv in itertools.combinations(potential, 2) if pu != pv}
+
+    def rays(sides):
+        return _homogenised_rays(cone.equations, sides, ne)
+    regions = [()]
+    for wall in sorted(walls):
+        anti = tuple(-c for c in wall)
+        cut = []
+        for sides in regions:
+            whole = rays(sides)
+            if rays(sides + (wall,)) == whole:
+                cut.append(sides + (wall,))
+            elif rays(sides + (anti,)) == whole:
+                cut.append(sides + (anti,))
+            else:
+                cut += [sides + (wall,), sides + (anti,)]
+        regions = cut
+    return tuple(dict.fromkeys(rays(sides) for sides in regions))
+
+
+# a genus-2 chain of three rational vertices with a loop at each end:
+# every cone of its slopes below 3 for contact (-1, 2, -1) is cut
+LOOPED_CHAIN = WeightedDualGraph(
+    (0, 0, 0), ((0, 0), (0, 1), (1, 2), (2, 2)), (0, 1, 2))
+
+
+def _level_crossing_cones():
+    return [dr_cone(LOOPED_CHAIN, a)
+            for a in balanced_slopes(LOOPED_CHAIN, (-1, 2, -1), 2)]
+
+
+def test_rubber_rays_match_homogenised_route():
+    cones = [cone for piece in dr_subfan(1, 3, (1, 1, -2)).pieces
+             for cone in piece.cones]
+    cut = 0
+    for cone in cones + _level_crossing_cones():
+        expected = _homogenised_regions(cone)
+        assert tuple(p.rays for p in rubber_pieces(cone)) == expected
+        cut += len(expected) > 1
+    assert cut == 25
+
+
+def test_rubber_pieces_split_the_rays_they_hold(monkeypatch):
+    cones = _level_crossing_cones()
+    calls = {"rays_from_constraints": 0, "split": 0}
+
+    def count(name):
+        compute = getattr(polyhedra, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return compute(*args)
+        monkeypatch.setattr(polyhedra, name, counted)
+
+    count("rays_from_constraints")
+    count("split")
+    for cone in cones:
+        rubber_pieces(cone)
+    assert calls["split"] > 0
+    assert calls["rays_from_constraints"] == 0
 
 
 def test_face_closure_and_piece_lookup_on_four_legs():
@@ -391,8 +456,7 @@ def test_dr_subfan_cones_match_fresh_solves(g, n, contact, bound):
     for piece in dr_subfan(g, n, contact, bound).pieces:
         ne = piece.graph.num_edges
         for cone in piece.cones:
-            assert cone.rays == tropical._edge_cone_rays(
-                cone.equations, (), ne)
+            assert cone.rays == tropical._edge_cone_rays(cone.equations, ne)
             assert cone == dr_cone(piece.graph, cone.assignment)
 
 
