@@ -29,8 +29,10 @@ class Fan:
     cone and the dimension of every cone. fan_from_max_cones reads the
     rays off the generators and the one H-representation it computes per
     generator list, and keeps the dual basis that the H-representation
-    of a simplicial cone is read off; fan_from_cells takes rays and
-    H-representations from its caller, as
+    of a simplicial cone is read off; a stellar subdivision hands each
+    top cone it keeps the H-representation and dual basis the source fan
+    holds for it, and converts only the new cones; fan_from_cells takes
+    rays and H-representations from its caller, as
     piecewise.min_refinement has them for each cell.
 
     Every builder ends in fan_from_cells, which returns the live fan equal
@@ -246,23 +248,22 @@ def fan_from_max_cones(rank: int, generator_lists) -> Fan:
     automatically. No fan axioms are checked here; see validate_fan.
     Raises ValueError when a generator set spans a cone with a line.
     """
-    cells = []
-    bases = []
-    for gens in generator_lists:
-        cleaned = sorted({linalg.primitive_vector(g) for g in gens if any(g)})
-        if cleaned:
-            hrep, basis = polyhedra._constraints_and_basis(cleaned, rank)
-            cells.append((polyhedra.extreme_generators(cleaned, hrep), hrep))
-            if basis is not None:
-                bases.append(dict(zip(cleaned, basis)))
-    fan = fan_from_cells(rank, cells)
-    # the dual basis each simplicial H-rep was read off, in cone_rays order
-    index = {r: i for i, r in enumerate(fan.rays)}
-    for by_ray in bases:
-        cone = tuple(sorted(index[r] for r in by_ray))
-        fan._derived.setdefault(("dual_basis", cone), tuple(
-            by_ray[r] for r in fan.cone_rays(cone)))
-    return fan
+    cleaned = ({linalg.primitive_vector(g) for g in gens if any(g)}
+               for gens in generator_lists)
+    return fan_from_cells(rank, [_cell(rank, sorted(c)) for c in cleaned if c])
+
+
+def _cell(rank: int, gens):
+    """The cell (see fan_from_cells) of the cone on sorted, distinct,
+    primitive, nonzero generators."""
+    hrep, basis = polyhedra._constraints_and_basis(gens, rank)
+    return polyhedra.extreme_generators(gens, hrep), hrep, basis
+
+
+def _top_cell(fan: Fan, m: ConeKey):
+    """The cell of a top cone, as the fan holds it."""
+    return (tuple(fan.cone_rays(m)), fan.cone_hrep(m),
+            fan._derived.get(("dual_basis", m)))
 
 
 # every live fan that fan_from_cells returned, keyed by (rank, rays, cones)
@@ -270,30 +271,37 @@ _LIVE_FANS = weakref.WeakValueDictionary()
 
 
 def fan_from_cells(rank: int, cells) -> Fan:
-    """Build a canonical fan from its top cones given as (rays, H-rep)
-    pairs: the sorted extreme primitive rays of each cone and its
-    constraint form as polyhedra.cone_constraints gives it. Both are
+    """Build a canonical fan from its top cones given as cells (rays,
+    H-rep, dual basis or None): the sorted extreme primitive rays of each
+    cone, its constraint form as polyhedra.cone_constraints gives it and
+    maybe the polyhedra.dual_basis of a simplicial cone's rays. All are
     handed to the fan as they are; faces are closed over automatically.
-    Every face of a simplicial cell has as many dimensions as rays.
+    A simplicial cell's faces are the subsets of its rays.
 
     Returns the live fan with the same rank, rays and cones when there
     is one, so that its derived data is shared (see Fan).
     """
-    all_rays = sorted({r for rs, _ in cells for r in rs})
+    all_rays = sorted({r for rs, _, _ in cells for r in rs})
     index = {r: i for i, r in enumerate(all_rays)}
-    hreps = {}
+    hreps, bases = {}, {}
     faces = {(): ((),)}
     dims = {(): 0}
-    for rs, hrep in cells:
+    for rs, hrep, basis in cells:
         key = tuple(sorted(index[r] for r in rs))
         if key not in faces:
             # sorted primitive functionals: the same for any generators
             hreps[key] = hrep
-            faces[key] = _face_keys(key, [all_rays[i] for i in key], hrep[1])
+            if basis is not None:
+                bases[("dual_basis", key)] = basis
             # the equalities are a basis of the functionals vanishing on
             # the cell, so it is simplicial when its rays number rank - eqs
             if len(key) == rank - len(hrep[0]):
+                faces[key] = tuple(sorted(f for k in range(len(key) + 1)
+                                          for f in combinations(key, k)))
                 dims.update((f, len(f)) for f in faces[key])
+            else:
+                faces[key] = _face_keys(key, [all_rays[i] for i in key],
+                                        hrep[1])
     for c in {c for fs in faces.values() for c in fs} - dims.keys():
         dims[c] = polyhedra.span_dim([all_rays[i] for i in c])
     cones = tuple(sorted(dims, key=lambda c: (dims[c], c)))
@@ -304,6 +312,7 @@ def fan_from_cells(rank: int, cells) -> Fan:
         fan._hrep.update(hreps)
         fan._faces.update(faces)
         fan._dim.update(dims)
+        fan._derived.update(bases)
         _LIVE_FANS[key] = fan
     return fan
 
@@ -363,21 +372,34 @@ def _minimal_face_containing_all(fan: Fan, cone: ConeKey, points):
 # subdivision
 
 def stellar_subdivision(fan: Fan, cone: ConeKey, new_ray=None) -> Fan:
-    """Subdivide at a cone by a ray through its relative interior."""
+    """Subdivide at a cone by a ray through its relative interior, by
+    default the sum of its rays; the top cones away from the center keep
+    their cells. Raises ValueError for any other ray."""
     if cone not in fan.cones or not cone:
         raise ValueError("stellar center must be a nonzero fan cone")
-    ray = (linalg.primitive_vector(fan.relint_point(cone)) if new_ray is None
-           else linalg.primitive_vector(new_ray))
-    new_max = []
+    if new_ray is None:
+        new_ray = fan.relint_point(cone)
+    elif (len(new_ray) != fan.rank
+          or fan.minimal_cone_containing(new_ray) != cone):
+        raise ValueError(f"ray {tuple(new_ray)} is not a rank-{fan.rank} "
+                         f"vector in the relative interior of cone {cone}")
+    return fan_from_cells(fan.rank, [
+        _top_cell(fan, m) if m is not None else _cell(fan.rank, rays)
+        for m, rays in _stellar_tops(
+            fan, cone, linalg.primitive_vector(new_ray))])
+
+
+def _stellar_tops(fan: Fan, cone: ConeKey, ray):
+    """Top cones of the stellar subdivision by a ray in the cone's relative
+    interior, as (kept top cone or None, sorted rays); the ray lies off
+    each facet it is added to, so every ray listed is extreme."""
     for m in fan.max_cones:
         if not set(cone) <= set(m):
-            new_max.append(fan.cone_rays(m))
+            yield m, tuple(fan.cone_rays(m))
             continue
         for f in fan.facets_of(m):
-            if set(cone) <= set(f):
-                continue
-            new_max.append(fan.cone_rays(f) + [ray])
-    return fan_from_max_cones(fan.rank, new_max)
+            if not set(cone) <= set(f):
+                yield None, tuple(sorted(fan.cone_rays(f) + [ray]))
 
 
 def insert_ray(fan: Fan, ray) -> Fan:

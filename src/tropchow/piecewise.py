@@ -255,7 +255,7 @@ def min_refinement(fan: Fan, functions):
         values = [[lj.value(r) for r in rays] for lj in linear]
         if any(all(a <= b for vi in values for a, b in zip(vj, vi))
                for vj in values):
-            cells.append((tuple(rays), hrep))
+            cells.append((tuple(rays), hrep, None))
             continue
         eqs, ineqs = hrep
         for j, lj in enumerate(linear):
@@ -270,7 +270,7 @@ def min_refinement(fan: Fan, functions):
                     rows += (row,)
             if polyhedra.span_dim(cell) == fan.cone_dim(m):
                 cells.append((cell, polyhedra.facet_constraints(
-                    cell, (eqs, rows))))
+                    cell, (eqs, rows)), None))
     refined = fan_from_cells(fan.rank, cells)
     out = pp_min(refined, [pp_pullback(refined, linalg.identity_matrix(fan.rank), f)
                            for f in functions])

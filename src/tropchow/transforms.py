@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .fans import (Fan, StarFan, fan_from_max_cones, resolve_smooth, star_fan,
+from .fans import (Fan, StarFan, _cell, _stellar_tops, _top_cell,
+                   fan_from_cells, resolve_smooth, star_fan,
                    stellar_subdivision, subdivision_assignment)
 from .ideals import MonomialIdeal, segre_class
 from .piecewise import (PiecewisePolynomial, courant_function,
@@ -178,11 +179,13 @@ def _undo_stellar(g: Fan, r):
     The center is sought among the subsets of r's link summing to r,
     the whole link first: the center of a point blowup is a top cone.
     Each top cone around r gives the coarse cone with r traded for the
-    center's rays."""
+    center's rays, and the top cones away from r keep the cells g holds;
+    a candidate is the one when its subdivision has g's top cones."""
     ri = g.rays.index(r)
     around = [set(m) - {ri} for m in g.max_cones if ri in m]
     link = sorted(set().union(*around))
-    kept = [g.cone_rays(m) for m in g.max_cones if ri not in m]
+    kept = [_top_cell(g, m) for m in g.max_cones if ri not in m]
+    tops = {tuple(g.cone_rays(m)) for m in g.max_cones}
     for size in range(len(link), 1, -1):
         for center in combinations(link, size):
             rays = [g.rays[i] for i in center]
@@ -190,14 +193,14 @@ def _undo_stellar(g: Fan, r):
                 continue
             star = {tuple(sorted(m | set(center))) for m in around}
             try:
-                cand = fan_from_max_cones(
-                    g.rank, kept + [g.cone_rays(c) for c in sorted(star)])
+                cand = fan_from_cells(g.rank, kept + [
+                    _cell(g.rank, g.cone_rays(c)) for c in sorted(star)])
             except ValueError:  # a cone with a line: not the center
                 continue
             key = tuple(sorted(cand.rays.index(v) for v in rays))
             if key not in set(cand.cones) or not cand.is_smooth():
                 continue
-            if stellar_subdivision(cand, key, r) == g:
+            if {ts for _, ts in _stellar_tops(cand, key, r)} == tops:
                 return cand, key, r, g
     return None
 

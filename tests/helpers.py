@@ -104,6 +104,24 @@ def subdivision_assignment_per_cone(fine, coarse) -> dict:
     return out
 
 
+def stellar_subdivision_by_generators(fan, cone, new_ray=None):
+    """fans.stellar_subdivision with every top cone rebuilt from its
+    generators by fan_from_max_cones: the top cones away from the center
+    as they are, and each facet missing the center of one around it with
+    the new ray added."""
+    ray = linalg.primitive_vector(
+        fan.relint_point(cone) if new_ray is None else new_ray)
+    new_max = []
+    for m in fan.max_cones:
+        if not set(cone) <= set(m):
+            new_max.append(fan.cone_rays(m))
+            continue
+        for f in fan.facets_of(m):
+            if not set(cone) <= set(f):
+                new_max.append(fan.cone_rays(f) + [ray])
+    return fans.fan_from_max_cones(fan.rank, new_max)
+
+
 # ---------------------------------------------------------------------------
 # oracles for cone questions
 

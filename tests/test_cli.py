@@ -88,6 +88,27 @@ def test_fan_stellar_adds_ray(capsys, p2_doc):
     assert (1, 1) in fan.rays and len(fan.max_cones) == 4
 
 
+@pytest.mark.parametrize("ray", [
+    "1,-1",   # outside the cone: once written out as overlapping cones
+    "1,2,3",  # a 3-vector in a rank-2 fan
+    "1,1",    # outside the cone: once refused as a cone with a line
+])
+def test_fan_stellar_refuses_a_ray_off_the_center(capsys, p2_doc, ray):
+    code, out, err = _run(capsys, "--format", "json", "fan", "stellar",
+                          "--fan", p2_doc, "--cone", "0,1", f"--ray={ray}")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: ray (") and "relative interior" in err
+
+
+def test_fan_stellar_takes_an_interior_ray(capsys, p2_doc):
+    code, out, _ = _run(capsys, "--format", "json", "fan", "stellar",
+                        "--fan", p2_doc, "--cone", "0,1", "--ray=-1,1")
+    assert code == 0
+    fan = io.fan_from_payload(io.parse_document(out).payload)
+    assert (-1, 1) in fan.rays and len(fan.max_cones) == 4
+
+
 def test_fan_star_of_ray(capsys, p2_doc):
     code, out, _ = _run(capsys, "fan", "star", "--fan", p2_doc,
                         "--cone", "2")

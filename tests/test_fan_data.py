@@ -7,15 +7,18 @@ minimal_cone_containing locates points through the top cones;
 pp_pullback keeps the home cones it finds; mw_of_pp sums localized
 values instead of multiplying functions out; _generic_vector takes one
 kernel per ray union of a cone pair; simplicial cones give their facets,
-ray functions and unimodular duals from one dual basis, and
-min_refinement keeps a top cone whole where the minimum is linear. Each
-is checked here against an independent computation: fresh polyhedra
-calls, scans over all cones, the product route, the rank-based search,
-the subset enumeration, a least-norm Gram solve and the per-cell
-enumeration.
+ray functions and unimodular duals from one dual basis,
+min_refinement keeps a top cone whole where the minimum is linear, a
+stellar subdivision keeps the cells of the top cones away from its
+center, and _undo_stellar compares top cones instead of building the
+subdivision. Each is checked here against an independent computation:
+fresh polyhedra calls, scans over all cones, the product route, the
+rank-based search, the subset enumeration, a least-norm Gram solve, the
+per-cell enumeration and the subdivision rebuilt from generators.
 """
 import gc
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (fm_displaced_meets, is_continuous, pp_from_polynomial,
+                     stellar_subdivision_by_generators,
                      subdivision_assignment_per_cone)
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
 from tropchow.polynomials import Polynomial
@@ -36,6 +40,11 @@ BASES = {
     "P1^3": (3, [[(a, 0, 0), (0, b, 0), (0, 0, c)]
                  for a, b, c in itertools.product((1, -1), repeat=3)]),
 }
+
+
+# the complete fan over the faces of the cube: no top cone is simplicial
+CUBE = (3, [[r for r in itertools.product((1, -1), repeat=3) if r[i] == s]
+            for i in range(3) for s in (1, -1)])
 
 
 @st.composite
@@ -227,14 +236,20 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
     count(polyhedra, "span_dim")
     count(fans, "_face_keys")
     p3 = fans.fan_from_max_cones(*BASES["P3"])
-    # one H-rep and one face list per generator list; no rank, since
-    # every face of a simplicial cell has as many dimensions as rays
+    # one H-rep per generator list; no face search and no rank, since the
+    # faces of a simplicial cell are the subsets of its rays
     assert calls == {"_constraints_and_basis": 4, "span_dim": 0,
-                     "_face_keys": 4}
+                     "_face_keys": 0}
     bl = fans.stellar_subdivision(p3, p3.max_cones[0])
     assert len(bl.max_cones) == 6 and len(bl.cones) == 1 + 5 + 9 + 6
-    assert calls == {"_constraints_and_basis": 4 + 6, "span_dim": 0,
-                     "_face_keys": 4 + 6}
+    # the 3 top cones away from the center keep P3's cells; only the 3
+    # cones over the center's facets are computed
+    assert calls == {"_constraints_and_basis": 4 + 3, "span_dim": 0,
+                     "_face_keys": 0}
+    for m in p3.max_cones[1:]:
+        key = tuple(sorted(bl.rays.index(r) for r in p3.cone_rays(m)))
+        assert key in bl.max_cones
+        assert bl.cone_hrep(key) is p3.cone_hrep(m)
     for m in bl.max_cones:
         bl.cone_hrep(m)
         bl.facets_of(m)
@@ -244,8 +259,14 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
         bl.cone_dim(c)
         # locating a point asks for no H-rep of a lower cone either
         assert bl.minimal_cone_containing(bl.relint_point(c)) == c
-    assert calls == {"_constraints_and_basis": 10, "span_dim": 0,
-                     "_face_keys": 10}
+    assert calls == {"_constraints_and_basis": 7, "span_dim": 0,
+                     "_face_keys": 0}
+    # a cell that is not simplicial searches its faces once, when built
+    cube = fans.fan_from_max_cones(*CUBE)
+    assert calls["_face_keys"] == len(cube.max_cones) == 6
+    for m in cube.max_cones:
+        fans._faces_as_keys(cube, m)
+    assert calls["_face_keys"] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -877,9 +898,10 @@ def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
     centre = p3.max_cones[0]
     bl = fans.stellar_subdivision(p3, centre)
     # one elimination per simplicial top cone, made while building: its
-    # H-rep and every ray function on it are read off the same one
-    built = len(p3.max_cones) + len(bl.max_cones)
-    assert calls["dual_basis"] == built == 4 + 6
+    # H-rep and every ray function on it are read off the same one; the
+    # 3 top cones the blowup keeps take P3's
+    built = len(p3.max_cones) + len(bl.max_cones) - 3
+    assert calls["dual_basis"] == built == 4 + 3
     rayfns = [piecewise.courant_function(bl, i) for i in range(len(bl.rays))]
     assert calls["dual_basis"] == built
     assert [piecewise.courant_function(bl, i)
@@ -1076,3 +1098,84 @@ def test_subdivision_assignment_equals_the_per_cone_search(fan, draw):
         except ValueError:
             want = None
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# stellar subdivisions keep the cells their source fan holds
+
+
+def _assert_subdivisions_equal_the_generator_route(fan):
+    for cone in fan.cones[1:]:
+        sub = fans.stellar_subdivision(fan, cone)
+        fresh = fans.Fan(sub.rank, sub.rays, sub.cones)
+        assert set(sub._hrep) >= set(sub.max_cones)
+        for c, hrep in sub._hrep.items():
+            assert hrep == fresh.cone_hrep(c)
+        for c, faces in sub._faces.items():
+            assert faces == fans._faces_as_keys(fresh, c)
+        for c in sub.cones:
+            assert sub.cone_dim(c) == fresh.cone_dim(c)
+        for m in sub.max_cones:
+            held = sub._derived.get(("dual_basis", m))
+            # every simplicial top cone is handed its dual basis
+            if len(m) == sub.cone_dim(m):
+                assert held == fresh.cone_dual_basis(m)
+            else:
+                assert held is None
+        oracle = stellar_subdivision_by_generators(fan, cone)
+        assert oracle is sub
+        assert (oracle.rays, oracle.cones) == (sub.rays, sub.cones)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(_subdivided_fans(SMOOTH_3FANS))
+def test_stellar_subdivision_equals_the_generator_route(fan):
+    _assert_subdivisions_equal_the_generator_route(fan)
+
+
+@pytest.mark.parametrize("gens", [CUBE, WEIGHTED["P(1,1,2)"]],
+                         ids=["cube", "P(1,1,2)"])
+def test_stellar_subdivision_of_special_fans(gens):
+    _assert_subdivisions_equal_the_generator_route(
+        fans.fan_from_max_cones(*gens))
+
+
+def _stellar_towers(count=30):
+    """Smooth fans from 1-3 stellar subdivisions of P2, P1xP1 and the
+    smooth 3-fans at seeded cones."""
+    for name, gens in sorted({**BASES, **SMOOTH_3FANS}.items()):
+        rng = random.Random(name)
+        for _ in range(count):
+            fan = fans.fan_from_max_cones(*gens)
+            for _ in range(rng.randint(1, 3)):
+                fan = fans.stellar_subdivision(fan, rng.choice(fan.cones[1:]))
+            yield fan
+
+
+def test_undo_stellar_decides_as_the_full_build(monkeypatch):
+    """_undo_stellar takes the first candidate whose subdivision has g's
+    top cones; building that subdivision must give g exactly then."""
+    tried = []
+    tops = transforms._stellar_tops
+
+    def recorded(cand, key, r):
+        tried.append((cand, key))
+        return tops(cand, key, r)
+    monkeypatch.setattr(transforms, "_stellar_tops", recorded)
+    seen = {True: 0, False: 0}
+    for g in _stellar_towers():
+        for r in g.rays:
+            tried.clear()
+            found = transforms._undo_stellar(g, r)
+            built = [stellar_subdivision_by_generators(cand, key, r) == g
+                     for cand, key in tried]
+            if found is None:
+                assert built == [False] * len(tried)
+            else:
+                assert built == [False] * (len(tried) - 1) + [True]
+                assert found == (*tried[-1], r, g)
+            for outcome in built:
+                seen[outcome] += 1
+    print(f"_undo_stellar candidates: {seen[True]} accepted, "
+          f"{seen[False]} refused")
+    assert seen[True] > 200 and seen[False] > 40, seen

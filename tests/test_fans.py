@@ -1,3 +1,5 @@
+import pytest
+
 from tropchow import fans
 
 
@@ -58,6 +60,26 @@ def test_stellar_subdivision():
     # inserting the ray directly gives the same fan
     assert fans.insert_ray(f, (2, 2)) == bl
     assert fans.insert_ray(bl, (1, 1)) is bl
+
+
+def test_stellar_subdivision_refuses_a_ray_off_the_center():
+    f = _projective_plane()
+    edge = (0, 1)  # rays (-1, -1) and (0, 1)
+    # interior rays, scaled or not, and the default sum of the rays
+    for ray in ((-1, 0), (-2, 0), (-1, 1)):
+        bl = fans.stellar_subdivision(f, edge, ray)
+        assert fans.validate_fan(bl) == [] and len(bl.max_cones) == 4
+    assert fans.stellar_subdivision(f, edge, (-1, 0)) is (
+        fans.stellar_subdivision(f, edge))
+    # outside the cone, on its boundary, zero, or of the wrong length
+    for ray in ((1, -1), (1, 1), (0, 1), (-1, -1), (0, 0), (1, 2, 3),
+                (-1,)):
+        with pytest.raises(ValueError, match="relative interior"):
+            fans.stellar_subdivision(f, edge, ray)
+    # a ray center takes only its own direction
+    with pytest.raises(ValueError, match="relative interior"):
+        fans.stellar_subdivision(f, (1,), (1, 1))
+    assert fans.stellar_subdivision(f, (1,), (0, 3)) is f
 
 
 def test_multiplicity_and_resolution():
