@@ -210,6 +210,11 @@ def cmd_chow_degree(args) -> int:
 def cmd_chow_product(args) -> int:
     a = _load_weight(args.weight)
     b = _load_weight(args.other)
+    # the displacement rule gives one product for balanced weights only
+    for flag, w in (("--weight", a), ("--other", b)):
+        if not is_balanced(w):
+            print(f"not balanced: {flag}", file=sys.stderr)
+            return 1
     _emit_doc(args, "weight", io.weight_to_payload(mw_product(a, b)))
     return 0
 

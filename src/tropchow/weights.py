@@ -3,13 +3,14 @@
 A weight assigns a rational number to every cone of one codimension. The
 calculus here stays in the degree encoding: the weight of a cone is the
 degree of the class multiplied with that cone's orbit closure. Products
-use the displacement rule, degrees use exact localization, and piecewise
-polynomial witnesses move classes back and forth.
+displace by (1, t, ..., t^(n-1)) for large t, degrees use exact
+localization, and piecewise polynomial witnesses move classes back and
+forth.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, count
 from math import lcm
 
 from . import linalg, polyhedra
@@ -116,11 +117,6 @@ def is_balanced(w: MinkowskiWeight) -> bool:
 # ---------------------------------------------------------------------------
 # localization
 
-def _primes():
-    yield from (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
-
-
 def localization_degree(f: PiecewisePolynomial) -> Fraction:
     """Degree of the top homogeneous part of a function on a complete
     simplicial fan: its weight on the zero cone, by mw_of_pp."""
@@ -147,12 +143,13 @@ def _localization(fan: Fan):
 
 
 def _localization_points(fan: Fan):
-    """The first two test points at which no dual basis vector of a top
-    cone vanishes. Each comes with the lcm L of the per-cone products of
-    those values and, per top cone, L divided by its product."""
+    """The first two test points (1, t, ..., t^(n-1)), t = 2, 3, ..., at
+    which no dual basis vector of a top cone vanishes (at finitely many t
+    each). Each comes with the lcm L of the per-cone products of those
+    values and, per top cone, L divided by its product."""
     duals = fan.unimodular_duals()
     points = []
-    for t in _primes():
+    for t in count(2):
         point = tuple(t ** i for i in range(fan.rank))
         denoms = []
         for m in fan.max_cones:
@@ -167,7 +164,6 @@ def _localization_points(fan: Fan):
             points.append((point, common, [common // d for d in denoms]))
             if len(points) == 2:
                 return points
-    raise ArithmeticError("no valid localization points found")
 
 
 def courant_monomial(fan: Fan, ray_indices) -> PiecewisePolynomial:
@@ -238,39 +234,32 @@ def mw_of_pp(f: PiecewisePolynomial, codim: int) -> MinkowskiWeight:
 # ---------------------------------------------------------------------------
 # product by displacement
 
-def _generic_vector(fan: Fan):
-    """Test vector outside every proper subspace spanned by a cone pair,
-    found once per fan: the first (1, t, t^2, ...) at which, for each
-    distinct ray union of a cone pair, some functional vanishing on the
-    union's rays is nonzero."""
-    def find():
-        n = fan.rank
-        unions = {tuple(sorted(set(a) | set(b)))
-                  for a, b in combinations_with_replacement(fan.cones, 2)}
-        kernels = []
-        for u in unions:
-            kernel = linalg.primitive_kernel(fan.cone_rays(u) or [[0] * n])
-            if kernel:  # the union spans a proper subspace
-                kernels.append(kernel)
-        for t in _primes():
-            v = tuple(t ** i for i in range(n))
-            if all(any(sum(a * b for a, b in zip(w, v)) for w in k)
-                   for k in kernels):
-                return v
-        raise ArithmeticError("no generic displacement found")
-    return fan.cached("generic_vector", find)
+def _last_nonzero(row):
+    """Last nonzero entry: the sign of sum row[j] * t^j for all large t."""
+    return next(x for x in reversed(row) if x)
 
 
-def _pair_multiplicity(fan: Fan, sigma1, sigma2, v) -> int:
-    """Fulton-Sturmfels multiplicity of two cones displaced by v: the index
-    of the sum of their lattices in the ambient lattice when the spans
-    fill the space and sigma1 meets sigma2 + v, else 0.
+def _pair_multiplicity(fan: Fan, sigma1, sigma2) -> int:
+    """Fulton-Sturmfels multiplicity of two cones displaced by v(t) =
+    (1, t, ..., t^(n-1)) for all large t: the index of the sum of their
+    lattices in the ambient lattice when the spans fill the space and
+    sigma1 meets sigma2 + v(t), else 0.
+
+    Every sign read is that of a.v(t) = sum a_j t^j for a nonzero integer
+    row a (a row of the elimination below, or a facet normal of sigma1 -
+    sigma2): by Cauchy's bound, that of the last nonzero a_d for all
+    t >= 1 + max_j |a_j / a_d|. These rows, and functionals vanishing on
+    the proper spans of cone pairs, are proportional to (n-1)-minors of
+    rays and unit vectors, so by Hadamard's inequality one bound
+    t >= 1 + ((n-1) R^2)^((n-1)/2), R the largest absolute ray entry,
+    covers every pair: v(t) is then one concrete generic vector.
 
     For simplicial cones whose rays number at most the rank together, the
-    meet holds exactly when v = sum c_k r_k over the union of rays has
+    meet holds exactly when v(t) = sum c_k r_k over the union of rays has
     c_k >= 0 on the rays of sigma1 alone and c_k <= 0 on those of sigma2
-    alone. One integer elimination of [rays | v] gives the coordinates and
-    the rank; on a smooth fan the index is the determinant of the rays.
+    alone. One integer elimination of [rays | I] gives the rank and
+    rows[k][k] * c_k = rows[k][n:] . v(t), a nonzero row as the rays are a
+    basis. On a smooth fan the index is the determinant of the rays.
     Other pairs are decided by cone membership (_displaced_meets).
     """
     n = fan.rank
@@ -281,18 +270,19 @@ def _pair_multiplicity(fan: Fan, sigma1, sigma2, v) -> int:
             return 0
         rays = fan.cone_rays(union)
         rows, pivots = linalg._integer_echelon(
-            [[r[i] for r in rays] + [v[i]] for i in range(n)])
+            [[r[i] for r in rays] + [int(i == j) for j in range(n)]
+             for i in range(n)])
         if pivots != list(range(n)):
             return 0
         for k, i in enumerate(union):
-            sign = rows[k][n] * rows[k][k]
+            sign = rows[k][k] * _last_nonzero(rows[k][n:])
             if sign < 0 and i not in sigma2 or sign > 0 and i not in sigma1:
                 return 0
         if fan.is_smooth():
             return abs(linalg.det(rays).numerator)
         return linalg.lattice_index(_saturated_sum(fan, sigma1, sigma2))
     merged = _saturated_sum(fan, sigma1, sigma2)
-    if linalg.rank(merged) < n or not _displaced_meets(fan, sigma1, sigma2, v):
+    if linalg.rank(merged) < n or not _displaced_meets(fan, sigma1, sigma2):
         return 0
     return linalg.lattice_index(merged)
 
@@ -304,22 +294,26 @@ def _saturated_sum(fan: Fan, sigma1, sigma2):
     return [a + b for a, b in zip(sat1, sat2)]
 
 
-def _displaced_meets(fan: Fan, sigma1, sigma2, v) -> bool:
-    """Whether sigma1 meets sigma2 + v, that is, whether v lies in the
-    cone spanned by the rays of sigma1 and the negated rays of sigma2."""
+def _displaced_meets(fan: Fan, sigma1, sigma2) -> bool:
+    """Whether sigma1 meets sigma2 + v(t) for all large t, that is, whether
+    v(t) lies in the cone spanned by the rays of sigma1 and the negated
+    rays of sigma2: that cone has no equalities, and every facet row is
+    positive on v(t)."""
     gens = fan.cone_rays(sigma1) + [tuple(-x for x in r)
                                     for r in fan.cone_rays(sigma2)]
-    return polyhedra.cone_contains(
-        polyhedra.cone_constraints(gens, fan.rank), v)
+    eqs, ineqs = polyhedra.cone_constraints(gens, fan.rank)
+    return not eqs and all(_last_nonzero(a) > 0 for a in ineqs)
 
 
 def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
-    """Cup product of two weights by the displacement rule.
+    """Cup product of two balanced weights by the displacement rule.
 
     The product's weight at a cone tau sums a(sigma1) * b(sigma2) times
-    the multiplicity of the pair displaced by the fan's generic vector,
-    over the cones sigma1 and sigma2 of the two weights' dimensions that
-    contain tau (Fulton-Sturmfels).
+    the multiplicity of the pair displaced by v(t) = (1, t, ..., t^(n-1))
+    for large t (_pair_multiplicity), over the cones sigma1 and sigma2 of
+    the two weights' dimensions that contain tau (Fulton-Sturmfels). It is
+    defined for balanced weights only, which this does not check: only
+    for them is it the same for every generic displacement.
     """
     if a.fan != b.fan:
         raise ValueError("weights live on different fans")
@@ -327,7 +321,6 @@ def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
     codim = a.codim + b.codim
     if codim > fan.rank:
         raise ValueError("product codimension exceeds the fan rank")
-    v = _generic_vector(fan)
     dim_a = fan.rank - a.codim
     dim_b = fan.rank - b.codim
     values = {}
@@ -339,7 +332,7 @@ def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
             for s2 in fan.cones_of_dim(dim_b):
                 if not set(tau) <= set(s2) or b.values[s2] == 0:
                     continue
-                idx = _pair_multiplicity(fan, s1, s2, v)
+                idx = _pair_multiplicity(fan, s1, s2)
                 if idx:
                     total += idx * a.values[s1] * b.values[s2]
         values[tau] = total

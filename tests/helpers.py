@@ -4,8 +4,9 @@ functions from raw data, polytope and staircase routines, and checks
 that tests use as oracles."""
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
+from math import isqrt
 
 from tropchow import fans, io, linalg, polyhedra
 from tropchow.ideals import MonomialIdeal, order_function
@@ -173,6 +174,78 @@ def fm_displaced_meets(hrep1, hrep2, v) -> bool:
     return fm_feasible(
         [(e, 0) for e in e1] + [(e, shift(e)) for e in e2],
         [(a, 0) for a in i1] + [(a, shift(a)) for a in i2], len(v))
+
+
+def fm_pair_counted(fan, s1, s2, v) -> bool:
+    """Whether the displacement rule counts two cones at v: their rays
+    span the space and, by fm_displaced_meets, s1 meets s2 + v."""
+    return (linalg.rank(fan.cone_rays(s1) + fan.cone_rays(s2)) == fan.rank
+            and fm_displaced_meets(fan.cone_hrep(s1), fan.cone_hrep(s2), v))
+
+
+def displacement_past_bound(fan):
+    """v(t) = (1, t, ..., t^(n-1)) at the least integer t at or past the
+    bound that weights._pair_multiplicity states, 1 + ((n-1) R^2)^((n-1)/2)
+    with R the largest absolute ray entry."""
+    n = fan.rank
+    big = max((abs(x) for r in fan.rays for x in r), default=1)
+    square = ((n - 1) * big * big) ** max(n - 1, 0)
+    root = isqrt(square)
+    t = 1 + root + (root * root < square)
+    return tuple(t ** i for i in range(n))
+
+
+def cauchy_bound(fan) -> Fraction:
+    """The largest Cauchy bound 1 + max_j |a_j / a_d|, a_d the last nonzero
+    entry, over the rows that decide a pair of cones, computed fresh: the
+    facet normals of sigma1 - sigma2 and, when the rays of the pair are a
+    basis, the rows of their inverse, or, when they span a proper
+    subspace, the functionals vanishing on it."""
+    n = fan.rank
+    rows = []
+    # sigma2 - sigma1 has the negated facets of sigma1 - sigma2
+    for s1, s2 in combinations_with_replacement(fan.cones, 2):
+        rays = fan.cone_rays(sorted(set(s1) | set(s2)))
+        if linalg.rank(rays) < n:
+            rows += linalg.primitive_kernel(rays or [[0] * n])
+            continue
+        gens = fan.cone_rays(s1) + [tuple(-x for x in r)
+                                    for r in fan.cone_rays(s2)]
+        rows += polyhedra.cone_constraints(gens, n)[1]
+        if len(rays) == n:
+            rows += [linalg.primitive_kernel(rays[:k] + rays[k + 1:])[0]
+                     for k in range(n)]
+    bound = Fraction(1)
+    for row in rows:
+        *low, last = row
+        while not last:
+            *low, last = low
+        bound = max(bound, 1 + Fraction(max(map(abs, low), default=0),
+                                        abs(last)))
+    return bound
+
+
+def thirty_prime_plane():
+    """P2 with a ray through (1, p) for each of the first 30 primes p, so
+    that no (1, p) is a generic displacement; its smooth resolution has a
+    ray through (1, t) for every t up to 113."""
+    fan = fans.fan_from_max_cones(2, [
+        [(1, 0), (0, 1)], [(1, 0), (-1, -1)], [(0, 1), (-1, -1)]])
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113):
+        fan = fans.insert_ray(fan, (1, p))
+    return fan
+
+
+def raises_every_proper_span(fan, v) -> bool:
+    """Whether v raises the rank of the rays of every pair of cones that
+    span a proper subspace."""
+    for a, b in combinations_with_replacement(fan.cones, 2):
+        rays = fan.cone_rays(a) + fan.cone_rays(b)
+        rank = linalg.rank(rays)
+        if rank < fan.rank and linalg.rank(rays + [v]) == rank:
+            return False
+    return True
 
 
 def _independent_subset(vectors, target_rank):

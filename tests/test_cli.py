@@ -3,14 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from helpers import ideal_to_payload
+from helpers import fm_displaced_meets, ideal_to_payload, thirty_prime_plane
 from test_acceptance import _cli_run
 from tropchow import cli, io
 from tropchow.cli import build_parser, main
-from tropchow.fans import fan_from_max_cones
+from tropchow.fans import fan_from_max_cones, insert_ray
 from tropchow.ideals import MonomialIdeal
 from tropchow.piecewise import courant_function
-from tropchow.weights import MinkowskiWeight, mw_of_pp
+from tropchow.weights import MinkowskiWeight, mw_of_pp, mw_product
 
 
 def _p2():
@@ -161,6 +161,41 @@ def test_chow_balance_exit_codes(capsys, tmp_path):
     assert (code, out) == (0, "balanced\n")
     code, out, _ = _run(capsys, "chow", "balance", "--weight", bad_path)
     assert (code, out) == (1, "not balanced\n")
+
+
+def test_chow_product_refuses_unbalanced_weights(capsys, tmp_path):
+    fan = insert_ray(_p2(), (1, 7))
+    steep, flat = (fan.rays.index(r) for r in ((1, 7), (1, 0)))
+    a = MinkowskiWeight(fan, 1, {(steep,): 1})
+    b = MinkowskiWeight(fan, 1, {(flat,): 1})
+    # unbalanced, their product by displacement depends on the displacement
+    assert fm_displaced_meets(fan.cone_hrep((steep,)), fan.cone_hrep((flat,)),
+                              (1, 2)) != fm_displaced_meets(
+        fan.cone_hrep((steep,)), fan.cone_hrep((flat,)), (1, 1000))
+    good = mw_of_pp(courant_function(fan, flat), 1)
+    paths = {name: _write(tmp_path, f"{name}.json", "weight",
+                          io.weight_to_payload(w))
+             for name, w in (("a", a), ("b", b), ("good", good))}
+    for weight, other, flag in (("a", "b", "--weight"),
+                                ("good", "b", "--other")):
+        code, out, err = _run(capsys, "chow", "product", "--weight",
+                              paths[weight], "--other", paths[other])
+        assert (code, out, err) == (1, "", f"not balanced: {flag}\n")
+    code, out, _ = _run(capsys, "chow", "product", "--weight", paths["good"],
+                        "--other", paths["good"])
+    assert code == 0
+    assert io.weight_from_payload(io.parse_document(out).payload) == (
+        mw_product(good, good))
+
+
+def test_chow_product_on_the_thirty_prime_plane(capsys, tmp_path):
+    fan = thirty_prime_plane()
+    top = MinkowskiWeight(fan, 0, {m: 1 for m in fan.max_cones})
+    path = _write(tmp_path, "top.json", "weight", io.weight_to_payload(top))
+    code, out, _ = _run(capsys, "chow", "product", "--weight", path,
+                        "--other", path)
+    assert code == 0
+    assert io.weight_from_payload(io.parse_document(out).payload) == top
 
 
 def test_chow_push_to_coarse_fan(capsys, tmp_path, p2_doc):

@@ -5,9 +5,8 @@ its H-representations, faces and cone dimensions to the fan it returns;
 min_refinement hands over the rays and facets of its cells;
 minimal_cone_containing locates points through the top cones;
 pp_pullback keeps the home cones it finds; mw_of_pp sums localized
-values instead of multiplying functions out; _generic_vector takes one
-kernel per ray union of a cone pair; simplicial cones give their facets,
-ray functions and unimodular duals from one dual basis,
+values instead of multiplying functions out; simplicial cones give their
+facets, ray functions and unimodular duals from one dual basis,
 min_refinement keeps a top cone whole where the minimum is linear, a
 stellar subdivision keeps the cells of the top cones away from its
 center, and _undo_stellar compares top cones instead of building the
@@ -18,6 +17,7 @@ per-cell enumeration and the subdivision rebuilt from generators.
 """
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (fm_displaced_meets, is_continuous, pp_from_polynomial,
+from helpers import (cauchy_bound, displacement_past_bound,
+                     fm_displaced_meets, fm_pair_counted, is_continuous,
+                     pp_from_polynomial, raises_every_proper_span,
                      stellar_subdivision_by_generators,
                      subdivision_assignment_per_cone)
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
@@ -48,11 +50,12 @@ CUBE = (3, [[r for r in itertools.product((1, -1), repeat=3) if r[i] == s]
 
 
 @st.composite
-def _subdivided_fans(draw, bases=BASES):
-    """A base fan with 0-3 stellar subdivisions at drawn nonzero cones."""
+def _subdivided_fans(draw, bases=BASES, steps=3):
+    """A base fan with 0 to steps stellar subdivisions at drawn nonzero
+    cones."""
     rank, gens = bases[draw(st.sampled_from(sorted(bases)))]
     fan = fans.fan_from_max_cones(rank, gens)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, steps))):
         nonzero = fan.cones[1:]
         fan = fans.stellar_subdivision(
             fan, nonzero[draw(st.integers(0, len(nonzero) - 1))])
@@ -88,23 +91,6 @@ def _scan_minimal_cone(fan, hreps, point):
                                 < polyhedra.span_dim(fan.cone_rays(best))):
                 best = c
     return best
-
-
-def _rank_generic_vector(fan):
-    """The first (1, t, t^2, ...) raising the rank of every proper span
-    of a cone pair."""
-    n = fan.rank
-    spans = []
-    for a, b in itertools.combinations_with_replacement(fan.cones, 2):
-        vecs = fan.cone_rays(a) + fan.cone_rays(b)
-        if linalg.rank(vecs) < n:
-            spans.append(vecs)
-    for t in weights._primes():
-        v = tuple(t ** i for i in range(n))
-        if all(linalg.rank(vecs + [v]) > linalg.rank(vecs)
-               for vecs in spans):
-            return v
-    raise ArithmeticError("no generic displacement found")
 
 
 def _box(rank, radius=2):
@@ -154,7 +140,16 @@ def test_minimal_cone_outside_the_support():
 @FAN_ORACLE
 @given(_subdivided_fans())
 def test_generic_vector_equals_rank_search(fan):
-    assert weights._generic_vector(fan) == _rank_generic_vector(fan)
+    # v(t) past the bound that _pair_multiplicity states lies on no proper
+    # span of a cone pair, and there a ray and a cone of complementary
+    # dimension meet as the lexicographic rule says
+    v = displacement_past_bound(fan)
+    assert raises_every_proper_span(fan, v)
+    for ray, cone in itertools.product(fan.cones_of_dim(1),
+                                       fan.cones_of_dim(fan.rank - 1)):
+        for s1, s2 in ((ray, cone), (cone, ray)):
+            assert (weights._pair_multiplicity(fan, s1, s2) != 0) == (
+                fm_pair_counted(fan, s1, s2, v)), (s1, s2)
 
 
 def _fresh_sum_index(fan, sigma1, sigma2):
@@ -167,9 +162,9 @@ def _fresh_sum_index(fan, sigma1, sigma2):
     return linalg.lattice_index(merged)
 
 
-# smooth complete 3-fans; in F3 x P1 the rays (1, 0, 0), (-1, -3, 0) and
+# smooth complete 3-fans; in F3 x P1 the rays (0, 1, 0), (-3, -1, 0) and
 # (0, 0, 1) span a sublattice of index 3, and some such pairs meet
-F3 = [(1, 0), (0, 1), (-1, -3), (0, -1)]
+F3 = [(0, 1), (1, 0), (-3, -1), (-1, 0)]
 SMOOTH_3FANS = {
     "P3": BASES["P3"], "P1^3": BASES["P1^3"],
     "F3xP1": (3, [[a + (0,), b + (0,), (0, 0, c)]
@@ -180,7 +175,8 @@ SMOOTH_3FANS = {
 @FAN_ORACLE
 @given(_subdivided_fans(SMOOTH_3FANS), st.data())
 def test_pair_multiplicity_equals_fourier_motzkin(fan, data):
-    v = weights._generic_vector(fan)
+    # the lexicographic signs against Fourier-Motzkin at a concrete v(t)
+    v = displacement_past_bound(fan)
     assert fan.is_smooth()
     for _ in range(12):
         s1 = data.draw(st.sampled_from(fan.cones))
@@ -190,7 +186,7 @@ def test_pair_multiplicity_equals_fourier_motzkin(fan, data):
         s2 = data.draw(st.sampled_from(square) | st.sampled_from(fan.cones))
         rays = fan.cone_rays(s1) + fan.cone_rays(s2)
         fills = bool(rays) and linalg.rank(rays) == fan.rank
-        mult = weights._pair_multiplicity(fan, s1, s2, v)
+        mult = weights._pair_multiplicity(fan, s1, s2)
         # Fourier-Motzkin on fresh H-representations
         hreps = (polyhedra.cone_constraints(fan.cone_rays(s), fan.rank)
                  for s in (s1, s2))
@@ -201,11 +197,46 @@ def test_pair_multiplicity_equals_fourier_motzkin(fan, data):
 
 def test_pair_multiplicity_above_one_on_a_smooth_fan():
     fan = fans.fan_from_max_cones(*SMOOTH_3FANS["F3xP1"])
-    v = weights._generic_vector(fan)
-    ray, plane = fan.rays.index((-1, -3, 0)), tuple(sorted(
-        fan.rays.index(r) for r in ((1, 0, 0), (0, 0, 1))))
+    ray, plane = fan.rays.index((-3, -1, 0)), tuple(sorted(
+        fan.rays.index(r) for r in ((0, 1, 0), (0, 0, 1))))
     assert fan.is_smooth() and plane in fan.cones
-    assert weights._pair_multiplicity(fan, plane, (ray,), v) == 3
+    assert weights._pair_multiplicity(fan, plane, (ray,)) == 3
+    assert fm_displaced_meets(fan.cone_hrep(plane), fan.cone_hrep((ray,)),
+                              displacement_past_bound(fan))
+
+
+E4 = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(-1,) * 4]
+RANK4 = {
+    "P4": (4, [list(c) for c in itertools.combinations(E4, 4)]),
+    "P1^4": (4, [[tuple(s * x for x in e) for s, e in zip(signs, E4)]
+                 for signs in itertools.product((1, -1), repeat=4)]),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(_subdivided_fans(RANK4, steps=2), st.data())
+def test_rank4_products_equal_function_products(fan, data):
+    """mw_product in rank 4, over every degree split: against the weight of
+    the product of functions, and against itself with the operands
+    swapped, which displaces by -v(t) and so reads every sign the other
+    way. Budget: under 3 s in all."""
+    ray = st.integers(0, len(fan.rays) - 1)
+
+    def function(degree):
+        # a sum of two ray monomials, the second scaled
+        out = weights.courant_monomial(fan, [data.draw(ray)
+                                             for _ in range(degree)])
+        mono = weights.courant_monomial(fan, [data.draw(ray)
+                                              for _ in range(degree)])
+        return out + mono.scale(data.draw(st.integers(-2, 2)))
+    for i, j in itertools.product(range(5), repeat=2):
+        if i + j > fan.rank:
+            continue
+        f, g = function(i), function(j)
+        a, b = weights.mw_of_pp(f, i), weights.mw_of_pp(g, j)
+        product = weights.mw_product(a, b)
+        assert product == weights.mw_of_pp(f * g, i + j), (i, j)
+        assert product == weights.mw_product(b, a), (i, j)
 
 
 def test_generic_vector_on_special_fans():
@@ -215,9 +246,17 @@ def test_generic_vector_on_special_fans():
     # a ray through (1, 2) and one through (1, 3) rule out t = 2 and 3
     steep = fans.insert_ray(fans.insert_ray(p2, (1, 2)), (1, 3))
     for fan in (fans.stellar_subdivision(p3, line), steep,
+                fans.fan_from_max_cones(*SMOOTH_3FANS["F3xP1"]),
                 fans.fan_from_max_cones(0, [])):
-        assert weights._generic_vector(fan) == _rank_generic_vector(fan)
-    assert weights._generic_vector(steep) == (1, 5)
+        # the least t past every row's own bound, and the stated bound
+        t = math.ceil(cauchy_bound(fan))
+        v = tuple(t ** i for i in range(fan.rank))
+        assert all(x <= y for x, y in zip(v, displacement_past_bound(fan)))
+        assert raises_every_proper_span(fan, v)
+        for s1, s2 in itertools.product(fan.cones, repeat=2):
+            assert (weights._pair_multiplicity(fan, s1, s2) != 0) == (
+                fm_pair_counted(fan, s1, s2, v)), (s1, s2)
+    assert not any(raises_every_proper_span(steep, (1, t)) for t in (2, 3))
 
 
 def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
@@ -1053,7 +1092,6 @@ def _recompute(fan, key):
             fan, matrix, target),
         "localization": lambda: weights._localization(fan),
         "ray_class": lambda mono: weights.ray_monomial_class(fan, mono),
-        "generic_vector": lambda: weights._generic_vector(fan),
     }[name]
     return compute(*args)
 

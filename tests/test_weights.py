@@ -1,12 +1,15 @@
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import fm_displaced_meets, pp_from_polynomial
-from tropchow import fans, linalg, piecewise, weights
+from helpers import (cauchy_bound, displacement_past_bound,
+                     fm_displaced_meets, fm_pair_counted, pp_from_polynomial,
+                     thirty_prime_plane)
+from tropchow import fans, linalg, piecewise, polyhedra, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
                               courant_monomial, fundamental_weight,
@@ -202,22 +205,23 @@ def test_derived_data_is_kept_per_fan_object():
 
 
 def test_generic_vector_is_kept_per_fan_object():
+    # the displacement is symbolic: mw_product keeps no vector on the fan,
+    # equal fans give equal products, and each pair is decided as
+    # Fourier-Motzkin decides it at v(t) past the stated bound
     _drop_dead_fans()
     f = _bl_p2()
-    v = weights._generic_vector(f)
-    assert weights._generic_vector(f) is v
-    assert weights._generic_vector(_bl_p2()) is v
-    fresh = fans.Fan(f.rank, f.rays, f.cones)
-    assert weights._generic_vector(fresh) is not v
-    assert weights._generic_vector(fresh) == v
-    # mw_product finds the vector once and leaves it on the fan
     h = fans.Fan(f.rank, f.rays, f.cones)
     a = mw_of_pp(_phi(h, (1, 0)), 1)
-    mw_product(a, a)
-
-    def rescan():
-        raise AssertionError("generic vector searched again")
-    assert h.cached("generic_vector", rescan) == v
+    before = set(h._derived)
+    square = mw_product(a, a)
+    assert {k if isinstance(k, str) else k[0]
+            for k in set(h._derived) - before} <= {"saturation", "smooth"}
+    assert mw_product(*[mw_of_pp(_phi(f, (1, 0)), 1)] * 2).values == (
+        square.values)
+    v = displacement_past_bound(h)
+    for s1, s2 in itertools.product(h.cones, repeat=2):
+        assert (weights._pair_multiplicity(h, s1, s2) != 0) == (
+            fm_pair_counted(h, s1, s2, v))
 
 
 def test_refusals_are_not_cached():
@@ -259,7 +263,7 @@ def _ref_localization_degree(f):
     top = f.homogeneous_component(n)
     duals = fan.unimodular_duals()
     results = []
-    for t in weights._primes():
+    for t in itertools.count(2):
         point = tuple(t ** i for i in range(n))
         denoms = []
         for m in fan.max_cones:
@@ -375,23 +379,31 @@ def test_product_on_non_simplicial_cube_fan(monkeypatch):
 @pytest.mark.parametrize("build", [_cube_fan, _prism_fan])
 def test_displaced_meets_equals_fourier_motzkin(build):
     fan = build()
-    generic = weights._generic_vector(fan)
-    zero = (0,) * fan.rank
+    n = fan.rank
+    # the least t past every row's own bound, and the stated bound
+    t = math.ceil(cauchy_bound(fan))
+    generic = tuple(t ** i for i in range(n))
+    assert all(x <= y for x, y in zip(generic, displacement_past_bound(fan)))
+    zero = (0,) * n
     outcomes = set()
     for s1, s2 in itertools.product(fan.cones, repeat=2):
         r1, r2 = fan.cone_rays(s1), fan.cone_rays(s2)
-        if linalg.rank(r1 + r2) < fan.rank:
+        hreps = fan.cone_hrep(s1), fan.cone_hrep(s2)
+        meets = weights._displaced_meets(fan, s1, s2)
+        assert meets == fm_displaced_meets(*hreps, generic), (s1, s2)
+        outcomes.add(meets)
+        if linalg.rank(r1 + r2) < n:
             continue
-        # besides the generic vector, displacements after which the cones
-        # can meet at a face only
+        # the rule reads the constraint form of sigma1 - sigma2; at
+        # displacements after which the cones can meet at a face only, it
+        # decides membership as Fourier-Motzkin does
         neg2 = [tuple(-x for x in s) for s in r2]
-        tests = dict.fromkeys([generic, zero] + r1 + neg2 + [
+        diff = polyhedra.cone_constraints(r1 + neg2, n)
+        tests = dict.fromkeys([zero] + r1 + neg2 + [
             tuple(x - y for x, y in zip(r, s)) for r in r1 for s in r2])
         for v in tests:
-            meets = weights._displaced_meets(fan, s1, s2, v)
-            assert meets == fm_displaced_meets(
-                fan.cone_hrep(s1), fan.cone_hrep(s2), v), (s1, s2, v)
-            outcomes.add(meets)
+            assert polyhedra.cone_contains(diff, v) == fm_displaced_meets(
+                *hreps, v), (s1, s2, v)
     assert outcomes == {True, False}
 
 
@@ -431,3 +443,17 @@ def test_product_on_the_point_fan():
     point = fans.fan_from_max_cones(0, [])
     one = fundamental_weight(point)
     assert mw_product(one, one) == one
+
+
+def test_products_and_degrees_on_the_thirty_prime_plane():
+    # every (1, t) up to t = 113 is a ray of the smooth resolution, so the
+    # first two localization points are t = 114 and 115
+    f = thirty_prime_plane()
+    phi = courant_function(f, f.rays.index((1, 7)))
+    psi = courant_function(f, f.rays.index((1, 113)))
+    assert mw_product(mw_of_pp(phi, 1), mw_of_pp(psi, 1)) == mw_of_pp(
+        phi * psi, 2)
+    assert [p[0] for p in weights._localization(f)] == [(1, 114), (1, 115)]
+    top = fundamental_weight(f)
+    square = mw_product(top, top)
+    assert isinstance(square, MinkowskiWeight) and square == top
