@@ -222,6 +222,10 @@ def cmd_chow_product(args) -> int:
 def cmd_chow_push(args) -> int:
     w = _load_weight(args.weight)
     target = _load_fan(args.fan)
+    # only a balanced weight has a witness to push
+    if not is_balanced(w):
+        print("not balanced: --weight", file=sys.stderr)
+        return 1
     pushed = pushforward_witness(w.fan, mw_to_pp(w), w.codim, target)
     _emit_doc(args, "weight", io.weight_to_payload(pushed))
     return 0

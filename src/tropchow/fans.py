@@ -26,14 +26,15 @@ class Fan:
     computed on first use and kept on this object, so a Fan must never be
     mutated. Construction hands over what it computes while closing over
     faces: the extreme rays, H-representation and faces of every input
-    cone and the dimension of every cone. fan_from_max_cones reads the
-    rays off the generators and the one H-representation it computes per
-    generator list, and keeps the dual basis that the H-representation
-    of a simplicial cone is read off; a stellar subdivision hands each
-    top cone it keeps the H-representation and dual basis the source fan
-    holds for it, and converts only the new cones; fan_from_cells takes
-    rays and H-representations from its caller, as
-    piecewise.min_refinement has them for each cell.
+    cone, the dimension of every cone and the top cones (a Fan built
+    directly finds them by comparing all cones). fan_from_max_cones
+    reads the rays off the generators and the one H-representation it
+    computes per generator list, and keeps the dual basis that the
+    H-representation of a simplicial cone is read off; a stellar
+    subdivision hands each top cone it keeps the H-representation and
+    dual basis the source fan holds for it, and converts only the new
+    cones; fan_from_cells takes rays and H-representations from its
+    caller, as piecewise.min_refinement has them for each cell.
 
     Every builder ends in fan_from_cells, which returns the live fan equal
     to the one it builds when there is one, so equal fans built while one
@@ -313,8 +314,22 @@ def fan_from_cells(rank: int, cells) -> Fan:
         fan._faces.update(faces)
         fan._dim.update(dims)
         fan._derived.update(bases)
+        fan._max = _top_keys(faces, cones)
         _LIVE_FANS[key] = fan
     return fan
+
+
+def _top_keys(keys, cones):
+    """The cones, in their order, that are keys and lie in no other key:
+    every cone of the fan lies in some key, so these are the cones that
+    lie in no other cone."""
+    holders: dict[int, set] = {}
+    for c in keys:
+        for i in c:
+            holders.setdefault(i, set()).add(c)
+    return tuple(c for c in cones if c in keys and (
+        set.intersection(*(holders[i] for i in c)) == {c} if c
+        else len(keys) == 1))
 
 
 def validate_fan(fan: Fan) -> list[str]:

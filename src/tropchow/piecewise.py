@@ -218,18 +218,18 @@ def _linear_coefficients(p: Polynomial, rank: int):
 
 def pp_min(fan: Fan, functions) -> PiecewisePolynomial:
     """Pointwise minimum of conewise linear functions, required to be
-    linear on each top cone of the given fan."""
+    linear on each top cone of the given fan: on each, the first piece
+    that takes the least value at every ray."""
     pieces = {}
     for m in fan.max_cones:
         rays = fan.cone_rays(m)
         linear = [f.pieces[m] for f in functions]
         for p in linear:
             _linear_coefficients(p, fan.rank)
-        winner = None
-        for j, lj in enumerate(linear):
-            if all((li - lj).value(r) >= 0 for li in linear for r in rays):
-                winner = lj
-                break
+        values = [[lj.value(r) for r in rays] for lj in linear]
+        least = [min(column) for column in zip(*values)]
+        winner = next((lj for lj, vj in zip(linear, values) if vj == least),
+                      None)
         if winner is None:
             raise ValueError(f"minimum is not linear on cone {m}")
         pieces[m] = winner

@@ -38,6 +38,18 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Polynomial on exponent tuples of length nvars and int or
+        Fraction coefficients, as arithmetic on polynomials yields them:
+        zero coefficients are dropped and integral ones become int."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = {e: c.numerator if c.__class__ is Fraction
+                     and c.denominator == 1 else c
+                     for e, c in terms.items() if c}
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars)
 
@@ -77,13 +89,19 @@ class Polynomial:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return Polynomial(self.nvars, terms)
+        return Polynomial._of(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars,
+                              {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) - c
+        return Polynomial._of(self.nvars, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
@@ -93,7 +111,7 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        return Polynomial._of(self.nvars, terms)
 
     def scale(self, c) -> "Polynomial":
         return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
@@ -135,12 +153,12 @@ class Polynomial:
         return out
 
     def homogeneous_component(self, k: int) -> "Polynomial":
-        return Polynomial(self.nvars,
-                          {e: c for e, c in self.terms.items() if sum(e) == k})
+        return Polynomial._of(
+            self.nvars, {e: c for e, c in self.terms.items() if sum(e) == k})
 
     def truncate(self, max_degree: int) -> "Polynomial":
-        return Polynomial(self.nvars,
-                          {e: c for e, c in self.terms.items() if sum(e) <= max_degree})
+        return Polynomial._of(self.nvars, {
+            e: c for e, c in self.terms.items() if sum(e) <= max_degree})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial)

@@ -3,9 +3,11 @@
 A weight assigns a rational number to every cone of one codimension. The
 calculus here stays in the degree encoding: the weight of a cone is the
 degree of the class multiplied with that cone's orbit closure. Products
-displace by (1, t, ..., t^(n-1)) for large t, degrees use exact
-localization, and piecewise polynomial witnesses move classes back and
-forth.
+displace by (1, t, ..., t^(n-1)) for large t, and piecewise polynomial
+witnesses move classes back and forth. One exact localization kernel,
+pushforward_witness, reads every weight off a function: the weight of
+a function on its own fan (mw_of_pp), degrees and pushforwards to a
+coarser fan all sum values at test points, never products of functions.
 """
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from math import lcm
 
 from . import linalg, polyhedra
 from .fans import Fan, resolve_smooth
-from .piecewise import (PiecewisePolynomial, cone_homes, courant_function,
-                        pp_pullback)
+from .piecewise import PiecewisePolynomial, cone_homes, courant_function
 
 
 class MinkowskiWeight:
@@ -183,52 +184,9 @@ def ray_monomial_class(fan: Fan, ray_indices) -> MinkowskiWeight:
 
 def mw_of_pp(f: PiecewisePolynomial, codim: int) -> MinkowskiWeight:
     """Weight of a degree-k function: at each codimension-k cone, the
-    degree of the function multiplied by that cone's ray functions.
-
-    Each degree is a sum of localized contributions at a test point. The
-    degree-k part of the function and the ray functions are evaluated
-    once per top cone, so each weight is a sum of products of numbers,
-    without forming the product of functions. On a fan that is not smooth
-    the sum runs over the top cones of its smooth resolution, each taking
-    the pieces of its home top cone: the degree of the product pulled
-    back to the resolution. The contributions share one common
-    denominator per test point, so each sum runs over the numerators and
-    divides once. The underlying rational function of the test point is
-    constant, so the first two evaluation points with nonvanishing
-    denominators must agree; this is asserted.
-    """
-    fan = f.fan
-    k = fan.rank - codim
-    taus = fan.cones_of_dim(k)
-    if not taus:
-        return MinkowskiWeight(fan, codim)
-    part = {m: p.homogeneous_component(codim) for m, p in f.pieces.items()}
-    # weights on the zero cone need no ray function, nor a simplicial fan
-    rayfns = ([courant_function(fan, i) for i in range(len(fan.rays))]
-              if k else [])
-    results = {tau: [] for tau in taus}
-    for point, common, cones in _localization(fan):
-        totals = dict.fromkeys(taus, 0)
-        for home, mult in cones:
-            value = part[home].value(point) * mult
-            if not value:
-                continue
-            at = ([rayfns[i].pieces[home].value(point) for i in home]
-                  if k else [])
-            for sub in combinations(range(len(home)), k):
-                tau = tuple(home[j] for j in sub)
-                if tau in totals:
-                    term = value
-                    for j in sub:
-                        term *= at[j]
-                    totals[tau] += term
-        for tau in taus:
-            results[tau].append(Fraction(totals[tau], common))
-    for first, second in results.values():
-        if first != second:
-            raise ArithmeticError("localization gave inconsistent values")
-    return MinkowskiWeight(fan, codim,
-                           {tau: vals[0] for tau, vals in results.items()})
+    degree of the function multiplied by that cone's ray functions. The
+    case of pushforward_witness where the witness's fan is the target."""
+    return pushforward_witness(f.fan, f, codim, f.fan)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +302,64 @@ def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
 
 def pushforward_witness(source_fan: Fan, witness: PiecewisePolynomial,
                         codim: int, target_fan: Fan) -> MinkowskiWeight:
-    """Weight on the coarse fan of a class given by a witness function on
-    a refinement of it."""
-    ident = linalg.identity_matrix(target_fan.rank)
-    values = {}
-    for tau in target_fan.cones_of_dim(target_fan.rank - codim):
-        mono = courant_monomial(target_fan, tau)
-        pulled = pp_pullback(source_fan, ident, mono)
-        values[tau] = localization_degree(witness * pulled)
-    return MinkowskiWeight(target_fan, codim, values)
+    """Weight on a coarse fan of the class of a degree-k witness function
+    on a refinement of it: at each codimension-k cone of the target, the
+    degree of the witness multiplied by that cone's ray functions pulled
+    back to the source.
+
+    Each degree is a sum of localized contributions at a test point of
+    the source (_localization). The degree-k part of the witness and the
+    target's ray functions are evaluated once per top cone, the latter
+    on the target top cone holding it (cone_homes), so each weight is a
+    sum of products of numbers, without forming the product of
+    functions. On a source that is not smooth the sum runs over the top
+    cones of its smooth resolution, each taking the pieces of its home
+    top cone: the degree of the product pulled back to the resolution.
+    The contributions share one common denominator per test point, so
+    each sum runs over the numerators and divides once. The underlying
+    rational function of the test point is constant, so the first two
+    evaluation points with nonvanishing denominators must agree; this is
+    asserted.
+    """
+    if witness.fan != source_fan:
+        raise ValueError("functions live on different fans")
+    k = target_fan.rank - codim
+    taus = target_fan.cones_of_dim(k)
+    if not taus:
+        return MinkowskiWeight(target_fan, codim)
+    part = {m: p.homogeneous_component(codim)
+            for m, p in witness.pieces.items()}
+    # weights on the zero cone need no ray function, nor a simplicial fan
+    rayfns = ([courant_function(target_fan, i)
+               for i in range(len(target_fan.rays))] if k else [])
+    homes = (dict(zip(source_fan.max_cones, source_fan.max_cones))
+             if source_fan is target_fan else cone_homes(
+                 source_fan, linalg.identity_matrix(target_fan.rank),
+                 target_fan))
+    results = {tau: [] for tau in taus}
+    for point, common, cones in _localization(source_fan):
+        totals = dict.fromkeys(taus, 0)
+        for home, mult in cones:
+            value = part[home].value(point) * mult
+            if not value:
+                continue
+            cone = homes[home]
+            at = ([rayfns[i].pieces[cone].value(point) for i in cone]
+                  if k else [])
+            for sub in combinations(range(len(cone)), k):
+                tau = tuple(cone[j] for j in sub)
+                if tau in totals:
+                    term = value
+                    for j in sub:
+                        term *= at[j]
+                    totals[tau] += term
+        for tau in taus:
+            results[tau].append(Fraction(totals[tau], common))
+    for first, second in results.values():
+        if first != second:
+            raise ArithmeticError("localization gave inconsistent values")
+    return MinkowskiWeight(target_fan, codim,
+                           {tau: vals[0] for tau, vals in results.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ from math import isqrt
 from tropchow import fans, io, linalg, polyhedra
 from tropchow.ideals import MonomialIdeal, order_function
 from tropchow.piecewise import (PiecewisePolynomial, _degree_monomials,
-                                _grid_points, _shared_rays, courant_function)
+                                _grid_points, _linear_coefficients,
+                                _shared_rays, courant_function, pp_pullback)
 from tropchow.polynomials import Polynomial
 from tropchow.tropical import WeightedDualGraph
+from tropchow.weights import (MinkowskiWeight, courant_monomial,
+                              localization_degree)
 
 
 def ideal_to_payload(ideal):
@@ -82,6 +85,34 @@ def is_continuous(f: PiecewisePolynomial) -> bool:
                 if p.value(pt) != q.value(pt):
                     return False
     return True
+
+
+def product_pushforward(source, witness, codim, target) -> MinkowskiWeight:
+    """pushforward_witness by the product route: at each codimension-k
+    cone of the target, the degree of the witness times that cone's ray
+    monomial pulled back to the source."""
+    ident = linalg.identity_matrix(target.rank)
+    return MinkowskiWeight(target, codim, {
+        tau: localization_degree(witness * pp_pullback(
+            source, ident, courant_monomial(target, tau)))
+        for tau in target.cones_of_dim(target.rank - codim)})
+
+
+def pp_min_by_differences(fan, functions) -> PiecewisePolynomial:
+    """pp_min by the pairwise-difference rule: on each top cone the first
+    piece l_j with l_i - l_j >= 0 at every ray, for every piece l_i."""
+    pieces = {}
+    for m in fan.max_cones:
+        rays = fan.cone_rays(m)
+        linear = [f.pieces[m] for f in functions]
+        for p in linear:
+            _linear_coefficients(p, fan.rank)
+        winner = next((lj for lj in linear if all(
+            (li - lj).value(r) >= 0 for li in linear for r in rays)), None)
+        if winner is None:
+            raise ValueError(f"minimum is not linear on cone {m}")
+        pieces[m] = winner
+    return PiecewisePolynomial(fan, pieces)
 
 
 def total_genus(graph: WeightedDualGraph) -> int:

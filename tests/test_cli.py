@@ -198,6 +198,16 @@ def test_chow_product_on_the_thirty_prime_plane(capsys, tmp_path):
     assert io.weight_from_payload(io.parse_document(out).payload) == top
 
 
+def test_chow_push_refuses_unbalanced_weights(capsys, tmp_path, p2_doc):
+    from tropchow.fans import stellar_subdivision
+    blow = stellar_subdivision(_p2(), (1, 2))
+    w = MinkowskiWeight(blow, 1, {(0,): 1})
+    path = _write(tmp_path, "w.json", "weight", io.weight_to_payload(w))
+    code, out, err = _run(capsys, "chow", "push", "--weight", path,
+                          "--fan", p2_doc)
+    assert (code, out, err) == (1, "", "not balanced: --weight\n")
+
+
 def test_chow_push_to_coarse_fan(capsys, tmp_path, p2_doc):
     fan = _p2()
     from tropchow.fans import stellar_subdivision

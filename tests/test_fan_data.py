@@ -1,24 +1,27 @@
 """Derived fan data against fresh computations.
 
 fan_from_max_cones reads extreme rays off the generators and hands them,
-its H-representations, faces and cone dimensions to the fan it returns;
-min_refinement hands over the rays and facets of its cells;
+its H-representations, faces, cone dimensions and top cones to the fan
+it returns; min_refinement hands over the rays and facets of its cells;
 minimal_cone_containing locates points through the top cones;
-pp_pullback keeps the home cones it finds; mw_of_pp sums localized
-values instead of multiplying functions out; simplicial cones give their
-facets, ray functions and unimodular duals from one dual basis,
-min_refinement keeps a top cone whole where the minimum is linear, a
-stellar subdivision keeps the cells of the top cones away from its
-center, and _undo_stellar compares top cones instead of building the
-subdivision. Each is checked here against an independent computation:
-fresh polyhedra calls, scans over all cones, the product route, the
-rank-based search, the subset enumeration, a least-norm Gram solve, the
-per-cell enumeration and the subdivision rebuilt from generators.
+pp_pullback keeps the home cones it finds; pushforward_witness, and
+mw_of_pp with it, sums localized values instead of multiplying functions
+out; pp_min picks the least piece from a table of values at the rays;
+simplicial cones give their facets, ray functions and unimodular duals
+from one dual basis, min_refinement keeps a top cone whole where the
+minimum is linear, a stellar subdivision keeps the cells of the top
+cones away from its center, and _undo_stellar compares top cones instead
+of building the subdivision. Each is checked here against an independent
+computation: fresh polyhedra calls, scans over all cones, the product
+route, the pairwise differences of pieces, the rank-based search, the
+subset enumeration, a least-norm Gram solve, the per-cell enumeration
+and the subdivision rebuilt from generators.
 """
 import gc
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,8 @@ from hypothesis import strategies as st
 
 from helpers import (cauchy_bound, displacement_past_bound,
                      fm_displaced_meets, fm_pair_counted, is_continuous,
-                     pp_from_polynomial, raises_every_proper_span,
+                     pp_from_polynomial, pp_min_by_differences,
+                     product_pushforward, raises_every_proper_span,
                      stellar_subdivision_by_generators,
                      subdivision_assignment_per_cone)
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
@@ -363,6 +367,50 @@ def test_generators_with_a_line_are_refused(data, draw):
         fans.fan_from_max_cones(rank, [gens])
 
 
+def _scan_max_cones(fan):
+    return tuple(c for c in fan.cones
+                 if not any(set(c) < set(d) for d in fan.cones))
+
+
+@st.composite
+def _overlapping_cone_lists(draw):
+    """Generator lists drawn from one pool of vectors, so that cones share
+    rays, repeat or hold the rays of another: the fans need not be
+    valid."""
+    rank = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank),
+                         min_size=1, max_size=6, unique=True))
+    return rank, draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                        max_size=4), max_size=5))
+
+
+@FAN_ORACLE
+@given(_subdivided_fans())
+def test_top_cones_equal_the_scan_over_all_cones(fan):
+    assert fan.max_cones == _scan_max_cones(fan)
+
+
+@FAN_ORACLE
+@given(_overlapping_cone_lists())
+def test_top_cones_of_overlapping_cones_equal_the_scan(data):
+    rank, lists = data
+    try:
+        fan = fans.fan_from_max_cones(rank, lists)
+    except ValueError:  # some generator list spans a line
+        return
+    assert fan.max_cones == _scan_max_cones(fan)
+    assert fans.Fan(rank, fan.rays, fan.cones).max_cones == fan.max_cones
+
+
+def test_top_cones_of_special_fans():
+    for rank, lists in ((0, []), (2, []), (2, [[(0, 0)]])):
+        assert fans.fan_from_max_cones(rank, lists).max_cones == ((),)
+    # a diagonal of a square cone: its rays, not a face
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    fan = fans.fan_from_max_cones(3, [square, square[::2]])
+    assert fan.max_cones == _scan_max_cones(fan) == ((0, 1, 2, 3),)
+
+
 @FAN_ORACLE
 @given(_subdivided_fans())
 def test_handed_over_rays_equal_fresh_conversion(fan):
@@ -659,6 +707,92 @@ def test_mw_of_pp_equals_product_route_on_weighted_spaces(name, draw):
     codim = draw.draw(st.integers(0, fan.rank))
     assert weights.mw_of_pp(f, codim) == _product_mw(f, codim)
     assert weights.localization_degree(f) == _product_localization_degree(f)
+
+
+SMOOTH_BASES = {**BASES, **RANK4}
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.sampled_from(sorted(SMOOTH_BASES)), st.data())
+def test_pushforward_equals_product_route(steps, name, draw):
+    """pushforward_witness from a smooth complete fan after 0 to 2 stellar
+    subdivisions at cones of dimension 2 and up to the fan itself, in
+    every codimension, against the product route. Budget: under 3 s for
+    all three step counts."""
+    target = fans.fan_from_max_cones(*SMOOTH_BASES[name])
+    source = target
+    for _ in range(steps):
+        cones = [c for c in source.cones if len(c) > 1]
+        source = fans.stellar_subdivision(source, draw.draw(
+            st.sampled_from(cones)))
+    f = draw.draw(_functions(source))
+    for codim in range(target.rank + 1):
+        assert weights.pushforward_witness(source, f, codim, target) == (
+            product_pushforward(source, f, codim, target)), codim
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.data())
+def test_pushforward_from_a_non_smooth_source(draw):
+    p2 = fans.fan_from_max_cones(*BASES["P2"])
+    source = fans.insert_ray(p2, (1, 2))
+    assert not source.is_smooth()
+    f = draw.draw(_functions(source))
+    for codim in range(3):
+        assert weights.pushforward_witness(source, f, codim, p2) == (
+            product_pushforward(source, f, codim, p2)), codim
+
+
+def test_pushforward_refusals_equal_the_product_route():
+    p2 = fans.fan_from_max_cones(*BASES["P2"])
+    p1xp1 = fans.fan_from_max_cones(*BASES["P1xP1"])
+    # the cube fan with every face subdivided at its centre is simplicial;
+    # the cube fan has no ray functions, but degrees need none
+    cube = fans.fan_from_max_cones(*CUBE)
+    source = cube
+    for m in cube.max_cones:
+        source = fans.stellar_subdivision(source, tuple(sorted(
+            source.rays.index(r) for r in cube.cone_rays(m))))
+    centre = piecewise.courant_function(source, source.rays.index((1, 0, 0)))
+    f = centre * centre * centre
+    for route in (weights.pushforward_witness, product_pushforward):
+        for codim in range(3):
+            with pytest.raises(ValueError, match="no target cone"):
+                route(p1xp1, piecewise.courant_function(p1xp1, 0), codim, p2)
+            with pytest.raises(ValueError, match="not simplicial"):
+                route(source, f, codim, cube)
+    degree = weights.pushforward_witness(source, f, 3, cube)
+    assert degree == product_pushforward(source, f, 3, cube)
+    assert not degree.is_zero()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_subdivided_fans(), st.data())
+def test_pp_min_equals_pairwise_differences(fan, draw):
+    """The same winning piece on every top cone, or the same refusal."""
+    functions = draw.draw(_courant_combinations(fan))
+    try:
+        expected = pp_min_by_differences(fan, functions)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            piecewise.pp_min(fan, functions)
+        return
+    minimum = piecewise.pp_min(fan, functions)
+    assert all(minimum.pieces[m] is expected.pieces[m]
+               for m in fan.max_cones)
+
+
+def test_pp_min_refusals_equal_pairwise_differences():
+    p2 = fans.fan_from_max_cones(*BASES["P2"])
+    x, y = (piecewise.courant_function(p2, i) for i in (1, 2))
+    square = x * x
+    for route in (piecewise.pp_min, pp_min_by_differences):
+        with pytest.raises(ValueError, match="minimum is not linear"):
+            route(p2, [x, y])
+        with pytest.raises(ValueError, match="not homogeneous linear"):
+            route(p2, [x, square])
+        assert route(p2, [x, x + y]).pieces == x.pieces
 
 
 def test_discontinuous_function_has_no_weight():

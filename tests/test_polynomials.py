@@ -189,3 +189,30 @@ def test_evaluate_returns_fraction():
         assert type(v) is Fraction
         assert v == _ref_evaluate(_ref(p.terms), pt)
     assert type(Polynomial.constant(0, 7).evaluate(())) is Fraction
+
+
+def _assert_canonical(p):
+    """No zero coefficient, every integral one an int, and the same terms
+    as the polynomial the public constructor builds from them."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    rebuilt = Polynomial(p.nvars, p.terms)
+    assert rebuilt == p
+    assert [(e, type(c)) for e, c in rebuilt.terms.items()] == [
+        (e, type(c)) for e, c in p.terms.items()]
+
+
+@POLY_ORACLE
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), _polys(n), _polys(n), st.integers(0, 4))))
+def test_results_store_canonical_coefficients(data):
+    n, a, b, d = data
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    results = [p + q, p - q, p * q, -p, p.truncate(d),
+               p.homogeneous_component(d)]
+    # results of results: sums and products that cancel or turn integral
+    results += [r - q for r in results] + [r * r for r in results]
+    for r in results:
+        _assert_canonical(r)
+    assert p - p == Polynomial.zero(n) and (p - q) + q == p
