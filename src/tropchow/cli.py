@@ -69,14 +69,19 @@ def _emit_doc(args, kind: str, payload):
     _emit(args, io.print_document(io.Document(kind, payload)))
 
 
-def _cycle_text(cycle) -> str:
-    if not cycle.coefficients:
-        return "0"
+def _cones_text(fan, values) -> str:
+    """v*[rays] per cone with a nonzero value, in cone order, joined by
+    " + "; a cone without rays is [origin] and an empty sum is 0."""
     parts = []
-    for cone, v in sorted(cycle.coefficients.items()):
-        rays = ",".join(str(list(cycle.fan.rays[i])) for i in cone)
-        parts.append(f"{io.format_rational(v)}*[{rays or 'origin'}]")
-    return " + ".join(parts)
+    for cone, v in sorted(values.items()):
+        if v:
+            rays = ",".join(str(list(fan.rays[i])) for i in cone)
+            parts.append(f"{io.format_rational(v)}*[{rays or 'origin'}]")
+    return " + ".join(parts) or "0"
+
+
+def _rays_text(rays) -> str:
+    return " ".join(str(list(r)) for r in rays) or "origin"
 
 
 def _graph_text(graph) -> str:
@@ -263,16 +268,8 @@ def cmd_segre(args) -> int:
                 for k, cert in sorted(data.certificates.items())]}
         _emit_doc(args, "report", payload)
     else:
-        for k in sorted(data.pieces):
-            w = data.pieces[k]
-            parts = []
-            for cone, v in sorted(w.values.items()):
-                if not v:
-                    continue
-                rays = ",".join(str(list(w.fan.rays[i])) for i in cone)
-                parts.append(
-                    f"{io.format_rational(v)}*[{rays or 'origin'}]")
-            print(f"s_{k}: {' + '.join(parts) or '0'}")
+        for k, w in sorted(data.pieces.items()):
+            print(f"s_{k}: {_cones_text(w.fan, w.values)}")
     return 0
 
 
@@ -299,9 +296,10 @@ def cmd_fulton_verify(args) -> int:
         _emit_doc(args, "report", payload)
     else:
         print(f"verdict: {report.verdict}")
-        print(f"total:      {_cycle_text(report.total)}")
-        print(f"strict:     {_cycle_text(report.strict)}")
-        print(f"correction: {_cycle_text(report.correction)}")
+        for label, cycle in (("total:      ", report.total),
+                             ("strict:     ", report.strict),
+                             ("correction: ", report.correction)):
+            print(label + _cones_text(cycle.fan, cycle.coefficients))
         print(f"strata contributing: {len(report.decomposition)}")
     return 0 if report.verdict == "verified" else 1
 
@@ -384,10 +382,9 @@ def cmd_tropdr_subfan(args) -> int:
         for piece in sf.pieces:
             print(f"{_graph_text(piece.graph)} bound={piece.bound}")
             for c in piece.cones:
-                rays = " ".join(str(list(r)) for r in c.rays) or "origin"
                 tail = " full-support" if c.full_support else ""
                 print(f"  slopes={list(c.assignment.slopes)} "
-                      f"rays={rays} dim={c.dim}{tail}")
+                      f"rays={_rays_text(c.rays)} dim={c.dim}{tail}")
     return 0
 
 
@@ -411,13 +408,12 @@ def cmd_tropdr_rubber(args) -> int:
                    "pieces": payload})
     else:
         for p in pieces:
-            rays = " ".join(str(list(r)) for r in p.rays) or "origin"
             flags = [w for w, ok in (("simplicial", p.simplicial),
                                      ("smooth", p.smooth),
                                      ("dimension-ok", p.dimension_ok)) if ok]
             print(f"{_graph_text(p.graph)} slopes={list(p.rubber.slopes)} "
-                  f"rays={rays} dim={p.dim} levels={p.rubber.num_levels} "
-                  + " ".join(flags))
+                  f"rays={_rays_text(p.rays)} dim={p.dim} "
+                  f"levels={p.rubber.num_levels} " + " ".join(flags))
         print(f"{len(pieces)} pieces")
     return 0
 
@@ -447,9 +443,9 @@ def cmd_tropdr_tc(args) -> int:
         for piece in prod.pieces:
             print(_graph_text(piece.graph))
             for c in piece.cones:
-                rays = " ".join(str(list(r)) for r in c.rays) or "origin"
                 print(f"  left={list(c.left.slopes)} "
-                      f"right={list(c.right.slopes)} rays={rays}")
+                      f"right={list(c.right.slopes)} "
+                      f"rays={_rays_text(c.rays)}")
     return 0
 
 

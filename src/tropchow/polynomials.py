@@ -58,12 +58,6 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> "Polynomial":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    @classmethod
     def linear(cls, coeffs) -> "Polynomial":
         """Linear form sum(coeffs[i] * x_i)."""
         n = len(coeffs)
@@ -180,10 +174,3 @@ class Polynomial:
             else:
                 parts.append(str(c))
         return " + ".join(parts)
-
-
-def power(p: Polynomial, k: int) -> Polynomial:
-    out = Polynomial.constant(p.nvars, 1)
-    for _ in range(k):
-        out = out * p
-    return out

@@ -39,24 +39,44 @@ class WeightedDualGraph:
                 raise ValueError("edge endpoint out of range")
         if any(not 0 <= v < nv for v in self.legs):
             raise ValueError("leg vertex out of range")
-        if not self._connected():
+        if len(self._paths) != nv:
             raise ValueError("graph must be connected")
         for v in range(nv):
             if 2 * self.genus[v] - 2 + self.valence(v) <= 0:
                 raise ValueError(f"vertex {v} is unstable")
 
-    def _connected(self) -> bool:
-        nv = len(self.genus)
-        seen = {0}
+    @cached_property
+    def _paths(self):
+        """The spanning tree of a depth-first walk from vertex 0: per
+        vertex reached, in the order reached, the signed edge incidence of
+        its tree path from vertex 0, +1 on an edge walked from its stored
+        low endpoint to its high one and -1 on one walked back."""
+        paths = {0: (0,) * len(self.edges)}
         frontier = [0]
         while frontier:
             v = frontier.pop()
-            for a, b in self.edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == v and y not in seen:
-                        seen.add(y)
+            for i, (a, b) in enumerate(self.edges):
+                if v in (a, b):
+                    y, sign = (b, 1) if v == a else (a, -1)
+                    if y not in paths:
+                        path = list(paths[v])
+                        path[i] = sign
+                        paths[y] = tuple(path)
                         frontier.append(y)
-        return len(seen) == nv
+        return paths
+
+    @cached_property
+    def _cycles(self):
+        """Per edge i = (a, b) off the tree of _paths, loops included, in
+        stored order: its fundamental cycle e_i + path[a] - path[b]."""
+        paths = self._paths
+        out = []
+        for i, (a, b) in enumerate(self.edges):
+            if not (paths[a][i] or paths[b][i]):
+                cycle = [x - y for x, y in zip(paths[a], paths[b])]
+                cycle[i] = 1
+                out.append(tuple(cycle))
+        return tuple(out)
 
     @property
     def num_vertices(self) -> int:
@@ -225,61 +245,34 @@ class SlopeAssignment:
         return total
 
 
-def _spanning_tree(graph: WeightedDualGraph):
-    """Depth-first spanning tree from vertex 0: the vertices in the order
-    reached, and per vertex but the root (parent, edge index, sign), the
-    sign +1 when the parent is the edge's stored low endpoint."""
-    parent = {0: None}
-    order = [0]
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for i, (a, b) in enumerate(graph.edges):
-            if a == b:
-                continue
-            for x, y in ((a, b), (b, a)):
-                if x == v and y not in parent:
-                    parent[y] = (v, i, 1 if x == a else -1)
-                    order.append(y)
-                    frontier.append(y)
-    assert len(order) == graph.num_vertices
-    return parent, order
-
-
 def balanced_slopes(graph: WeightedDualGraph, contact, bound: int):
     """Every integer slope assignment with all |slope| <= bound, sorted.
 
-    The slopes on the edges outside a spanning tree (loops included) are
-    free; each choice in [-bound, bound] fixes the tree slopes, read off
-    leaf to root as the flow each vertex must pass to its parent. The
-    incidence matrix is totally unimodular, so those come out integral;
-    the choices whose tree slopes stay within the bound are kept.
+    The slopes on the edges off the spanning tree (loops included) are
+    free. Sending each contact slope from vertex 0 to its leg's vertex
+    along the tree balances every vertex; each choice t in [-bound, bound]
+    per free edge adds t times its fundamental cycle, and the choices
+    whose tree slopes stay within the bound are kept.
     """
     contact = tuple(contact)
+    if len(contact) != len(graph.legs):
+        raise ValueError("one contact slope per leg is required")
     if sum(contact) != 0:
         raise ValueError("contact slopes must sum to zero")
     if bound < 0:
         raise ValueError("slope bound must be nonnegative")
-    parent, order = _spanning_tree(graph)
-    tree = {edge for _, edge, _ in filter(None, parent.values())}
-    free = [i for i in range(graph.num_edges) if i not in tree]
-    at_vertex = [0] * graph.num_vertices
+    paths, cycles = graph._paths, graph._cycles
+    base = [0] * graph.num_edges
     for x, s in zip(graph.legs, contact):
-        at_vertex[x] += s
+        for i, p in enumerate(paths[x]):
+            base[i] += s * p
     out = []
     for choice in itertools.product(range(-bound, bound + 1),
-                                    repeat=len(free)):
-        slopes = [0] * graph.num_edges
-        excess = list(at_vertex)  # outflow at each vertex so far
-        for i, t in zip(free, choice):
-            a, b = graph.edges[i]
-            slopes[i] = t
-            excess[a] += t
-            excess[b] -= t
-        for v in reversed(order[1:]):
-            up, i, sign = parent[v]
-            slopes[i] = sign * excess[v]
-            excess[up] += excess[v]
+                                    repeat=len(cycles)):
+        slopes = list(base)
+        for t, cycle in zip(choice, cycles):
+            for i, c in enumerate(cycle):
+                slopes[i] += t * c
         if all(-bound <= m <= bound for m in slopes):
             out.append(SlopeAssignment(graph, contact, tuple(slopes)))
     out.sort(key=lambda a: a.slopes)
@@ -289,32 +282,9 @@ def balanced_slopes(graph: WeightedDualGraph, contact, bound: int):
 def _cycle_rows(graph: WeightedDualGraph, slopes):
     """One row per independent cycle: the slope-weighted, orientation-
     signed length functional that a balanced function must annihilate."""
-    parent, _ = _spanning_tree(graph)
-    tree = {edge for _, edge, _ in filter(None, parent.values())}
-
-    def chain(v):
-        # signed tree-edge incidence of the path from the root to v
-        out = {}
-        while parent[v] is not None:
-            up, i, sign = parent[v]
-            out[i] = out.get(i, 0) + sign
-            v = up
-        return out
-
-    rows = []
-    for i, (a, b) in enumerate(graph.edges):
-        if i in tree:
-            continue
-        row = [0] * graph.num_edges
-        row[i] = slopes[i]
-        walk = chain(b)
-        for j, s in chain(a).items():
-            walk[j] = walk.get(j, 0) - s
-        for j, s in walk.items():
-            row[j] -= s * slopes[j]
-        if any(row):
-            rows.append(tuple(row))
-    return tuple(rows)
+    rows = (tuple(c * m for c, m in zip(cycle, slopes))
+            for cycle in graph._cycles)
+    return tuple(row for row in rows if any(row))
 
 
 @dataclass(frozen=True)
@@ -333,9 +303,11 @@ class DRCone:
 
     @property
     def dim(self) -> int:
-        return linalg.rank(list(self.rays)) if self.rays else 0
+        return polyhedra.span_dim(self.rays)
 
     def contains(self, point) -> bool:
+        """Whether the point has no negative length and every equation
+        vanishes on it."""
         if any(x < 0 for x in point):
             return False
         return all(sum(c * x for c, x in zip(row, point)) == 0
@@ -524,21 +496,9 @@ def verify_face_closure(subfan: DRSubfan):
 def _potential_rows(graph: WeightedDualGraph, slopes):
     """Per vertex, the linear functional of the edge lengths giving its
     value under a balanced function normalised to zero at vertex 0."""
-    rows = [None] * graph.num_vertices
-    rows[0] = tuple([0] * graph.num_edges)
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for i, (a, b) in enumerate(graph.edges):
-            if a == b:
-                continue
-            for x, y, sign in ((a, b, 1), (b, a, -1)):
-                if x == v and rows[y] is None:
-                    row = list(rows[v])
-                    row[i] += sign * slopes[i]
-                    rows[y] = tuple(row)
-                    frontier.append(y)
-    return rows
+    paths = graph._paths
+    return [tuple(p * m for p, m in zip(paths[v], slopes))
+            for v in range(graph.num_vertices)]
 
 
 @dataclass(frozen=True)
@@ -627,7 +587,7 @@ class RubberPiece:
 
     @property
     def dim(self) -> int:
-        return linalg.rank(list(self.rays)) if self.rays else 0
+        return polyhedra.span_dim(self.rays)
 
 
 def rubber_pieces(cone: DRCone):
@@ -657,7 +617,7 @@ def rubber_pieces(cone: DRCone):
     for rays in dict.fromkeys(rays for _, rays in regions):
         point = [Fraction(sum(r[i] for r in rays)) for i in range(ne)]
         rt = rubber_type(graph, cone.assignment, point)
-        dim = linalg.rank(list(rays)) if rays else 0
+        dim = polyhedra.span_dim(rays)
         simplicial = len(rays) == dim
         columns = [tuple(r[i] for r in rays) for i in range(ne)]
         smooth = simplicial and (
@@ -685,11 +645,7 @@ class TCCone:
     equations: tuple
     rays: tuple
 
-    def contains(self, point) -> bool:
-        if any(x < 0 for x in point):
-            return False
-        return all(sum(c * x for c, x in zip(row, point)) == 0
-                   for row in self.equations)
+    contains = DRCone.contains  # the same rule on the joint equations
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,18 @@ def setup_to_payload(setup, cycle):
                           for c, v in sorted(cycle.coefficients.items())]}}
 
 
+def variable(nvars: int, i: int) -> Polynomial:
+    """The polynomial x_i in nvars variables."""
+    return Polynomial.linear([int(j == i) for j in range(nvars)])
+
+
+def power(p: Polynomial, k: int) -> Polynomial:
+    out = Polynomial.constant(p.nvars, 1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def pp_from_polynomial(fan, p: Polynomial) -> PiecewisePolynomial:
     """The same polynomial on every top cone."""
     if p.nvars != fan.rank:

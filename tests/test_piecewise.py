@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import is_continuous, pp_from_vector
+from helpers import is_continuous, pp_from_vector, variable
 from tropchow import fans, linalg, piecewise
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.polynomials import Polynomial
@@ -39,8 +39,8 @@ def test_courant_needs_simplicial():
 def test_pp_equality_modulo_vanishing():
     ray_fan = fans.fan_from_max_cones(2, [[(1, 0)]])
     m = ray_fan.max_cones[0]
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
+    x = variable(2, 0)
+    y = variable(2, 1)
     a = PiecewisePolynomial(ray_fan, {m: x})
     b = PiecewisePolynomial(ray_fan, {m: x + y})
     assert a == b  # y vanishes on the support

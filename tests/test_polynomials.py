@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropchow.polynomials import Polynomial, power
+from helpers import power, variable
+from tropchow.polynomials import Polynomial
 
 
 def _random_poly(rng, nvars, max_deg=3, max_terms=5):
@@ -16,8 +17,8 @@ def _random_poly(rng, nvars, max_deg=3, max_terms=5):
 
 
 def test_basic_arithmetic():
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
+    x = variable(2, 0)
+    y = variable(2, 1)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
     assert p.evaluate((3, 2)) == 5
@@ -39,10 +40,10 @@ def test_eval_is_ring_hom():
 
 def test_compose_linear():
     # p(x, y) = x^2 + y, substitute x = u + v, y = 2u
-    p = power(Polynomial.variable(2, 0), 2) + Polynomial.variable(2, 1)
+    p = power(variable(2, 0), 2) + variable(2, 1)
     q = p.compose_linear([[1, 1], [2, 0]])
-    u = Polynomial.variable(2, 0)
-    v = Polynomial.variable(2, 1)
+    u = variable(2, 0)
+    v = variable(2, 1)
     assert q == (u + v) * (u + v) + u.scale(2)
 
     rng = random.Random(5)
@@ -182,7 +183,7 @@ def test_int_and_fraction_coefficients_are_equal(a):
 
 
 def test_evaluate_returns_fraction():
-    x = Polynomial.variable(2, 0)
+    x = variable(2, 0)
     for p, pt in ((Polynomial.zero(2), (1, 2)), (Polynomial.constant(2, 4), (0, 0)),
                   (x.scale(3), (2, 5)), (x.scale(Fraction(1, 2)), (Fraction(2, 3), 1))):
         v = p.evaluate(pt)

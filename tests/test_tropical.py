@@ -105,6 +105,14 @@ def test_balanced_slopes_frozen():
         balanced_slopes(LOOP, (1, 1), 2)
 
 
+def test_balanced_slopes_refuse_a_contact_vector_of_the_wrong_length():
+    for graph in [BANANA] + enumerate_stable_graphs(1, 2):
+        for contact in ((5, -5, 0), (0,), ()):
+            for bound in range(3):
+                with pytest.raises(ValueError, match="one contact slope"):
+                    balanced_slopes(graph, contact, bound)
+
+
 def test_dr_cone_frozen():
     flat = dr_cone(LOOP, SlopeAssignment(LOOP, (1, -1), (0,)))
     assert flat.rays == ((1,),)
@@ -431,6 +439,41 @@ def test_balanced_slopes_match_fraction_box(g, n):
                 slopes = [a.slopes
                           for a in balanced_slopes(graph, contact, bound)]
                 assert slopes == _fraction_box_slopes(graph, contact, bound)
+
+
+def test_tree_rows_match_the_incidence_kernel():
+    """The cycle rows span what the rational kernel of the vertex-edge
+    incidence matrix gives, z * slopes per basis vector z. The potentials
+    vanish at vertex 0; the edges (a, b) with pot[b] - pot[a] exactly
+    slope * length join every vertex, and on any edge the two differ by
+    a combination of the cycle rows. Under 2 s: one contact vector per
+    graph in turn, bound 2."""
+    for g, n in SMALL_MODULI:
+        contacts = [c for c in itertools.product(range(-1, 2), repeat=n)
+                    if sum(c) == 0]
+        for k, graph in enumerate(enumerate_stable_graphs(g, n)):
+            ne, nv = graph.num_edges, graph.num_vertices
+            incidence = [[(a == v) - (b == v) for a, b in graph.edges]
+                         for v in range(nv)]
+            kernel = linalg.primitive_kernel(incidence)
+            for a in balanced_slopes(graph, contacts[k % len(contacts)], 2):
+                rows = tropical._cycle_rows(graph, a.slopes)
+                oracle = [[z * m for z, m in zip(vec, a.slopes)]
+                          for vec in kernel]
+                pot = tropical._potential_rows(graph, a.slopes)
+                assert pot[0] == (0,) * ne
+                steps, exact = [], []
+                for i, ((u, v), m) in enumerate(zip(graph.edges, a.slopes)):
+                    step = [y - x for x, y in zip(pot[u], pot[v])]
+                    step[i] -= m
+                    steps.append(step)
+                    if not any(step):
+                        exact.append(i)
+                rank = linalg.rank(oracle)
+                assert linalg.rank(rows) == rank
+                assert linalg.rank(list(rows) + oracle + steps) == rank
+                assert linalg.rank([[row[i] for i in exact]
+                                    for row in incidence]) == nv - 1
 
 
 def test_balanced_slopes_build_no_fraction(monkeypatch):
