@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .fans import Fan, resolve_smooth
-from .piecewise import (PiecewisePolynomial, courant_function, min_refinement,
-                        pp_pullback)
-from .weights import MinkowskiWeight, pushforward_witness, ray_monomial_class
+from .piecewise import PiecewisePolynomial, min_refinement, pp_pullback
+from .weights import (MinkowskiWeight, monomial_coordinates, monomial_function,
+                      pushforward_witness)
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,7 @@ class MonomialIdeal:
         object.__setattr__(self, "generators", tuple(sorted(minimal)))
 
     def divisor_function(self, g) -> PiecewisePolynomial:
-        out = PiecewisePolynomial.zero(self.fan)
-        for i, a in enumerate(g):
-            if a:
-                out = out + courant_function(self.fan, i).scale(a)
-        return out
+        return monomial_function(self.fan, {(i,): a for i, a in enumerate(g)})
 
     def support_cones(self):
         """Cones whose orbit closures lie in the vanishing locus."""
@@ -73,11 +69,8 @@ class SegreData:
 
 def _expand_on(fan: Fan, ordf_src: PiecewisePolynomial) -> PiecewisePolynomial:
     pulled = pp_pullback(fan, linalg.identity_matrix(fan.rank), ordf_src)
-    out = PiecewisePolynomial.zero(fan)
-    for i, r in enumerate(fan.rays):
-        v = pulled.evaluate(r)
-        if v:
-            out = out + courant_function(fan, i).scale(v)
+    out = monomial_function(fan, {(i,): pulled.evaluate(r)
+                                  for i, r in enumerate(fan.rays)})
     if out != pulled:
         raise AssertionError("order function failed to expand over rays")
     return out
@@ -114,17 +107,10 @@ def _support_certificate(ideal: MonomialIdeal, piece: MinkowskiWeight, k: int):
         if piece.is_zero():
             return {}
         raise AssertionError("nonzero weight with empty support candidates")
-    taus = ambient.cones_of_dim(ambient.rank - k)
-    cols = []
-    for c in support:
-        w = ray_monomial_class(ambient, c)
-        cols.append([w.values[t] for t in taus])
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(taus))]
-    rhs = [piece.values[t] for t in taus]
-    sol = linalg.solve(mat, rhs)
-    if sol is None:
+    coords = monomial_coordinates(ambient, support, piece)
+    if coords is None:
         raise AssertionError("weight is not supported on the vanishing locus")
-    return {c: v for c, v in zip(support, sol) if v != 0}
+    return coords
 
 
 def pullback_ideal(ideal: MonomialIdeal, fine_fan: Fan) -> MonomialIdeal:

@@ -195,15 +195,24 @@ def pp_pullback(source_fan: Fan, matrix, target_pp: PiecewisePolynomial
     return PiecewisePolynomial(source_fan, pieces)
 
 
-def restrict_to_star(star: StarFan, pp: PiecewisePolynomial
-                     ) -> PiecewisePolynomial:
-    """Push a function down to the star fan of a cone via the fixed
-    integer section of the quotient map."""
+def pushforward_from_star(fan: Fan, star: StarFan, f: PiecewisePolynomial
+                          ) -> PiecewisePolynomial:
+    """Witness on a simplicial fan of the pushforward of a function's class
+    from the orbit closure of a ray (Fulton, Intersection Theory, 6.7):
+    on each top cone through the ray, the ray function x times the
+    function's piece composed with the star's projection; 0 elsewhere.
+    x * h depends only on the restriction of h to the star, so this is
+    x * h for every h restricting to f."""
+    (ray,) = star.center
+    x = courant_function(fan, ray)
     pieces = {}
-    for m in star.fan.max_cones:
-        src = star.cone_to_source[m]
-        pieces[m] = pp.piece_on(src).compose_linear(star.sect)
-    return PiecewisePolynomial(star.fan, pieces)
+    for m in fan.max_cones:
+        if ray in m:
+            pieces[m] = x.pieces[m] * f.pieces[
+                star.source_to_cone[m]].compose_linear(star.proj)
+        else:
+            pieces[m] = Polynomial.zero(fan.rank)
+    return PiecewisePolynomial(fan, pieces)
 
 
 def _linear_coefficients(p: Polynomial, rank: int):
@@ -283,8 +292,11 @@ def excess_chern_class(fan: Fan, center_functions, exceptional: PiecewisePolynom
 
     center_functions are the divisor functions of the center's rays pulled
     back to the subdivided fan; exceptional must equal their pointwise
-    minimum, which is checked.
+    minimum, which is checked. A negative top degree is refused: the
+    class starts with the constant 1.
     """
+    if top_degree < 0:
+        raise ValueError("excess Chern degree must be nonnegative")
     if pp_min(fan, center_functions) != exceptional:
         raise ValueError("exceptional function is not the minimum of the "
                          "center functions")

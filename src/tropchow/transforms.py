@@ -22,15 +22,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .fans import (Fan, StarFan, _cell, _stellar_tops, _top_cell,
+from .fans import (Fan, _cell, _stellar_tops, _top_cell,
                    fan_from_cells, resolve_smooth, star_fan,
                    stellar_subdivision, subdivision_assignment)
 from .ideals import MonomialIdeal, segre_class
 from .piecewise import (PiecewisePolynomial, courant_function,
                         excess_chern_class, min_refinement, pp_min,
-                        pp_pullback, restrict_to_star)
-from .weights import (MinkowskiWeight, courant_monomial, localization_degree,
-                      mw_of_pp, mw_to_pp, ray_monomial_class)
+                        pp_pullback, pushforward_from_star)
+from .weights import (MinkowskiWeight, courant_monomial, monomial_coordinates,
+                      monomial_function, mw_of_pp, ray_monomial_class)
 
 
 class ToricCycle:
@@ -41,8 +41,8 @@ class ToricCycle:
     carrier cones (weights.ray_monomial_class, kept per fan), computed at
     construction, so a fan the calculus refuses is refused here. That
     equals mw_of_pp of the witness, the same sum of ray-function
-    monomials, since mw_of_pp is linear and exact; the witness is built
-    on first use.
+    monomials (weights.monomial_function), since mw_of_pp is linear and
+    exact; the witness is built on first use.
     """
 
     __slots__ = ("fan", "codim", "coefficients", "class_weight", "_witness")
@@ -71,10 +71,7 @@ class ToricCycle:
     @property
     def witness(self) -> PiecewisePolynomial:
         if self._witness is None:
-            w = PiecewisePolynomial.zero(self.fan)
-            for c, v in sorted(self.coefficients.items()):
-                w = w + courant_monomial(self.fan, c).scale(v)
-            self._witness = w
+            self._witness = monomial_function(self.fan, self.coefficients)
         return self._witness
 
     def __eq__(self, other):
@@ -93,15 +90,10 @@ def fundamental_cycle(fan: Fan) -> ToricCycle:
 
 def cycle_from_class(fan: Fan, weight: MinkowskiWeight) -> ToricCycle:
     """Invariant-cycle representative of a class on a complete smooth fan."""
-    k = weight.codim
-    carriers = fan.cones_of_dim(k)
-    duals = fan.cones_of_dim(fan.rank - k)
-    cols = [ray_monomial_class(fan, c).values for c in carriers]
-    mat = [[cols[j][t] for j in range(len(carriers))] for t in duals]
-    sol = linalg.solve(mat, [weight.values[t] for t in duals])
-    if sol is None:
+    coords = monomial_coordinates(fan, fan.cones_of_dim(weight.codim), weight)
+    if coords is None:
         raise ValueError("class has no invariant cycle representative")
-    return ToricCycle(fan, k, dict(zip(carriers, sol)))
+    return ToricCycle(fan, weight.codim, coords)
 
 
 class BlowupSetup:
@@ -206,8 +198,8 @@ def _undo_stellar(g: Fan, r):
 
 
 class _StellarStep:
-    """One smooth stellar subdivision, with the star-fan data needed to
-    evaluate its correction term."""
+    """One smooth stellar subdivision, with the star-fan data and the
+    graded excess Chern class needed to evaluate its correction term."""
 
     def __init__(self, base: Fan, center, ray, result: Fan):
         self.base = base
@@ -223,16 +215,8 @@ class _StellarStep:
                   for i in center]
         exc = courant_function(result, result.rays.index(ray))
         chern = excess_chern_class(result, pulled, exc, len(center) - 1)
-        restricted = restrict_to_star(self.exc_star, chern)
-        self.chern_parts = [restricted.homogeneous_component(j)
+        self.chern_parts = [chern.homogeneous_component(j)
                             for j in range(len(center))]
-        self._tau_cache = {}
-
-    def restricted_dual(self, tau):
-        if tau not in self._tau_cache:
-            self._tau_cache[tau] = restrict_to_star(
-                self.exc_star, courant_monomial(self.result, tau))
-        return self._tau_cache[tau]
 
     def stratum_slots(self, gamma):
         """Pullbacks to the exceptional star of the graded Segre terms of
@@ -258,10 +242,9 @@ class _StellarStep:
         for k, cert in data.certificates.items():
             if not cert:
                 continue
-            w = PiecewisePolynomial.zero(self.cen_star.fan)
-            for eta, coeff in sorted(cert.items()):
-                src = self.cen_star.source_to_cone[vstar.cone_to_source[eta]]
-                w = w + courant_monomial(self.cen_star.fan, src).scale(coeff)
+            w = monomial_function(self.cen_star.fan, {
+                self.cen_star.source_to_cone[vstar.cone_to_source[eta]]: coeff
+                for eta, coeff in cert.items()})
             out[k] = pp_pullback(self.exc_star.fan, self.pull_matrix, w)
         return out
 
@@ -335,9 +318,10 @@ def fulton_correction(cycle: ToricCycle, setup: BlowupSetup):
 
     At each step the carried cycle meets the step's center along strata
     whose Segre terms, decorated with excess Chern classes in
-    complementary degree, are paired off on the exceptional star; the
-    resulting classes are pulled to the working fan and summed. Returns
-    the correction cycle and its per-stratum decomposition.
+    complementary degree, live on the exceptional divisor E. Each
+    stratum's share is pushed forward from E as x_E times a witness
+    (pushforward_from_star), pulled to the working fan and summed.
+    Returns the correction cycle and its per-stratum decomposition.
     """
     _check_carrier(cycle, setup)
     fine = setup.refined
@@ -349,23 +333,19 @@ def fulton_correction(cycle: ToricCycle, setup: BlowupSetup):
     for t, step in enumerate(setup.tower()):
         assert current.fan == step.base
         degree = len(step.center) - 1
-        duals = step.result.cones_of_dim(step.result.rank - k)
         for gamma, coeff in sorted(current.coefficients.items()):
             slots = step.stratum_slots(gamma)
             used = tuple((g, degree - g) for g in sorted(slots)
                          if 0 <= degree - g < len(step.chern_parts))
-            vals = {}
-            for g, j in used:
-                part = step.chern_parts[j] * slots[g]
-                for tau in duals:
-                    v = localization_degree(part * step.restricted_dual(tau))
-                    if v:
-                        vals[tau] = vals.get(tau, 0) + coeff * v
-            piece = MinkowskiWeight(step.result, k, vals)
-            if piece.is_zero():
+            if not used:
                 continue
-            pulled = mw_of_pp(
-                pp_pullback(fine, ident, mw_to_pp(piece)), k)
+            witness = sum((step.chern_parts[j] * pushforward_from_star(
+                step.result, step.exc_star, slots[g]) for g, j in used),
+                PiecewisePolynomial.zero(step.result))
+            pulled = mw_of_pp(pp_pullback(fine, ident, witness), k)
+            pulled = pulled.scale(coeff)
+            if pulled.is_zero():
+                continue
             total = total + pulled
             decomposition.append(StratumContribution(
                 t, step.ray, tuple(step.base.cone_rays(gamma)), used, pulled))

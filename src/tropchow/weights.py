@@ -99,20 +99,19 @@ def _quotient_normals(fan: Fan, tau):
     return proj, covers
 
 
+def _balance_rows(fan: Fan, codim: int):
+    """The balancing conditions on weights of one codimension: per cone
+    tau of one dimension less and per coordinate of its quotient, of
+    dimension codim + 1, the coefficient of each covering cone's weight."""
+    for tau in fan.cones_of_dim(fan.rank - codim - 1):
+        covers = _quotient_normals(fan, tau)[1]
+        for coord in range(codim + 1):
+            yield {sigma: normal[coord] for sigma, normal in covers}
+
+
 def is_balanced(w: MinkowskiWeight) -> bool:
-    fan = w.fan
-    if w.codim == fan.rank:
-        return True
-    for tau in fan.cones_of_dim(fan.rank - w.codim - 1):
-        _, covers = _quotient_normals(fan, tau)
-        total = None
-        for sigma, normal in covers:
-            contrib = [w.values[sigma] * x for x in normal]
-            total = contrib if total is None else [
-                a + b for a, b in zip(total, contrib)]
-        if total is not None and any(total):
-            return False
-    return True
+    return all(sum(w.values[sigma] * x for sigma, x in row.items()) == 0
+               for row in _balance_rows(w.fan, w.codim))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +167,33 @@ def _localization_points(fan: Fan):
 
 
 def courant_monomial(fan: Fan, ray_indices) -> PiecewisePolynomial:
-    out = PiecewisePolynomial.constant(fan, 1)
+    out = None
     for i in ray_indices:
-        out = out * courant_function(fan, i)
+        f = courant_function(fan, i)
+        out = f if out is None else out * f
+    return PiecewisePolynomial.constant(fan, 1) if out is None else out
+
+
+def monomial_function(fan: Fan, coefficients) -> PiecewisePolynomial:
+    """The combination sum c * x^m of ray monomials, given as a mapping
+    from ray-index tuples m to coefficients c."""
+    out = PiecewisePolynomial.zero(fan)
+    for mono, c in sorted(coefficients.items()):
+        if c:
+            out = out + courant_monomial(fan, mono).scale(c)
     return out
+
+
+def monomial_coordinates(fan: Fan, monomials, w: MinkowskiWeight):
+    """Coefficients, nonzero ones only, of a combination of ray monomials
+    whose weight is w; None when no combination has it."""
+    taus = fan.cones_of_dim(fan.rank - w.codim)
+    columns = [ray_monomial_class(fan, mono).values for mono in monomials]
+    sol = linalg.solve([[col[tau] for col in columns] for tau in taus],
+                       [w.values[tau] for tau in taus])
+    if sol is None:
+        return None
+    return {mono: c for mono, c in zip(monomials, sol) if c}
 
 
 def ray_monomial_class(fan: Fan, ray_indices) -> MinkowskiWeight:
@@ -425,45 +447,19 @@ def mw_to_pp(w: MinkowskiWeight) -> PiecewisePolynomial:
     """A piecewise polynomial witness of a balanced weight: a function of
     matching degree whose weight equals the input."""
     fan = w.fan
-    k = w.codim
     monomials = sorted({tuple(sorted(c)) for m in fan.max_cones
-                        for c in combinations_with_replacement(m, k)})
-    columns = []
-    for mono in monomials:
-        mw = ray_monomial_class(fan, mono)
-        columns.append([mw.values[tau]
-                       for tau in fan.cones_of_dim(fan.rank - k)])
-    rhs = [w.values[tau] for tau in fan.cones_of_dim(fan.rank - k)]
-    if not columns:
+                        for c in combinations_with_replacement(m, w.codim)})
+    if not monomials:
         raise ValueError("no candidate witnesses")
-    mat = [[columns[j][i] for j in range(len(columns))]
-           for i in range(len(rhs))]
-    sol = linalg.solve(mat, rhs)
-    if sol is None:
+    coords = monomial_coordinates(fan, monomials, w)
+    if coords is None:
         raise ValueError("weight admits no witness; is it balanced?")
-    out = PiecewisePolynomial.zero(fan)
-    for c, mono in zip(sol, monomials):
-        if c != 0:
-            out = out + courant_monomial(fan, mono).scale(c)
-    return out
+    return monomial_function(fan, coords)
 
 
 def balanced_weight_rank(fan: Fan, codim: int) -> int:
     """Dimension of the space of balanced weights of one codimension."""
     cones = fan.cones_of_dim(fan.rank - codim)
-    index = {c: i for i, c in enumerate(cones)}
-    rows = []
-    if codim < fan.rank:
-        for tau in fan.cones_of_dim(fan.rank - codim - 1):
-            _, covers = _quotient_normals(fan, tau)
-            if not covers:
-                continue
-            q = len(covers[0][1])
-            for coord in range(q):
-                row = [Fraction(0)] * len(cones)
-                for sigma, normal in covers:
-                    row[index[sigma]] += normal[coord]
-                rows.append(row)
-    if not rows:
-        return len(cones)
+    rows = [[row.get(c, 0) for c in cones]
+            for row in _balance_rows(fan, codim)]
     return len(cones) - linalg.rank(rows)

@@ -110,6 +110,24 @@ def product_pushforward(source, witness, codim, target) -> MinkowskiWeight:
         for tau in target.cones_of_dim(target.rank - codim)})
 
 
+def restrict_to_star(star, pp: PiecewisePolynomial) -> PiecewisePolynomial:
+    """Push a function down to the star fan of a cone via the fixed
+    integer section of the quotient map."""
+    pieces = {}
+    for m in star.fan.max_cones:
+        src = star.cone_to_source[m]
+        pieces[m] = pp.piece_on(src).compose_linear(star.sect)
+    return PiecewisePolynomial(star.fan, pieces)
+
+
+def gysin_degree_by_restriction(fan, star, f, tau) -> Fraction:
+    """Weight at tau of the pushforward of f from the orbit closure of a
+    ray, by restriction: the degree on the star fan of f times tau's ray
+    monomial restricted there."""
+    return localization_degree(
+        f * restrict_to_star(star, courant_monomial(fan, tau)))
+
+
 def pp_min_by_differences(fan, functions) -> PiecewisePolynomial:
     """pp_min by the pairwise-difference rule: on each top cone the first
     piece l_j with l_i - l_j >= 0 at every ray, for every piece l_i."""

@@ -243,6 +243,14 @@ def test_pp_excess_chern_doc(capsys, p2_doc):
     assert chern.max_degree() == 1
 
 
+def test_pp_excess_chern_negative_degree_exits_2(capsys, p2_doc):
+    code, out, err = _run(capsys, "pp", "excess-chern", "--fan", p2_doc,
+                          "--cone", "0,1", "--degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
 def test_segre_point_ideal(capsys, tmp_path):
     fan = _p2()
     ideal = MonomialIdeal(fan, ((0, 0, 1), (0, 1, 0)))

@@ -1,11 +1,15 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import is_continuous, pp_from_vector, variable
+from helpers import (gysin_degree_by_restriction, is_continuous,
+                     pp_from_vector, restrict_to_star, variable)
 from tropchow import fans, linalg, piecewise
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.polynomials import Polynomial
+from tropchow.weights import monomial_function, mw_of_pp
 
 
 def _p2():
@@ -79,11 +83,56 @@ def test_restrict_to_star():
     center = (f.rays.index((1, 0)),)
     star = fans.star_fan(f, center)
     phi = courant_function(f, f.rays.index((0, 1)))
-    bar = piecewise.restrict_to_star(star, phi)
+    bar = restrict_to_star(star, phi)
     assert is_continuous(bar)
     # the image of e2 spans one quotient ray with value 1 there
     img = linalg.mat_vec(star.proj, (0, 1))
     assert bar.evaluate(img) == 1
+
+
+E3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+E4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+GYSIN_BASES = [
+    (2, [[(1, 0), (0, 1)], [(1, 0), (-1, -1)], [(0, 1), (-1, -1)]]),
+    (2, [[(a, 0), (0, b)] for a, b in itertools.product((1, -1), repeat=2)]),
+    (3, [list(c) for c in itertools.combinations(E3, 3)]),
+    (3, [[(a, 0, 0), (0, b, 0), (0, 0, c)]
+         for a, b, c in itertools.product((1, -1), repeat=3)]),
+    (4, [list(c) for c in itertools.combinations(
+        E4 + [(-1, -1, -1, -1)], 4)]),
+]
+
+
+def test_pushforward_from_star_equals_restriction_route():
+    """P2, P1xP1, P3, (P1)^3 and P4 after 0 to 2 stellar subdivisions at
+    seeded random cones of dimension 2 or more: at every ray and in every degree d < n, the weight of
+    pushforward_from_star of a small integer combination of degree-d star
+    monomials equals, at every cone tau of codimension d + 1, the degree
+    of the function times tau's ray monomial restricted to the star.
+    Budget: under 1 s."""
+    rng = random.Random(19)
+    cases = 0
+    for rank, gens in GYSIN_BASES:
+        fan = fans.fan_from_max_cones(rank, gens)
+        for steps in range(3):
+            if steps:
+                fan = fans.stellar_subdivision(fan, rng.choice(
+                    [c for c in fan.cones if len(c) > 1]))
+            for ray in range(len(fan.rays)):
+                star = fans.star_fan(fan, (ray,))
+                nrays = len(star.fan.rays)
+                for degree in range(rank):
+                    f = monomial_function(star.fan, {
+                        tuple(sorted(rng.choices(range(nrays), k=degree))):
+                        rng.choice((-2, -1, 1, 2)) for _ in range(2)})
+                    pushed = mw_of_pp(
+                        piecewise.pushforward_from_star(fan, star, f),
+                        degree + 1)
+                    for tau, value in pushed.values.items():
+                        assert value == gysin_degree_by_restriction(
+                            fan, star, f, tau)
+                        cases += 1
+    assert cases > 1000
 
 
 def test_pp_min_and_refinement():
@@ -124,6 +173,13 @@ def test_excess_chern_codim_two():
     # wrong exceptional function is rejected
     with pytest.raises(ValueError):
         piecewise.excess_chern_class(fine, [l1, l2], l1, 2)
+
+
+def test_excess_chern_refuses_a_negative_degree():
+    f = _p2()
+    phi = courant_function(f, f.rays.index((1, 0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        piecewise.excess_chern_class(f, [phi], phi, -1)
 
 
 def test_pp_space_dimensions():

@@ -235,3 +235,34 @@ def test_line_blowup_divisor_correction_is_exceptional():
         courant_function(fine, fine.rays.index((1, 1, 0))), 1)
     centre = ToricCycle(f, 2, {_ray_cone(f, *LINE): 1})
     assert strict_transform(centre, setup).coefficients == {}
+
+
+E4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+def _p4():
+    return fans.fan_from_max_cones(4, [
+        list(c) for c in combinations(E4 + [(-1, -1, -1, -1)], 4)])
+
+
+def _p1_fourth():
+    return fans.fan_from_max_cones(4, [
+        [tuple(s * x for x in e) for s, e in zip(signs, E4)]
+        for signs in product((1, -1), repeat=4)])
+
+
+@pytest.mark.parametrize("make_fan", [_p4, _p1_fourth])
+def test_rank4_blowups_verify(make_fan):
+    """Rank 4: blowups at cones of 2, 3 and 4 rays, each against the
+    three single-cone cycles of every codimension 1 to 3 that share the
+    most rays with the center. Budget: under 1.5 s for both fans."""
+    f = make_fan()
+    for size in (2, 3, 4):
+        setup = BlowupSetup(f, _ray_cone(f, *E4[:size]))
+        for codim in (1, 2, 3):
+            carriers = sorted(f.cones_of_dim(codim), key=lambda c: (
+                -len(set(c) & set(setup.center)), c))[:3]
+            for cone in carriers:
+                report = verify_fulton_identity(
+                    ToricCycle(f, codim, {cone: 1}), setup)
+                assert report.verdict == "verified", (size, cone)
