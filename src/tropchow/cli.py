@@ -261,10 +261,7 @@ def cmd_segre(args) -> int:
                        for k in sorted(data.pieces)],
             "certificates": [
                 {"codim": k,
-                 "support": [{"cone": sorted(list(ideal.fan.rays[i])
-                                             for i in cone),
-                              "value": io.format_rational(v)}
-                             for cone, v in sorted(cert.items())]}
+                 "support": io.values_payload(ideal.fan, cert)}
                 for k, cert in sorted(data.certificates.items())]}
         _emit_doc(args, "report", payload)
     else:

@@ -22,19 +22,20 @@ class Fan:
     """Immutable fan; build through fan_from_max_cones or module helpers.
 
     Data derived from the rays and cones (H-representations, faces, cone
-    dimensions, dual bases, smoothness, ray functions, ...) is
-    computed on first use and kept on this object, so a Fan must never be
-    mutated. Construction hands over what it computes while closing over
-    faces: the extreme rays, H-representation and faces of every input
-    cone, the dimension of every cone and the top cones (a Fan built
-    directly finds them by comparing all cones). fan_from_max_cones
-    reads the rays off the generators and the one H-representation it
-    computes per generator list, and keeps the dual basis that the
-    H-representation of a simplicial cone is read off; a stellar
-    subdivision hands each top cone it keeps the H-representation and
-    dual basis the source fan holds for it, and converts only the new
-    cones; fan_from_cells takes rays and H-representations from its
-    caller, as piecewise.min_refinement has them for each cell.
+    dimensions, dual bases, smoothness, ray functions, cone homes and
+    subdivision assignments per target fan, ...) is computed on first use
+    and kept on this object, so a Fan must never be mutated. Construction
+    hands over what it computes while closing over faces: the extreme
+    rays, H-representation and faces of every input cone, the dimension of
+    every cone and the top cones (a Fan built directly finds them by
+    comparing all cones). fan_from_max_cones reads the rays off the
+    generators and the one H-representation it computes per generator
+    list, and keeps the dual basis that the H-representation of a
+    simplicial cone is read off; a stellar subdivision hands each top cone
+    it keeps the H-representation and dual basis the source fan holds for
+    it, and converts only the new cones; fan_from_cells takes rays and
+    H-representations from its caller, as piecewise.min_refinement has
+    them for each cell.
 
     Every builder ends in fan_from_cells, which returns the live fan equal
     to the one it builds when there is one, so equal fans built while one
@@ -472,49 +473,40 @@ def _covering_defect(coarse: Fan, fine: Fan):
     return None
 
 
+def cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
+    """Per top cone of the source fan, the first top cone of the target
+    holding its image under the matrix. Found once per (source fan,
+    target fan, matrix) and kept on the source fan; raises ValueError when
+    some image lies in no target cone."""
+    def compute():
+        homes = {}
+        for m in source_fan.max_cones:
+            images = [linalg.mat_vec(matrix, r)
+                      for r in source_fan.cone_rays(m)]
+            homes[m] = next((c for c in target.max_cones if all(
+                target.cone_contains(c, v) for v in images)), None)
+            if homes[m] is None:
+                raise ValueError(f"image of cone {m} lies in no target cone")
+        return homes
+    key = ("homes", target, tuple(tuple(row) for row in matrix))
+    return source_fan.cached(key, compute)
+
+
 def subdivision_assignment(fine: Fan, coarse: Fan) -> dict:
     """Map each cone of a refinement to the coarse cone holding its interior.
 
-    Each top cone of the refinement is homed once: as in
-    minimal_cone_containing, its home is the first top coarse cone
-    holding its relative interior point, and it refines the coarse fan
-    there when that home holds all its rays. Each cone then maps to the
-    minimal face of its top cone's home (Fan.max_cone_over) holding its
-    rays: the home's rays tight on every facet of the home that is tight
-    on all of the cone's rays. In a valid coarse fan that is the coarse
-    cone holding the cone's interior, whichever top cone the cone is read
-    from.
+    Each cone maps to the minimal face holding its rays of the home
+    (cone_homes under the identity) of its top cone (Fan.max_cone_over).
+    In a valid coarse fan that is the coarse cone holding the cone's
+    interior, whichever top cone the cone is read from. Kept on the fine
+    fan per coarse fan; raises ValueError when some top cone has no home.
     """
-    homes = {}
-    out = {}
-    for c in fine.cones:
-        m = fine.max_cone_over(c)
-        if m not in homes:
-            homes[m] = _tight_facets_in_home(fine, m, coarse)
-        every, ray_tight, home_tight = homes[m]
-        active = every.intersection(*(ray_tight[i] for i in c))
-        out[c] = tuple(k for k, tight in home_tight if active <= tight)
-    return out
-
-
-def _tight_facets_in_home(fine: Fan, m: ConeKey, coarse: Fan):
-    """The home of a top cone of a refinement, as its facet indices, the
-    facets tight on each ray of the top cone and those tight on each ray
-    of the home; raises ValueError when no home holds the top cone."""
-    pt = fine.relint_point(m)
-    home = next((h for h in coarse.max_cones
-                 if coarse.cone_contains(h, pt)), None)
-    if home is None or not all(coarse.cone_contains(home, r)
-                               for r in fine.cone_rays(m)):
-        raise ValueError(f"cone {m} does not refine the target fan")
-    ineqs = coarse.cone_hrep(home)[1]
-
-    def tight(v):
-        return frozenset(j for j, a in enumerate(ineqs)
-                         if sum(x * y for x, y in zip(a, v)) == 0)
-    return (frozenset(range(len(ineqs))),
-            {i: tight(fine.rays[i]) for i in m},
-            [(k, tight(coarse.rays[k])) for k in home])
+    def compute():
+        homes = cone_homes(fine, linalg.identity_matrix(fine.rank), coarse)
+        return {c: _minimal_face_containing_all(
+                    coarse, homes[fine.max_cone_over(c)], fine.cone_rays(c))
+                for c in fine.cones}
+    return fine.cached(("assignment", coarse), compute)
 
 
 def resolve_smooth(fan: Fan, max_steps: int = 1000) -> Fan:

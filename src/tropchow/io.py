@@ -71,10 +71,13 @@ def _expect_keys(payload, keys, what):
         raise DocumentError(f"missing field in {what}: {sorted(missing)}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not integers here."""
+    return type(value) is int
+
+
 def _int_list(value, what):
-    if (not isinstance(value, list) or
-            any(not isinstance(x, int) or isinstance(x, bool)
-                for x in value)):
+    if not isinstance(value, list) or not all(map(_is_int, value)):
         raise DocumentError(f"{what} must be a list of integers")
     return tuple(value)
 
@@ -88,7 +91,7 @@ def parse_document(text: str) -> Document:
     _expect_keys(raw, ("kind", "version", "payload"), "document")
     if raw["kind"] not in KINDS:
         raise DocumentError(f"unknown document kind {raw['kind']!r}")
-    if raw["version"] != DOCUMENT_VERSION:
+    if not _is_int(raw["version"]) or raw["version"] != DOCUMENT_VERSION:
         raise DocumentError(f"unsupported document version {raw['version']!r}")
     return Document(raw["kind"], raw["payload"])
 
@@ -149,7 +152,7 @@ def fan_payload_parts(payload):
     """Structural checks only; the fan axioms are the caller's business."""
     _expect_keys(payload, ("rank", "max_cones"), "fan")
     rank = payload["rank"]
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise DocumentError("fan rank must be a nonnegative integer")
     cones = payload["max_cones"]
     if not isinstance(cones, list):
@@ -189,11 +192,29 @@ def _cone_from_payload(fan: Fan, rays, what="cone"):
     return cone
 
 
+def values_payload(fan: Fan, values):
+    """A {cone: rational} map as a list of {cone, value}, nonzero only."""
+    return [{"cone": _cone_payload(fan, c), "value": format_rational(v)}
+            for c, v in sorted(values.items()) if v]
+
+
+def _values_from_payload(fan: Fan, payload, field, what):
+    """The {cone: rational} map listed in payload[field] as {cone, value}."""
+    items = payload[field]
+    if not isinstance(items, list):
+        raise DocumentError(f"{field} must be a list")
+    values = {}
+    for item in items:
+        _expect_keys(item, ("cone", "value"), what)
+        cone = _cone_from_payload(fan, item["cone"])
+        values[cone] = parse_rational(item["value"])
+    return values
+
+
 # weights
 
 def weight_values_payload(w: MinkowskiWeight):
-    return [{"cone": _cone_payload(w.fan, c), "value": format_rational(v)}
-            for c, v in sorted(w.values.items()) if v]
+    return values_payload(w.fan, w.values)
 
 
 def weight_to_payload(w: MinkowskiWeight):
@@ -205,15 +226,9 @@ def weight_from_payload(payload) -> MinkowskiWeight:
     _expect_keys(payload, ("fan", "codim", "values"), "weight")
     fan = fan_from_payload(payload["fan"])
     codim = payload["codim"]
-    if not isinstance(codim, int):
+    if not _is_int(codim):
         raise DocumentError("codim must be an integer")
-    values = {}
-    if not isinstance(payload["values"], list):
-        raise DocumentError("values must be a list")
-    for item in payload["values"]:
-        _expect_keys(item, ("cone", "value"), "weight value")
-        cone = _cone_from_payload(fan, item["cone"])
-        values[cone] = parse_rational(item["value"])
+    values = _values_from_payload(fan, payload, "values", "weight value")
     try:
         return MinkowskiWeight(fan, codim, values)
     except ValueError as e:
@@ -288,13 +303,9 @@ def graph_to_payload(graph: WeightedDualGraph):
 # blowup setups with their test cycle
 
 def cycle_to_payload(cycle: ToricCycle):
-    coeffs = [{"cone": _cone_payload(cycle.fan, c),
-               "value": format_rational(v)}
-              for c, v in sorted(cycle.coefficients.items())]
-    klass = [{"cone": _cone_payload(cycle.fan, c),
-              "value": format_rational(v)}
-             for c, v in sorted(cycle.class_weight.values.items()) if v]
-    return {"codim": cycle.codim, "coefficients": coeffs, "class": klass}
+    return {"codim": cycle.codim,
+            "coefficients": values_payload(cycle.fan, cycle.coefficients),
+            "class": weight_values_payload(cycle.class_weight)}
 
 
 def setup_from_payload(payload):
@@ -312,15 +323,10 @@ def setup_from_payload(payload):
     spec = payload["cycle"]
     _expect_keys(spec, ("codim", "coefficients"), "cycle")
     codim = spec["codim"]
-    if not isinstance(codim, int):
+    if not _is_int(codim):
         raise DocumentError("cycle codim must be an integer")
-    coeffs = {}
-    if not isinstance(spec["coefficients"], list):
-        raise DocumentError("coefficients must be a list")
-    for item in spec["coefficients"]:
-        _expect_keys(item, ("cone", "value"), "coefficient")
-        cone = _cone_from_payload(setup.modification, item["cone"])
-        coeffs[cone] = parse_rational(item["value"])
+    coeffs = _values_from_payload(setup.modification, spec, "coefficients",
+                                  "coefficient")
     try:
         cycle = ToricCycle(setup.modification, codim, coeffs)
     except ValueError as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg, polyhedra
-from .fans import Fan, StarFan, fan_from_cells
+from .fans import Fan, StarFan, cone_homes, fan_from_cells
 from .polynomials import Polynomial
 
 
@@ -146,28 +146,6 @@ def _courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
         u, p = fan.cone_dual_basis(m)[m.index(ray_index)]
         pieces[m] = Polynomial.linear([Fraction(x, p) for x in u])
     return PiecewisePolynomial(fan, pieces)
-
-
-def cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
-    """Per top cone of the source fan, the first top cone of the target
-    holding its image under the matrix. Found once per (source fan,
-    target fan, matrix) and kept on the source fan; raises ValueError when
-    some image lies in no target cone."""
-    key = ("homes", target, tuple(tuple(row) for row in matrix))
-    return source_fan.cached(
-        key, lambda: _cone_homes(source_fan, matrix, target))
-
-
-def _cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
-    homes = {}
-    for m in source_fan.max_cones:
-        images = [linalg.mat_vec(matrix, r) for r in source_fan.cone_rays(m)]
-        home = next((c for c in target.max_cones
-                     if all(target.cone_contains(c, v) for v in images)), None)
-        if home is None:
-            raise ValueError(f"image of cone {m} lies in no target cone")
-        homes[m] = home
-    return homes
 
 
 def _is_identity(matrix, n: int) -> bool:

@@ -274,18 +274,15 @@ def _check_carrier(cycle: ToricCycle, setup: BlowupSetup):
 
 
 def _refine_coefficients(cycle: ToricCycle, fine: Fan) -> ToricCycle:
+    # only cones the subdivision leaves intact keep their orbit closure;
+    # a properly subdivided cone sits under the collapsed locus, where
+    # the proper transform loses its stratum entirely
+    assignment = subdivision_assignment(fine, cycle.fan)
     vals = {}
     for cone in fine.cones_of_dim(cycle.codim):
-        src = cycle.fan.minimal_cone_containing(fine.relint_point(cone))
-        if src is None:
-            continue
-        # only cones the subdivision leaves intact keep their orbit
-        # closure; a properly subdivided cone sits under the collapsed
-        # locus, where the proper transform loses its stratum entirely
-        if set(cycle.fan.cone_rays(src)) != set(fine.cone_rays(cone)):
-            continue
+        src = assignment[cone]
         v = cycle.coefficients.get(src, 0)
-        if v:
+        if v and set(cycle.fan.cone_rays(src)) == set(fine.cone_rays(cone)):
             vals[cone] = v
     return ToricCycle(fine, cycle.codim, vals)
 

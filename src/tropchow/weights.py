@@ -16,8 +16,8 @@ from itertools import combinations, combinations_with_replacement, count
 from math import lcm
 
 from . import linalg, polyhedra
-from .fans import Fan, resolve_smooth
-from .piecewise import PiecewisePolynomial, cone_homes, courant_function
+from .fans import Fan, cone_homes, resolve_smooth
+from .piecewise import PiecewisePolynomial, courant_function
 
 
 class MinkowskiWeight:

@@ -70,6 +70,52 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "parse error at line 1" in err
 
 
+def _write_json(tmp_path, kind, payload, version=1):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(
+        {"kind": kind, "version": version, "payload": payload}))
+    return str(path)
+
+
+_P1 = {"rank": 1, "max_cones": [[[1]], [[-1]]]}
+
+
+def test_document_version_true_exits_2(capsys, tmp_path):
+    path = _write_json(tmp_path, "fan", _P1, version=True)
+    code, out, err = _run(capsys, "--format", "json",
+                          "fan", "validate", "--fan", path)
+    assert (code, out) == (2, "")
+    assert "version" in err
+
+
+def test_fan_rank_true_exits_2(capsys, tmp_path):
+    path = _write_json(tmp_path, "fan", dict(_P1, rank=True))
+    code, out, err = _run(capsys, "--format", "json",
+                          "fan", "validate", "--fan", path)
+    assert (code, out) == (2, "")
+    assert "fan rank must be a nonnegative integer" in err
+
+
+def test_weight_codim_true_exits_2(capsys, tmp_path):
+    path = _write_json(tmp_path, "weight", {
+        "fan": _P1, "codim": True, "values": [{"cone": [], "value": 1}]})
+    code, out, err = _run(capsys, "chow", "degree", "--weight", path)
+    assert (code, out) == (2, "")
+    assert "codim must be an integer" in err
+
+
+def test_setup_cycle_codim_true_exits_2(capsys, tmp_path):
+    path = _write_json(tmp_path, "setup", {
+        "base": io.fan_to_payload(_p2()),
+        "center": [[0, 1], [1, 0]],
+        "modification": None,
+        "cycle": {"codim": True,
+                  "coefficients": [{"cone": [[1, 0]], "value": 1}]}})
+    code, out, err = _run(capsys, "fulton", "verify", "--setup", path)
+    assert (code, out) == (2, "")
+    assert "cycle codim must be an integer" in err
+
+
 def test_unknown_field_exits_2(capsys, tmp_path):
     path = _write(tmp_path, "f.json", "fan",
                   {"rank": 2, "max_cones": [], "bogus": 1})
@@ -302,6 +348,24 @@ def test_fulton_verify_p3_along_a_line(capsys, tmp_path):
     code, out, _ = _run(capsys, "fulton", "verify", "--setup", path)
     assert code == 0
     assert "verdict: verified" in out
+
+
+def test_fulton_verify_refuses_a_carrier_off_the_base(capsys, tmp_path):
+    # P1xP1 is complete and smooth, but its cone on (-1, 0), (0, -1)
+    # straddles two top cones of P2
+    p1xp1 = fan_from_max_cones(2, [
+        [(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+        [(0, -1), (1, 0)]])
+    path = _write(tmp_path, "setup.json", "setup", {
+        "base": io.fan_to_payload(_p2()),
+        "center": [[0, 1], [1, 0]],
+        "modification": io.fan_to_payload(p1xp1),
+        "cycle": {"codim": 1,
+                  "coefficients": [{"cone": [[1, 0]], "value": 1}]}})
+    code, out, err = _run(capsys, "fulton", "verify", "--setup", path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid setup: ")
 
 
 def test_tropdr_graphs_example(capsys):

@@ -1224,6 +1224,8 @@ def _recompute(fan, key):
         "courant": lambda i: piecewise.courant_function(fan, i),
         "homes": lambda target, matrix: piecewise.cone_homes(
             fan, matrix, target),
+        "assignment": lambda coarse: fans.subdivision_assignment(
+            fan, coarse),
         "localization": lambda: weights._localization(fan),
         "ray_class": lambda mono: weights.ray_monomial_class(fan, mono),
     }[name]
@@ -1251,8 +1253,8 @@ def test_shared_derived_data_equals_a_fresh_fan():
             assert fan.cone_hrep(c) == fresh.cone_hrep(c)
             assert fans._faces_as_keys(fan, c) == fans._faces_as_keys(
                 fresh, c)
-    assert {"courant", "dual_basis", "duals", "homes", "localization",
-            "ray_class", "smooth"} <= names
+    assert {"assignment", "courant", "dual_basis", "duals", "homes",
+            "localization", "ray_class", "smooth"} <= names
 
 
 @FAN_ORACLE

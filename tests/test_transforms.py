@@ -127,6 +127,26 @@ def test_point_at_center():
     assert verify_fulton_identity(v, setup).verdict == "verified"
 
 
+def test_strict_transform_reads_the_setup_assignment(monkeypatch):
+    p3 = _p3()
+    setup = BlowupSetup(p3, p3.max_cones[0])
+    cycle = ToricCycle(p3, 1, {(0,): 1, (3,): 2})
+    calls = []
+    contains = fans.Fan.cone_contains
+
+    def counted(self, cone, point):
+        calls.append(cone)
+        return contains(self, cone, point)
+    monkeypatch.setattr(fans.Fan, "cone_contains", counted)
+    strict = strict_transform(cycle, setup)
+    assert calls == []
+    assert strict.coefficients
+    assignment = fans.subdivision_assignment(setup.refined,
+                                             setup.modification)
+    assert fans.subdivision_assignment(
+        setup.refined, setup.modification) is assignment
+
+
 def test_cycle_away_from_center():
     setup = _corner_setup()
     f = setup.modification
