@@ -19,8 +19,9 @@ from .ideals import segre_class
 from .linalg import identity_matrix, primitive_vector
 from .piecewise import courant_function, excess_chern_class, pp_pullback
 from .transforms import verify_fulton_identity
-from .tropical import (default_bound, dr_subfan, enumerate_stable_graphs,
-                       rubber_subdivision, tc_fiber_product)
+from .tropical import (_dr_subfans, default_bound, dr_subfan,
+                       enumerate_stable_graphs, rubber_subdivision,
+                       tc_fiber_product)
 from .weights import (is_balanced, mw_of_pp, mw_product, mw_to_pp,
                       pushforward_witness)
 
@@ -419,8 +420,8 @@ def cmd_tropdr_tc(args) -> int:
     _check_size(args)
     contact = _ints(args.contact, "--contact")
     contact2 = _ints(args.contact2, "--contact2")
-    left = dr_subfan(args.g, args.n, contact, args.bound)
-    right = dr_subfan(args.g, args.n, contact2, args.bound2)
+    left, right = _dr_subfans(args.g, args.n, [(contact, args.bound),
+                                               (contact2, args.bound2)])
     prod = tc_fiber_product(left, right)
     if args.format == "json":
         pieces = []

@@ -399,10 +399,15 @@ def stellar_subdivision(fan: Fan, cone: ConeKey, new_ray=None) -> Fan:
           or fan.minimal_cone_containing(new_ray) != cone):
         raise ValueError(f"ray {tuple(new_ray)} is not a rank-{fan.rank} "
                          f"vector in the relative interior of cone {cone}")
+    return _stellar(fan, cone, linalg.primitive_vector(new_ray))
+
+
+def _stellar(fan: Fan, cone: ConeKey, ray):
+    """stellar_subdivision by a primitive ray known to lie in the relative
+    interior of the cone, without locating it again."""
     return fan_from_cells(fan.rank, [
         _top_cell(fan, m) if m is not None else _cell(fan.rank, rays)
-        for m, rays in _stellar_tops(
-            fan, cone, linalg.primitive_vector(new_ray))])
+        for m, rays in _stellar_tops(fan, cone, ray)])
 
 
 def _stellar_tops(fan: Fan, cone: ConeKey, ray):
@@ -426,7 +431,7 @@ def insert_ray(fan: Fan, ray) -> Fan:
     home = fan.minimal_cone_containing(ray)
     if home is None:
         raise ValueError(f"direction {ray} lies outside the fan support")
-    return stellar_subdivision(fan, home, ray)
+    return _stellar(fan, home, ray)
 
 
 def common_refinement(fan1: Fan, fan2: Fan) -> Fan:

@@ -4,12 +4,14 @@ Cones are handled in two representations. Generator form is a list of
 integer vectors; constraint form is a pair (equalities, inequalities) of
 primitive integer functionals, with equalities cutting out the linear span
 and inequalities the facets within it. A simplicial cone is read off the
-dual basis of its rays within their span (dual_basis): one elimination of
-the Gram matrix gives every facet normal, up to scale. Every other
-conversion is built from split, one double-description step that cuts a
-cone's extreme rays by a hyperplane. Generators that are not independent
-get their facets from rays_from_constraints by duality: the facets of
-cone(G) within span(G) are the extreme rays of the dual cone
+dual basis of its rays within their span (dual_basis), which gives every
+facet normal up to scale: a full-dimensional one from one elimination of
+[R^T | I], R its ray matrix, with no kernel solve, and a lower-dimensional
+one from the kernel of its rays and one elimination of their Gram matrix.
+Every other conversion is built from split, one double-description step
+that cuts a cone's extreme rays by a hyperplane. Generators that are not
+independent get their facets from rays_from_constraints by duality: the
+facets of cone(G) within span(G) are the extreme rays of the dual cone
 {w in span(G) : g.w >= 0 for g in G}, which is pointed there.
 When both forms of a cone are at hand, possibly redundant, the irredundant
 part of either is read off the other by one rank per candidate instead
@@ -52,23 +54,28 @@ def dual_basis(rays):
 
     Returns one pair (u_i, p_i) per ray: u_i an integer vector in the span
     of the rays and p_i a nonzero integer with u_i . r_j = p_i if i == j
-    and 0 otherwise, so u_i / p_i is the dual basis vector. All of them
-    come from one integer elimination of [Gram | I]: the Gram matrix
-    inverted gives the coefficients of each u_i in the rays. Raises
-    ValueError when the rays are dependent.
+    and 0 otherwise, so u_i / p_i is the dual basis vector. As many rays as
+    coordinates are read off one integer elimination of [R^T | I], R the
+    matrix with the rays as rows: its rows reduce to [diag(p) | U] with
+    U R^T = diag(p), so row i holds u_i. Fewer rays are read off one
+    elimination of [Gram | I] instead: the Gram matrix inverted gives the
+    coefficients of each u_i in the rays, which keeps u_i in their span.
+    Raises ValueError when the rays are dependent.
     """
     k = len(rays)
-    gram = [[_dot(r, s) for s in rays] + [int(i == j) for j in range(k)]
-            for i, r in enumerate(rays)]
-    rows, pivots = linalg._integer_echelon(gram)
+    full = not rays or k == len(rays[0])
+    left = ([list(col) for col in zip(*rays)] if full else
+            [[_dot(r, s) for s in rays] for r in rays])
+    rows, pivots = linalg._integer_echelon(
+        [row + [int(i == j) for j in range(k)] for i, row in enumerate(left)])
     if pivots[:k] != list(range(k)):
         raise ValueError("rays are dependent")
-    out = []
-    for i, row in enumerate(rows[:k]):
-        u = tuple(sum(row[k + j] * rays[j][c] for j in range(k))
-                  for c in range(len(rays[0])))
-        out.append((u, row[i]))
-    return tuple(out)
+    if full:
+        return tuple((tuple(row[k:]), row[i]) for i, row in enumerate(rows))
+    return tuple(
+        (tuple(sum(row[k + j] * r[c] for j, r in enumerate(rays))
+               for c in range(len(rays[0]))), row[i])
+        for i, row in enumerate(rows[:k]))
 
 
 def cone_constraints(generators, ambient_dim: int):
@@ -90,19 +97,33 @@ def cone_constraints(generators, ambient_dim: int):
 
 def _constraints_and_basis(generators, ambient_dim: int):
     """cone_constraints, with the dual_basis of the nonzero generators
-    that its facets were read off when those are independent, else None."""
+    that its facets were read off when those are independent, else None.
+    As many independent generators as coordinates need no kernel solve:
+    the cone is full-dimensional, with no equalities."""
     gens = [tuple(g) for g in generators if any(g)]
+    if gens and len(gens) == ambient_dim:
+        try:
+            duals = dual_basis(gens)
+        except ValueError:
+            pass  # dependent: the kernel route below
+        else:
+            return ((), _signed_facets(duals)), duals
     eqs = linalg.primitive_kernel(gens if gens else [[0] * ambient_dim])
     if not gens:
         return (tuple(sorted(eqs)), ()), None
-    d = ambient_dim - len(eqs)
-    if len(gens) == d:
+    if len(gens) == ambient_dim - len(eqs):
         duals = dual_basis(gens)
-        ineqs = {linalg.primitive_vector(u if p > 0 else [-x for x in u])
-                 for u, p in duals}
-        return (tuple(sorted(eqs)), tuple(sorted(ineqs))), duals
+        return (tuple(sorted(eqs)), _signed_facets(duals)), duals
     ineqs = rays_from_constraints((eqs, tuple(gens)), ambient_dim)
     return (tuple(sorted(eqs)), ineqs), None
+
+
+def _signed_facets(duals):
+    """The facets of a simplicial cone, sorted: each u_i of its dual
+    basis, made primitive and nonnegative on the rays."""
+    return tuple(sorted({
+        linalg.primitive_vector(u if p > 0 else [-x for x in u])
+        for u, p in duals}))
 
 
 def cone_contains(constraints, point) -> bool:

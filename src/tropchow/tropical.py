@@ -244,6 +244,16 @@ class SlopeAssignment:
                 total += s
         return total
 
+    @classmethod
+    def _trusted(cls, graph, contact, slopes):
+        """An assignment known to balance, with tuple contact and slopes,
+        built without the checks of the constructor."""
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "graph", graph)
+        object.__setattr__(assignment, "contact", contact)
+        object.__setattr__(assignment, "slopes", slopes)
+        return assignment
+
 
 def balanced_slopes(graph: WeightedDualGraph, contact, bound: int):
     """Every integer slope assignment with all |slope| <= bound, sorted.
@@ -274,7 +284,8 @@ def balanced_slopes(graph: WeightedDualGraph, contact, bound: int):
             for i, c in enumerate(cycle):
                 slopes[i] += t * c
         if all(-bound <= m <= bound for m in slopes):
-            out.append(SlopeAssignment(graph, contact, tuple(slopes)))
+            out.append(SlopeAssignment._trusted(graph, contact,
+                                                tuple(slopes)))
     out.sort(key=lambda a: a.slopes)
     return out
 
@@ -410,17 +421,32 @@ def dr_subfan(g: int, n: int, contact, bound=None) -> DRSubfan:
     distinct cone are solved once. Completeness is always relative to
     the bound; no finiteness claim beyond the box is made.
     """
-    contact = tuple(contact)
-    if len(contact) != n:
-        raise ValueError("one contact slope per leg is required")
-    pieces = []
+    return _dr_subfans(g, n, [(contact, bound)])[0]
+
+
+def _dr_subfans(g: int, n: int, requests):
+    """dr_subfan of each (contact, bound) in turn, all over one list of
+    the stable graphs, so that they share each graph's spanning tree and
+    the rays of each distinct cone. Each request is refused as dr_subfan
+    refuses it, in order."""
+    graphs = None
     solved = {}
-    for graph in enumerate_stable_graphs(g, n):
-        b = default_bound(contact, graph.num_edges) if bound is None else bound
-        cones = [_dr_cone(graph, assignment, solved)
-                 for assignment in balanced_slopes(graph, contact, b)]
-        pieces.append(DRPiece(graph, b, _maximal_cones(cones)))
-    return DRSubfan(g, n, contact, tuple(pieces))
+    out = []
+    for contact, bound in requests:
+        contact = tuple(contact)
+        if len(contact) != n:
+            raise ValueError("one contact slope per leg is required")
+        if graphs is None:
+            graphs = enumerate_stable_graphs(g, n)
+        pieces = []
+        for graph in graphs:
+            b = (default_bound(contact, graph.num_edges) if bound is None
+                 else bound)
+            cones = [_dr_cone(graph, assignment, solved)
+                     for assignment in balanced_slopes(graph, contact, b)]
+            pieces.append(DRPiece(graph, b, _maximal_cones(cones)))
+        out.append(DRSubfan(g, n, contact, tuple(pieces)))
+    return out
 
 
 def contract_edge(graph: WeightedDualGraph, e: int):

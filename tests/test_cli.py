@@ -5,7 +5,7 @@ import pytest
 
 from helpers import fm_displaced_meets, ideal_to_payload, thirty_prime_plane
 from test_acceptance import _cli_run
-from tropchow import cli, io
+from tropchow import cli, io, tropical
 from tropchow.cli import build_parser, main
 from tropchow.fans import fan_from_max_cones, insert_ray
 from tropchow.ideals import MonomialIdeal
@@ -491,6 +491,30 @@ def test_tropdr_tc_runs(capsys):
     assert code == 0
     payload = io.parse_document(out).payload
     assert payload["contacts"] == [[1, -1], [0, 0]]
+
+
+def test_tropdr_tc_enumerates_the_stable_graphs_once(capsys, monkeypatch):
+    argv = ("tropdr", "tc", "--g", "1", "--n", "2", "--contact", "1,-1",
+            "--contact2", "2,-2", "--bound", "2", "--bound2", "3")
+    expected = _run(capsys, *argv)
+    enumerated = []
+    native = tropical.enumerate_stable_graphs
+
+    def counted(*args):
+        enumerated.append(args)
+        return native(*args)
+
+    monkeypatch.setattr(tropical, "enumerate_stable_graphs", counted)
+    assert _run(capsys, *argv) == expected
+    assert expected[0] == 0 and enumerated == [(1, 2)]
+    # both subfans are the ones dr_subfan builds on its own
+    left = tropical.dr_subfan(1, 2, (1, -1), 2)
+    right = tropical.dr_subfan(1, 2, (2, -2), 3)
+    assert tropical._dr_subfans(1, 2, [((1, -1), 2), ((2, -2), 3)]) == [
+        left, right]
+    # the second contact vector is still refused on its own
+    assert _run(capsys, "tropdr", "tc", "--g", "1", "--n", "2",
+                "--contact", "1,-1", "--contact2", "1,-1,0")[:2] == (2, "")
 
 
 def test_json_outputs_reproducible(capsys, tmp_path):

@@ -82,6 +82,26 @@ def test_stellar_subdivision_refuses_a_ray_off_the_center():
     assert fans.stellar_subdivision(f, (1,), (0, 3)) is f
 
 
+def test_insert_ray_locates_its_ray_once(monkeypatch):
+    f = _projective_plane()
+    located = []
+    native = fans.Fan.minimal_cone_containing
+
+    def counted(fan, point):
+        located.append(tuple(point))
+        return native(fan, point)
+
+    monkeypatch.setattr(fans.Fan, "minimal_cone_containing", counted)
+    bl = fans.insert_ray(f, (4, 2))
+    assert located == [(2, 1)]
+    # the public subdivision still locates the ray it is given
+    assert fans.stellar_subdivision(f, (1, 2), (2, 1)) is bl
+    assert located == [(2, 1), (2, 1)]
+    with pytest.raises(ValueError, match="lies outside the fan support"):
+        fans.insert_ray(fans.fan_from_max_cones(2, [[(1, 0), (0, 1)]]),
+                        (-1, 0))
+
+
 def test_multiplicity_and_resolution():
     f = fans.fan_from_max_cones(2, [[(1, 0), (1, 2)]])
     cone = f.max_cones[0]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (_independent_subset, fm_feasible, polytope_vertices,
                      polytope_volume)
-from tropchow import linalg, polyhedra, tropical
+from tropchow import fans, linalg, polyhedra, tropical
 
 
 def _cone_2d(*gens):
@@ -329,3 +329,73 @@ def test_edge_cone_rays_match_fraction_basis_reference(monkeypatch, contact):
         cons = (equations, orthant)
         assert (polyhedra.rays_from_constraints(cons, ne)
                 == _ref_rays_from_constraints(cons, ne))
+
+
+# full-dimensional simplicial cones: one elimination of [R^T | I]
+
+def _square_generator_sets(seed, count, dependent):
+    """count seeded n x n integer matrices for each n = 1..5 (2..5 when
+    dependent), rows as generators, all rows nonzero: full rank, or of
+    rank below n when dependent (one row a combination of two others)."""
+    rng = random.Random(seed)
+    for n in range(1 + dependent, 6):
+        found = 0
+        while found < count:
+            gens = [tuple(rng.randrange(-4, 5) for _ in range(n))
+                    for _ in range(n if not dependent else n - 1)]
+            if dependent:
+                a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+                gens.append(tuple(a * x + b * y
+                                  for x, y in zip(gens[0], gens[-1])))
+                rng.shuffle(gens)
+            if (not all(any(g) for g in gens)
+                    or (linalg.rank(gens) == n) == dependent):
+                continue
+            found += 1
+            yield n, gens
+
+
+def test_full_dimensional_dual_basis_reads_facets_off_one_elimination():
+    for n, gens in _square_generator_sets(31, 30, dependent=False):
+        basis = polyhedra.dual_basis(gens)
+        assert [[_dot(u, r) for r in gens] for u, _ in basis] == [
+            [p * (i == j) for j in range(n)] for i, (_, p) in enumerate(basis)]
+        assert all(p != 0 and all(type(x) is int for x in u)
+                   for u, p in basis)
+        # the facets are the extreme rays of the dual cone
+        assert polyhedra.cone_constraints(gens, n) == (
+            (), polyhedra.rays_from_constraints(((), tuple(gens)), n))
+
+
+def test_dependent_square_generators_keep_the_kernel_route():
+    for n, gens in _square_generator_sets(32, 12, dependent=True):
+        with pytest.raises(ValueError, match="rays are dependent"):
+            polyhedra.dual_basis(gens)
+        cons = polyhedra.cone_constraints(gens, n)
+        assert cons == _ref_cone_constraints(gens, n)
+        rays = _rays_or_refusal(polyhedra.rays_from_constraints, cons, n)
+        assert rays == (_extreme_rays(gens) if _is_pointed(gens)
+                        else "cone contains a line")
+    # a line among as many generators as coordinates is still refused
+    gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]
+    assert polyhedra.cone_constraints(gens, 3) == (((0, 0, 1),),
+                                                   ((0, 1, 0),))
+    with pytest.raises(ValueError, match="cone contains a line"):
+        polyhedra.rays_from_constraints(polyhedra.cone_constraints(gens, 3),
+                                        3)
+    with pytest.raises(ValueError, match="cone contains a line"):
+        fans.fan_from_max_cones(3, [gens])
+
+
+def test_full_dimensional_simplicial_cone_is_one_elimination(monkeypatch):
+    calls = {"_integer_echelon": 0, "primitive_kernel": 0}
+    for name in calls:
+        native = getattr(linalg, name)
+
+        def counted(*args, _name=name, _native=native):
+            calls[_name] += 1
+            return _native(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    cons = polyhedra.cone_constraints([(1, 0, 0), (1, 2, 0), (1, 1, 3)], 3)
+    assert cons == ((), ((0, 0, 1), (0, 3, -1), (6, -3, -1)))
+    assert calls == {"_integer_echelon": 1, "primitive_kernel": 0}

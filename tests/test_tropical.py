@@ -105,6 +105,29 @@ def test_balanced_slopes_frozen():
         balanced_slopes(LOOP, (1, 1), 2)
 
 
+def test_balanced_slopes_build_checked_assignments_without_rechecking(
+        monkeypatch):
+    outflows = []
+    native = SlopeAssignment.outflow
+
+    def counted(assignment, v):
+        outflows.append(v)
+        return native(assignment, v)
+
+    monkeypatch.setattr(SlopeAssignment, "outflow", counted)
+    found = [a for graph in enumerate_stable_graphs(1, 2)
+             for a in balanced_slopes(graph, (1, -1), 2)]
+    assert found and outflows == []
+    for a in found:
+        assert a == SlopeAssignment(a.graph, list(a.contact), list(a.slopes))
+        assert type(a.contact) is tuple and type(a.slopes) is tuple
+    # the constructor still checks the balance at every vertex
+    with pytest.raises(ValueError, match="do not balance at vertex 0"):
+        SlopeAssignment(BANANA, (1, -1), (1, 1))
+    with pytest.raises(ValueError, match="do not balance at vertex 0"):
+        SlopeAssignment(LOOP, (1, 1), (0,))
+
+
 def test_balanced_slopes_refuse_a_contact_vector_of_the_wrong_length():
     for graph in [BANANA] + enumerate_stable_graphs(1, 2):
         for contact in ((5, -5, 0), (0,), ()):
