@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 from . import linalg, polyhedra
 
@@ -191,11 +192,9 @@ class Fan:
                 raise ValueError("fan is not complete")
             for ridge in combinations(m, n - 1) if n else ():
                 ridges[ridge] = ridges.get(ridge, 0) + 1
-            # len(m) > n: a top cone that is not simplicial
-            basis = self.cone_dual_basis(m) if len(m) == n else None
-            if basis is None or any(x % p for u, p in basis for x in u):
+            if len(m) != n:  # a top cone that is not simplicial
                 raise ValueError("matrix is not unimodular")
-            duals[m] = [[x // p for x in u] for u, p in basis]
+            duals[m] = linalg.integral_rows(self.cone_dual_basis(m))
         if any(count != 2 for count in ridges.values()):
             raise ValueError("fan is not complete")
         return duals
@@ -514,7 +513,10 @@ def subdivision_assignment(fine: Fan, coarse: Fan) -> dict:
     return fine.cached(("assignment", coarse), compute)
 
 
-def resolve_smooth(fan: Fan, max_steps: int = 1000) -> Fan:
+_RESOLVE_STEPS = 1000  # refinements before resolve_smooth gives up
+
+
+def resolve_smooth(fan: Fan) -> Fan:
     """Refine until every cone is unimodular.
 
     Simplicial cones of multiplicity m > 1 are split at a parallelotope
@@ -522,13 +524,12 @@ def resolve_smooth(fan: Fan, max_steps: int = 1000) -> Fan:
     decreases multiplicities, so the loop terminates. Computed once per
     fan object, which then returns the same fan.
     """
-    return fan.cached(("resolve_smooth", max_steps),
-                      lambda: _resolve_smooth(fan, max_steps))
+    return fan.cached("resolve_smooth", lambda: _resolve_smooth(fan))
 
 
-def _resolve_smooth(fan: Fan, max_steps: int) -> Fan:
+def _resolve_smooth(fan: Fan) -> Fan:
     current = fan
-    for _ in range(max_steps):
+    for _ in range(_RESOLVE_STEPS):
         target = None
         for c in sorted(current.max_cones,
                         key=lambda c: (current.cone_dim(c), c)):
@@ -548,39 +549,24 @@ def _resolve_smooth(fan: Fan, max_steps: int) -> Fan:
 
 def _parallelotope_point(fan: Fan, cone: ConeKey):
     """Nonzero lattice point of the half-open ray parallelotope with the
-    smallest coefficient sum (lex tie-break on the ambient vector)."""
+    smallest coefficient sum (lex tie-break on the ambient vector). The
+    scan runs over coordinates x in the saturated basis of the cone's
+    span; the coefficients in the rays are t = a^-1 x, a inverted once."""
     rays = fan.cone_rays(cone)
-    d = len(rays)
-    span_cols = [[r[i] for r in rays] for i in range(fan.rank)]
-    _, sect, sat = linalg.saturation_data(span_cols)
+    sat = fan.cone_saturation(cone)[2]
     # coordinates of rays in the saturated lattice of their span
-    amat = []
-    for j in range(d):
-        col = [rays[j][i] for i in range(fan.rank)]
-        sol = linalg.solve(sat, col)
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        amat.append([int(x) for x in sol])
-    a = [[amat[j][i] for j in range(d)] for i in range(d)]
-    lo = [sum(min(0, a[i][j]) for j in range(d)) for i in range(d)]
-    hi = [sum(max(0, a[i][j]) for j in range(d)) for i in range(d)]
+    coords = [linalg.solve(sat, r) for r in rays]
+    assert all(x.denominator == 1 for c in coords for x in c)
+    a = [[int(c[i]) for c in coords] for i in range(len(rays))]
+    inverse = linalg.scaled_inverse(a)
     best = None
-    def scan(prefix):
-        nonlocal best
-        if len(prefix) == d:
-            t = linalg.solve(a, prefix)
-            if t is None or any(x < 0 or x >= 1 for x in t) or not any(t):
-                return
-            ambient = tuple(
-                sum(sat[i][j] * prefix[j] for j in range(d))
-                for i in range(fan.rank))
-            key = (sum(t), ambient)
-            if best is None or key < best:
-                best = key
-            return
-        i = len(prefix)
-        for v in range(lo[i], hi[i] + 1):
-            scan(prefix + [v])
-    scan([])
+    for x in product(*(range(sum(min(0, y) for y in row),
+                             sum(max(0, y) for y in row) + 1) for row in a)):
+        t = [Fraction(sum(y * z for y, z in zip(u, x)), p) for u, p in inverse]
+        if any(t) and all(0 <= c < 1 for c in t):
+            key = (sum(t), tuple(sum(y * z for y, z in zip(row, x))
+                                 for row in sat))
+            best = key if best is None else min(best, key)
     if best is None:
         raise RuntimeError("no parallelotope point found")
     return best[1]
@@ -608,15 +594,8 @@ class StarFan:
 def star_fan(fan: Fan, center: ConeKey) -> StarFan:
     if center not in fan.cones:
         raise ValueError("center is not a fan cone")
-    c = fan.cone_dim(center)
-    center_rays = fan.cone_rays(center)
-    if c:
-        cols = [[r[i] for r in center_rays] for i in range(fan.rank)]
-        proj, sect, _ = linalg.saturation_data(cols)
-    else:
-        proj = linalg.identity_matrix(fan.rank)
-        sect = linalg.identity_matrix(fan.rank)
-    q = fan.rank - c
+    proj, sect, _ = fan.cone_saturation(center)
+    q = fan.rank - fan.cone_dim(center)
     sources = [m for m in fan.max_cones if set(center) <= set(m)]
     images = []
     for m in sources:

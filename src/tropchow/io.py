@@ -3,7 +3,8 @@
 Documents are JSON with a fixed envelope {kind, version, payload}.
 Rationals are strings "p/q" in lowest terms with q > 0, or a bare
 integer; printing always emits the canonical spelling, so documents
-round-trip byte for byte once canonicalised.
+round-trip byte for byte once canonicalised. A list that names one cone
+or exponent twice is refused rather than letting one entry win.
 """
 from __future__ import annotations
 
@@ -207,6 +208,8 @@ def _values_from_payload(fan: Fan, payload, field, what):
     for item in items:
         _expect_keys(item, ("cone", "value"), what)
         cone = _cone_from_payload(fan, item["cone"])
+        if cone in values:
+            raise DocumentError(f"{what} repeats cone {item['cone']}")
         values[cone] = parse_rational(item["value"])
     return values
 
@@ -251,6 +254,8 @@ def _poly_from_payload(terms, nvars) -> Polynomial:
         exp = _int_list(item["exp"], "exp")
         if len(exp) != nvars or any(e < 0 for e in exp):
             raise DocumentError(f"bad exponent {list(exp)}")
+        if exp in data:
+            raise DocumentError(f"term repeats exponent {list(exp)}")
         data[exp] = parse_rational(item["coeff"])
     return Polynomial(nvars, data)
 
@@ -270,6 +275,8 @@ def pp_from_payload(payload) -> PiecewisePolynomial:
     for item in payload["pieces"]:
         _expect_keys(item, ("cone", "poly"), "piece")
         cone = _cone_from_payload(fan, item["cone"])
+        if cone in pieces:
+            raise DocumentError(f"piece repeats cone {item['cone']}")
         pieces[cone] = _poly_from_payload(item["poly"], fan.rank)
     try:
         return PiecewisePolynomial(fan, pieces)

@@ -5,9 +5,12 @@ Elimination is fraction-free: each row is scaled to integers by the lcm of
 its denominators, then eliminated in Python ints (arbitrary precision),
 Gauss-Jordan with every new row divided by its content, or Bareiss for
 det. Fractions are built only for the outputs of rref, solve, nullspace
-and det; rank and primitive_kernel build none. All of this is cubic-time
-elimination, which is plenty for the matrix sizes that fan and weight
-computations produce.
+and det; rank and primitive_kernel build none. Every inverse of a basis
+(dual bases of cone rays, unimodular inverses, the start cone of the
+double description) is read off one kernel, scaled_inverse: a single
+elimination of [a | I], whose rows are those of the inverse scaled to
+integers. All of this is cubic-time elimination, which is plenty for the
+matrix sizes that fan and weight computations produce.
 """
 from __future__ import annotations
 
@@ -194,22 +197,28 @@ def lattice_index(a: IntMatrix) -> int:
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
+    return integral_rows(scaled_inverse(a))
+
+
+def scaled_inverse(a):
+    """The rows of the inverse of a square rational matrix as integer
+    pairs (u_i, p_i), p_i != 0, with u_i . a = p_i e_i: one elimination
+    reduces [a | I] to [diag(p) | U]. Raises ValueError when a is singular.
+    """
     n = len(a)
     rows, pivots = _integer_echelon(
         [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    inv = []
-    for i in range(n):
-        pv = rows[i][i]
-        row = []
-        for x in rows[i][n:]:
-            q, r = divmod(x, pv)
-            if r:
-                raise ValueError("matrix is not unimodular")
-            row.append(q)
-        inv.append(row)
-    return inv
+    return tuple((tuple(row[n:]), row[i]) for i, row in enumerate(rows))
+
+
+def integral_rows(pairs):
+    """The rows u_i / p_i of scaled pairs (as from scaled_inverse) as
+    integer lists; raises ValueError when one is not integral."""
+    if any(x % p for u, p in pairs for x in u):
+        raise ValueError("matrix is not unimodular")
+    return [[x // p for x in u] for u, p in pairs]
 
 
 def saturation_data(b: IntMatrix):

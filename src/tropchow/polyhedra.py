@@ -5,22 +5,26 @@ integer vectors; constraint form is a pair (equalities, inequalities) of
 primitive integer functionals, with equalities cutting out the linear span
 and inequalities the facets within it. A simplicial cone is read off the
 dual basis of its rays within their span (dual_basis), which gives every
-facet normal up to scale: a full-dimensional one from one elimination of
-[R^T | I], R its ray matrix, with no kernel solve, and a lower-dimensional
-one from the kernel of its rays and one elimination of their Gram matrix.
-Every other conversion is built from split, one double-description step
-that cuts a cone's extreme rays by a hyperplane. Generators that are not
-independent get their facets from rays_from_constraints by duality: the
-facets of cone(G) within span(G) are the extreme rays of the dual cone
-{w in span(G) : g.w >= 0 for g in G}, which is pointed there.
-When both forms of a cone are at hand, possibly redundant, the irredundant
-part of either is read off the other by one rank per candidate instead
-(extreme_generators, facet_constraints): in a pointed cone of dimension d,
-a generator is extreme and a row is a facet exactly when the partners
-vanishing on it have rank d - 1. Every kernel vector is a primitive
-integer vector read off the integer echelon form (linalg.primitive_kernel).
-Nothing here decides affine feasibility: whether cone s1 meets s2 + v is
-whether v lies in the cone spanned by the rays of s1 and minus those of s2.
+facet normal up to scale: a full-dimensional one from the inverse of its
+ray matrix, with no kernel solve, and a lower-dimensional one from the
+kernel of its rays and the inverse of their Gram matrix; both inverses
+are one linalg.scaled_inverse. Every other conversion is built from
+split, one double-description step that cuts a cone's extreme rays by a
+hyperplane. rays_from_constraints starts from the simplicial cone that d
+independent rows cut out, whose rays are the columns of their inverse
+(one scaled_inverse, no kernel per ray), and splits it by the other
+rows. Generators that are not independent get their facets from
+rays_from_constraints by duality: the facets of cone(G) within span(G)
+are the extreme rays of the dual cone {w in span(G) : g.w >= 0 for g in
+G}, which is pointed there. When both forms of a cone are at hand,
+possibly redundant, the irredundant part of either is read off the other
+by one rank per candidate instead (extreme_generators,
+facet_constraints): in a pointed cone of dimension d, a generator is
+extreme and a row is a facet exactly when the partners vanishing on it
+have rank d - 1. Every kernel vector is a primitive integer vector read
+off the integer echelon form (linalg.primitive_kernel). Nothing here
+decides affine feasibility: whether cone s1 meets s2 + v is whether v
+lies in the cone spanned by the rays of s1 and minus those of s2.
 """
 from __future__ import annotations
 
@@ -55,27 +59,25 @@ def dual_basis(rays):
     Returns one pair (u_i, p_i) per ray: u_i an integer vector in the span
     of the rays and p_i a nonzero integer with u_i . r_j = p_i if i == j
     and 0 otherwise, so u_i / p_i is the dual basis vector. As many rays as
-    coordinates are read off one integer elimination of [R^T | I], R the
-    matrix with the rays as rows: its rows reduce to [diag(p) | U] with
-    U R^T = diag(p), so row i holds u_i. Fewer rays are read off one
-    elimination of [Gram | I] instead: the Gram matrix inverted gives the
+    coordinates give linalg.scaled_inverse(R^T) as it is, R the matrix
+    with the rays as rows (u_i R^T = p_i e_i). Fewer rays are read off the
+    scaled_inverse of their Gram matrix instead: its rows are the
     coefficients of each u_i in the rays, which keeps u_i in their span.
     Raises ValueError when the rays are dependent.
     """
-    k = len(rays)
-    full = not rays or k == len(rays[0])
-    left = ([list(col) for col in zip(*rays)] if full else
+    full = not rays or len(rays) == len(rays[0])
+    try:
+        pairs = linalg.scaled_inverse(
+            list(zip(*rays)) if full else
             [[_dot(r, s) for s in rays] for r in rays])
-    rows, pivots = linalg._integer_echelon(
-        [row + [int(i == j) for j in range(k)] for i, row in enumerate(left)])
-    if pivots[:k] != list(range(k)):
-        raise ValueError("rays are dependent")
+    except ValueError:
+        raise ValueError("rays are dependent") from None
     if full:
-        return tuple((tuple(row[k:]), row[i]) for i, row in enumerate(rows))
+        return pairs
     return tuple(
-        (tuple(sum(row[k + j] * r[c] for j, r in enumerate(rays))
-               for c in range(len(rays[0]))), row[i])
-        for i, row in enumerate(rows[:k]))
+        (tuple(sum(w * r[c] for w, r in zip(row, rays))
+               for c in range(len(rays[0]))), p)
+        for row, p in pairs)
 
 
 def cone_constraints(generators, ambient_dim: int):
@@ -135,7 +137,9 @@ def cone_contains(constraints, point) -> bool:
 def rays_from_constraints(constraints, ambient_dim: int):
     """Extreme rays of the pointed cone {x : Ex = 0, Ax >= 0}, A possibly
     rational: d independent rows of A cut out a simplicial cone on the
-    kernel of E, one kernel per ray, and the other rows split it. Raises
+    kernel of E, and the other rows split it. The start cone's rays are
+    read off one linalg.scaled_inverse of those rows transposed: u_i,
+    signed by p_i, is tight on every start row but row i. Raises
     ValueError when the cone contains a line.
     """
     eqs, ineqs = constraints
@@ -147,10 +151,8 @@ def rays_from_constraints(constraints, ambient_dim: int):
     rows = [reduced[i] for i in start]
     if len(rows) < d:
         raise ValueError("cone contains a line")
-    rays = []
-    for k, a in enumerate(rows):
-        y = linalg.primitive_kernel(rows[:k] + rows[k + 1:] or [[0] * d])[0]
-        rays.append(y if _dot(a, y) > 0 else tuple(-t for t in y))
+    rays = [linalg.primitive_vector(u if p > 0 else [-x for x in u])
+            for u, p in linalg.scaled_inverse(list(zip(*rows)))]
     for a in reduced:
         if a not in rows:
             rays = split(rays, rows, a)[0]

@@ -8,6 +8,8 @@ witnesses move classes back and forth. One exact localization kernel,
 pushforward_witness, reads every weight off a function: the weight of
 a function on its own fan (mw_of_pp), degrees and pushforwards to a
 coarser fan all sum values at test points, never products of functions.
+The corner locus (pl_cap) reads each linear extension along a cone off
+the dual basis the fan keeps for that cone (_linear_extension_on).
 """
 from __future__ import annotations
 
@@ -237,9 +239,9 @@ def _pair_multiplicity(fan: Fan, sigma1, sigma2) -> int:
     For simplicial cones whose rays number at most the rank together, the
     meet holds exactly when v(t) = sum c_k r_k over the union of rays has
     c_k >= 0 on the rays of sigma1 alone and c_k <= 0 on those of sigma2
-    alone. One integer elimination of [rays | I] gives the rank and
-    rows[k][k] * c_k = rows[k][n:] . v(t), a nonzero row as the rays are a
-    basis. On a smooth fan the index is the determinant of the rays.
+    alone. The dual basis of the rays (polyhedra.dual_basis) decides
+    whether they are a basis and then gives p_k c_k = u_k . v(t), u_k a
+    nonzero row. On a smooth fan the index is the determinant of the rays.
     Other pairs are decided by cone membership (_displaced_meets).
     """
     n = fan.rank
@@ -249,13 +251,12 @@ def _pair_multiplicity(fan: Fan, sigma1, sigma2) -> int:
         if len(union) < n:
             return 0
         rays = fan.cone_rays(union)
-        rows, pivots = linalg._integer_echelon(
-            [[r[i] for r in rays] + [int(i == j) for j in range(n)]
-             for i in range(n)])
-        if pivots != list(range(n)):
+        try:
+            duals = polyhedra.dual_basis(rays)
+        except ValueError:
             return 0
-        for k, i in enumerate(union):
-            sign = rows[k][k] * _last_nonzero(rows[k][n:])
+        for i, (u, p) in zip(union, duals):
+            sign = p * _last_nonzero(u)
             if sign < 0 and i not in sigma2 or sign > 0 and i not in sigma1:
                 return 0
         if fan.is_smooth():
@@ -387,24 +388,16 @@ def pushforward_witness(source_fan: Fan, witness: PiecewisePolynomial,
 # ---------------------------------------------------------------------------
 # corner locus
 
-def _min_norm_functional(rays, values, rank):
-    """Least-norm linear functional with given values on independent rays."""
-    gram = [[sum(a * b for a, b in zip(r, s)) for s in rays] for r in rays]
-    w = linalg.solve(gram, values)
-    if w is None:
-        raise ValueError("rays are dependent")
-    return [sum(w[i] * rays[i][j] for i in range(len(rays)))
-            for j in range(rank)]
-
-
 def _linear_extension_on(fan: Fan, phi: PiecewisePolynomial, tau):
-    """Least-norm linear functional agreeing with phi on a cone."""
-    rays = fan.cone_rays(tau)
-    if not rays:
-        return [Fraction(0)] * fan.rank
+    """Least-norm linear functional agreeing with phi on a cone: the sum
+    of phi(r_i) u_i / p_i over the cone's dual basis (Fan.cone_dual_basis),
+    whose u_i lie in the span of its rays."""
     piece = phi.piece_on(tau)
-    values = [piece.evaluate(r) for r in rays]
-    return _min_norm_functional(rays, values, fan.rank)
+    ext = [Fraction(0)] * fan.rank
+    for r, (u, p) in zip(fan.cone_rays(tau), fan.cone_dual_basis(tau)):
+        c = Fraction(piece.value(r), p)
+        ext = [e + c * x for e, x in zip(ext, u)]
+    return ext
 
 
 def pl_cap(phi: PiecewisePolynomial, w: MinkowskiWeight) -> MinkowskiWeight:

@@ -125,6 +125,47 @@ def test_unknown_field_exits_2(capsys, tmp_path):
     assert "unknown field" in err
 
 
+def _refused_document(capsys, tmp_path, kind, payload, *argv):
+    """Run a command whose last flag takes the document; it must exit 2
+    with one error line."""
+    path = _write(tmp_path, f"{kind}.json", kind, payload)
+    code, out, err = _run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_pp_repeating_a_piece_cone_exits_2(capsys, tmp_path):
+    payload = io.pp_to_payload(courant_function(_p2(), 0))
+    pieces = payload["pieces"]
+    # the first cone again, with another polynomial: neither piece wins
+    repeated = dict(pieces[0], poly=[{"exp": [0, 0], "coeff": "5"}])
+    err = _refused_document(capsys, tmp_path, "pp",
+                            dict(payload, pieces=pieces + [repeated]),
+                            "pp", "eval", "--point", "1,0", "--pp")
+    assert "piece repeats cone" in err
+
+
+def test_weight_repeating_a_cone_exits_2(capsys, tmp_path):
+    payload = io.weight_to_payload(mw_of_pp(courant_function(_p2(), 0), 1))
+    values = payload["values"]
+    repeated = dict(values[0], value="7")
+    err = _refused_document(capsys, tmp_path, "weight",
+                            dict(payload, values=values + [repeated]),
+                            "chow", "balance", "--weight")
+    assert "weight value repeats cone" in err
+
+
+def test_poly_repeating_an_exponent_exits_2(capsys, tmp_path):
+    payload = io.pp_to_payload(courant_function(_p2(), 0))
+    pieces = [dict(p, poly=p["poly"] + p["poly"]) if p["poly"] else p
+              for p in payload["pieces"]]
+    err = _refused_document(capsys, tmp_path, "pp",
+                            dict(payload, pieces=pieces),
+                            "pp", "eval", "--point", "1,0", "--pp")
+    assert "term repeats exponent" in err
+
+
 def test_fan_stellar_adds_ray(capsys, p2_doc):
     code, out, _ = _run(capsys, "fan", "stellar", "--fan", p2_doc,
                         "--cone", "1,2")

@@ -1220,7 +1220,7 @@ def _recompute(fan, key):
         "dual_basis": fan.cone_dual_basis,
         "saturation": fan.cone_saturation,
         "duals": fan.unimodular_duals,
-        "resolve_smooth": lambda steps: fans.resolve_smooth(fan, steps),
+        "resolve_smooth": lambda: fans.resolve_smooth(fan),
         "courant": lambda i: piecewise.courant_function(fan, i),
         "homes": lambda target, matrix: piecewise.cone_homes(
             fan, matrix, target),

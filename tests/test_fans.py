@@ -140,6 +140,20 @@ def test_star_fan():
     assert whole.fan == f
 
 
+def test_star_at_the_zero_cone_has_identity_maps():
+    from tropchow import linalg
+    point = fans.fan_from_max_cones(0, [])
+    p3 = fans.fan_from_max_cones(3, [
+        [r for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+         if r != skip]
+        for skip in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))])
+    for f in (point, _projective_plane(), _square(), p3):
+        star = fans.star_fan(f, ())
+        assert star.proj == linalg.identity_matrix(f.rank)
+        assert star.sect == linalg.identity_matrix(f.rank)
+        assert star.fan == f
+
+
 def test_common_refinement():
     sq = _square()
     d1 = fans.insert_ray(sq, (1, 1))

@@ -109,6 +109,47 @@ def test_rational_solvers():
     assert linalg.rank([[1, 2], [2, 4]]) == 1
 
 
+def test_scaled_inverse_sweep():
+    rng = random.Random(22)
+    outcomes = set()
+    for n in range(6):
+        for trial in range(60):
+            a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+            if n and trial % 4 == 0:  # a dependent row
+                a[-1] = [x + 2 * y for x, y in zip(a[0], a[n // 2])]
+            if linalg.rank(a) < n:
+                outcomes.add("singular")
+                with pytest.raises(ValueError, match="singular"):
+                    linalg.scaled_inverse(a)
+                continue
+            outcomes.add(n)
+            pairs = linalg.scaled_inverse(a)
+            assert len(pairs) == n
+            for i, (u, p) in enumerate(pairs):
+                assert type(p) is int and p != 0
+                assert all(type(x) is int for x in u)
+                # u_i . a = p_i e_i
+                assert [sum(u[k] * a[k][j] for k in range(n))
+                        for j in range(n)] == [p * (i == j) for j in range(n)]
+    assert outcomes == {"singular", 0, 1, 2, 3, 4, 5}
+
+
+def test_invert_unimodular_on_unimodular_products():
+    rng = random.Random(23)
+    for n in range(6):
+        for _ in range(20):
+            a = linalg.identity_matrix(n)
+            for _ in range(3 * n if n > 1 else 0):  # det stays 1
+                i, j = rng.sample(range(n), 2)
+                c = rng.randrange(-3, 4)
+                a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            inv = linalg.invert_unimodular(a)
+            assert all(type(x) is int for row in inv for x in row)
+            assert linalg.mat_mul(a, inv) == linalg.identity_matrix(n)
+            assert linalg.mat_mul(inv, a) == linalg.identity_matrix(n)
+            assert linalg.integral_rows(linalg.scaled_inverse(a)) == inv
+
+
 def test_invert_unimodular_refusals():
     with pytest.raises(ValueError, match="singular"):
         linalg.invert_unimodular([[1, 1], [1, 1]])

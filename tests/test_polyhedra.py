@@ -399,3 +399,31 @@ def test_full_dimensional_simplicial_cone_is_one_elimination(monkeypatch):
     cons = polyhedra.cone_constraints([(1, 0, 0), (1, 2, 0), (1, 1, 3)], 3)
     assert cons == ((), ((0, 0, 1), (0, 3, -1), (6, -3, -1)))
     assert calls == {"_integer_echelon": 1, "primitive_kernel": 0}
+
+
+def test_start_cone_is_one_inverse(monkeypatch):
+    calls = {"scaled_inverse": 0, "primitive_kernel": 0}
+    for name in calls:
+        native = getattr(linalg, name)
+
+        def counted(*args, _name=name, _native=native):
+            calls[_name] += 1
+            return _native(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    rng = random.Random(24)
+    for d in range(1, 6):
+        for eqs in ((), (tuple([1] + [0] * d),)):
+            n = d + len(eqs)
+            # d independent rows on the kernel of eqs, then redundant ones
+            rows = [tuple([0] * (n - d) + [int(i == j) for j in range(d)])
+                    for i in range(d)]
+            rows += [tuple(rng.randrange(0, 3) for _ in range(n))
+                     for _ in range(2)]
+            for k in range(d - 1):  # shear the orthant, keeping det 1
+                rows[k] = tuple(x + rng.randrange(0, 3) * y
+                                for x, y in zip(rows[k], rows[k + 1]))
+            cons = (eqs, tuple(rows))
+            calls.update(dict.fromkeys(calls, 0))
+            rays = polyhedra.rays_from_constraints(cons, n)
+            assert calls == {"scaled_inverse": 1, "primitive_kernel": 1}
+            assert rays == _ref_rays_from_constraints(cons, n)

@@ -407,11 +407,43 @@ def test_displaced_meets_equals_fourier_motzkin(build):
     assert outcomes == {True, False}
 
 
+def _rank3_fans():
+    """P3, a weighted P(1,1,1,2) (simplicial, not smooth) and a stellar
+    subdivision of it along a two-dimensional cone."""
+    e3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    w = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)]
+    p3 = fans.fan_from_max_cones(3, [list(c)
+                                     for c in itertools.combinations(e3, 3)])
+    p1112 = fans.fan_from_max_cones(3, [list(c)
+                                        for c in itertools.combinations(w, 3)])
+    edge = tuple(sorted(p1112.rays.index(r) for r in w[2:]))
+    return p3, p1112, fans.stellar_subdivision(p1112, edge)
+
+
+def test_linear_extension_agrees_on_the_rays_and_lies_in_their_span():
+    rng = random.Random(25)
+    for fan in _rank3_fans():
+        phi = PiecewisePolynomial.zero(fan)
+        for i in range(len(fan.rays)):
+            phi = phi + courant_function(fan, i).scale(rng.randrange(-3, 4))
+        for tau in fan.cones:
+            ext = weights._linear_extension_on(fan, phi, tau)
+            assert len(ext) == fan.rank
+            for r in fan.cone_rays(tau):
+                assert sum(e * x for e, x in zip(ext, r)) == (
+                    phi.piece_on(tau).evaluate(r))
+            for eq in fan.cone_hrep(tau)[0]:
+                assert sum(e * x for e, x in zip(ext, eq)) == 0
+
+
 def test_saturation_is_kept_per_cone_object(monkeypatch):
     _drop_dead_fans()
     f = _p112()
     a = mw_of_pp(_phi(f, (1, 0)), 1)
     b = mw_of_pp(_phi(f, (-1, -2)), 1)
+    # resolving f for the localization already kept some saturations
+    kept = [key[1] for key in f._derived
+            if isinstance(key, tuple) and key[0] == "saturation"]
     seen = []
     real = linalg.saturation_data
     monkeypatch.setattr(linalg, "saturation_data",
@@ -426,16 +458,19 @@ def test_saturation_is_kept_per_cone_object(monkeypatch):
     assert is_balanced(a) and is_balanced(first)
     for cone in f.cones:
         assert f.cone_saturation(cone) is f.cone_saturation(cone)
-    assert len(seen) == len(f.cones)
+    # the kept ones and the computed ones cover every cone exactly once
+    cols = {str([[r[i] for r in f.cone_rays(c)] for i in range(f.rank)]): c
+            for c in f.cones}
+    assert sorted(kept + [cols[str(c)] for c in seen]) == sorted(f.cones)
     # a fan built again while f is alive is f, and computes nothing
     g = _p112()
     assert g is f
     mw_product(mw_of_pp(_phi(g, (1, 0)), 1), mw_of_pp(_phi(g, (-1, -2)), 1))
-    assert len(seen) == len(f.cones)
+    assert len(kept) + len(seen) == len(f.cones)
     # a Fan constructed directly computes its own
     h = fans.Fan(f.rank, f.rays, f.cones)
     mw_product(mw_of_pp(_phi(h, (1, 0)), 1), mw_of_pp(_phi(h, (-1, -2)), 1))
-    assert len(seen) > len(f.cones)
+    assert len(kept) + len(seen) > len(f.cones)
 
 
 def test_product_on_the_point_fan():
