@@ -158,7 +158,14 @@ def fan_payload_parts(payload):
     cones = payload["max_cones"]
     if not isinstance(cones, list):
         raise DocumentError("max_cones must be a list")
-    return rank, [[_int_list(r, "ray") for r in cone] for cone in cones]
+    if not all(isinstance(cone, list) for cone in cones):
+        raise DocumentError("cone must be a list of rays")
+    gens = [[_int_list(r, "ray") for r in cone] for cone in cones]
+    for ray in (r for cone in gens for r in cone):
+        if len(ray) != rank:
+            raise DocumentError(f"ray {list(ray)} has {len(ray)} "
+                                f"coordinates, not the fan rank {rank}")
+    return rank, gens
 
 
 def fan_from_payload(payload) -> Fan:

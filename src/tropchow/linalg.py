@@ -9,8 +9,12 @@ and det; rank and primitive_kernel build none. Every inverse of a basis
 (dual bases of cone rays, unimodular inverses, the start cone of the
 double description) is read off one kernel, scaled_inverse: a single
 elimination of [a | I], whose rows are those of the inverse scaled to
-integers. All of this is cubic-time elimination, which is plenty for the
-matrix sizes that fan and weight computations produce.
+integers. Every lattice question (saturations and quotient maps, the
+Smith form, lattice indices) is read off one integer kernel,
+_unimodular_echelon: the Hermite normal form by 2x2 extended-gcd row
+moves, with the unimodular transform and its inverse alongside. All of
+this is cubic-time elimination, which is plenty for the matrix sizes that
+fan and weight computations produce.
 """
 from __future__ import annotations
 
@@ -62,142 +66,107 @@ def mat_vec(a, v):
     return tuple(sum(ai[j] * v[j] for j in range(len(v))) for ai in a)
 
 
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0, and t = 0 when a
+    divides b, so a row that already divides its column is kept."""
+    if a and b % a == 0:
+        return abs(a), (1 if a > 0 else -1), 0
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (r0, s0, t0) if r0 > 0 else (-r0, -s0, -t0)
+
+
+def _move(mats, i, j, a11, a12, a21, a22):
+    """Rows (i, j) of each matrix <- (a11*row_i + a12*row_j,
+    a21*row_i + a22*row_j)."""
+    for rows in mats:
+        x, y = rows[i], rows[j]
+        rows[i] = [a11 * p + a12 * q for p, q in zip(x, y)]
+        rows[j] = [a21 * p + a22 * q for p, q in zip(x, y)]
+
+
+def _unimodular_echelon(b: IntMatrix):
+    """Reduced row echelon form of an integer matrix over the integers
+    (the Hermite normal form), by 2x2 extended-gcd row moves.
+
+    Returns:
+        (h, u, w, r) with u unimodular, u * b = h and w = u^-1. The first
+        r rows of h are nonzero, each pivot is positive and the entries
+        above it are reduced modulo it; the rows after r are zero.
+    """
+    m = len(b)
+    n = len(b[0]) if m else 0
+    h = [list(row) for row in b]
+    u = identity_matrix(m)
+    wt = identity_matrix(m)  # rows of wt are the columns of w
+
+    # each move on the rows of h and u comes with the inverse transpose
+    # move on the rows of wt, so that w * u = I throughout
+    r = 0
+    for c in range(n):
+        for i in range(r + 1, m):
+            if h[i][c]:
+                x, y = h[r][c], h[i][c]
+                g, s, t = _xgcd(x, y)
+                _move((h, u), r, i, s, t, -y // g, x // g)
+                _move((wt,), r, i, x // g, y // g, -t, s)
+        if r == m or not h[r][c]:
+            continue
+        if h[r][c] < 0:
+            for rows in (h, u, wt):
+                rows[r] = [-x for x in rows[r]]
+        for k in range(r):
+            q = h[k][c] // h[r][c]
+            if q:
+                _move((h, u), k, r, 1, -q, 0, 1)
+                _move((wt,), k, r, 1, 0, q, 1)
+        r += 1
+    return h, u, _transpose(wt), r
+
+
 def smith_normal_form(a: IntMatrix):
     """Compute the Smith normal form of an integer matrix.
+
+    Row and column echelons alternate until d is diagonal; then each pair
+    of diagonal entries (x, y) becomes (gcd, lcm) by one 2x2 move.
 
     Returns:
         (d, u, v) with d = u * a * v, u and v unimodular, d diagonal with
         nonnegative entries satisfying d[i] | d[i+1].
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [list(row) for row in a]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        for j in range(n):
-            d[dst][j] += c * d[src][j]
-        for j in range(m):
-            u[dst][j] += c * u[src][j]
-
-    def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < m and t < n:
-        # find a nonzero pivot in the remaining block
-        pi = pj = -1
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            # clear column t by row operations, euclidean style
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] == 0:
-                    continue
-                q = d[i][t] // d[t][t]
-                add_row(t, i, -q)
-                if d[i][t] != 0:
-                    swap_rows(t, i)
-                    dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] == 0:
-                    continue
-                q = d[t][j] // d[t][t]
-                add_col(t, j, -q)
-                if d[t][j] != 0:
-                    swap_cols(t, j)
-                    dirty = True
-            if not dirty:
-                break
-        t += 1
-
-    rank = t
-    for i in range(rank):
-        if d[i][i] < 0:
-            for j in range(n):
-                d[i][j] = -d[i][j]
-            # keep d = u a v consistent: negate row of u
-            for j in range(m):
-                u[i][j] = -u[i][j]
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            x, y = d[i][i], d[i + 1][i + 1]
-            if y % x != 0:
-                changed = True
-                add_col(i + 1, i, 1)
-                # re-diagonalize the 2x2 block; each swap shrinks |pivot|
-                while d[i + 1][i] != 0 or d[i][i + 1] != 0:
-                    while d[i + 1][i] != 0:
-                        q = d[i + 1][i] // d[i][i]
-                        add_row(i, i + 1, -q)
-                        if d[i + 1][i] != 0:
-                            swap_rows(i, i + 1)
-                    while d[i][i + 1] != 0:
-                        q = d[i][i + 1] // d[i][i]
-                        add_col(i, i + 1, -q)
-                        if d[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                for k in (i, i + 1):
-                    if d[k][k] < 0:
-                        for j in range(n):
-                            d[k][j] = -d[k][j]
-                        for j in range(m):
-                            u[k][j] = -u[k][j]
-    return d, u, v
-
-
-def elementary_divisors(a: IntMatrix) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
+    d, u, _, r = _unimodular_echelon(a)
+    vt = identity_matrix(len(a[0]) if a else 0)  # v transposed
+    while any(x for i, row in enumerate(d) for j, x in enumerate(row)
+              if i != j):
+        dt, v_step, _, _ = _unimodular_echelon(_transpose(d))
+        d, u_step, _, r = _unimodular_echelon(_transpose(dt))
+        u, vt = mat_mul(u_step, u), mat_mul(v_step, vt)
+    for i in range(r):
+        for j in range(i + 1, r):
+            x, y = d[i][i], d[j][j]
+            if y % x:
+                g, s, t = _xgcd(x, y)
+                d[i][i], d[j][j] = g, x // g * y
+                _move((u,), i, j, s, t, -y // g, x // g)
+                _move((vt,), i, j, 1, 1, -t * y // g, s * x // g)
+    return d, u, _transpose(vt)
 
 
 def lattice_index(a: IntMatrix) -> int:
     """Index of the column span of a inside its saturation.
 
-    The product of the elementary divisors; 1 exactly when the columns
-    generate a saturated sublattice (a direct summand).
+    The product of the nonzero Smith invariants; 1 exactly when the
+    columns generate a saturated sublattice (a direct summand).
     """
-    out = 1
-    for e in elementary_divisors(a):
-        out *= e
-    return out
-
-
-def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    return integral_rows(scaled_inverse(a))
+    return prod(x for row in smith_normal_form(a)[0] for x in row if x)
 
 
 def scaled_inverse(a):
@@ -231,19 +200,14 @@ def saturation_data(b: IntMatrix):
         (proj, sect, sat) where sat is an n x d matrix whose columns are a
         basis of the saturation of the span, proj is the (n-d) x n matrix of
         the quotient map Z^n -> Z^(n-d), and sect is an n x (n-d) integer
-        section of proj (proj * sect = identity).
+        section of proj (proj * sect = identity). proj is the Hermite basis
+        of the functionals that vanish on the span, so it depends only on
+        the span.
     """
-    n = len(b)
-    d_cols = len(b[0]) if b else 0
-    dd, u, _ = smith_normal_form(b)
-    rank = 0
-    for i in range(min(n, d_cols)):
-        if dd[i][i] != 0:
-            rank += 1
-    uinv = invert_unimodular(u)
-    sat = [[uinv[i][j] for j in range(rank)] for i in range(n)]
-    proj = [u[i][:] for i in range(rank, n)]
-    sect = [[uinv[i][j] for j in range(rank, n)] for i in range(n)]
+    _, u, w, r = _unimodular_echelon(b)
+    proj, _, w2, _ = _unimodular_echelon(u[r:])
+    sat = [row[:r] for row in w]
+    sect = mat_mul([row[r:] for row in w], w2)
     return proj, sect, sat
 
 

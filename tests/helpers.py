@@ -60,6 +60,11 @@ def power(p: Polynomial, k: int) -> Polynomial:
     return out
 
 
+def invert_unimodular(a):
+    """Exact inverse of a unimodular integer matrix."""
+    return linalg.integral_rows(linalg.scaled_inverse(a))
+
+
 def pp_from_polynomial(fan, p: Polynomial) -> PiecewisePolynomial:
     """The same polynomial on every top cone."""
     if p.nvars != fan.rank:

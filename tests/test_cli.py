@@ -166,6 +166,22 @@ def test_poly_repeating_an_exponent_exits_2(capsys, tmp_path):
     assert "term repeats exponent" in err
 
 
+@pytest.mark.parametrize("cones,message", [
+    ([[[1, 0], [0, 1, 0]]],
+     "ray [0, 1, 0] has 3 coordinates, not the fan rank 2"),
+    ([[[1, 0, 0], [0, 1, 0]]], "ray [1, 0, 0] has 3 coordinates"),
+    ([5], "cone must be a list of rays"),
+], ids=["one long ray", "every ray long", "cone not a list"])
+@pytest.mark.parametrize("argv", [("fan", "validate", "--fan"),
+                                  ("fan", "star", "--cone", "0", "--fan")],
+                         ids=["validate", "star"])
+def test_fan_with_a_wrong_length_ray_exits_2(capsys, tmp_path, cones,
+                                             message, argv):
+    err = _refused_document(capsys, tmp_path, "fan",
+                            {"rank": 2, "max_cones": cones}, *argv)
+    assert message in err
+
+
 def test_fan_stellar_adds_ray(capsys, p2_doc):
     code, out, _ = _run(capsys, "fan", "stellar", "--fan", p2_doc,
                         "--cone", "1,2")

@@ -66,6 +66,9 @@ GOLDEN = [
      "dfa827025432c60ef4667bee032ba7af549827a2b2d9c8a4a7c1d9ebbed23eb9"),
     (["pp", "courant", "--fan", "p3.json", "--cone", "3"], 0,
      "d5fc3c7b4b29e2375fb0b28a7eb760836469b596dc189d527cfeedecc992356b"),
+    # the star of P3 at its ray (-1, -1, -1) is the standard P2
+    (["--format", "json", "fan", "star", "--fan", "p3.json", "--cone", "0"],
+     0, "c6ea63116fd10e90f5f740b350b4f58744cca5c35e84582cf77cf99b6283934b"),
     (["chow", "degree", "--weight", "h3cube.json"], 0,
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     (["--format", "json", "chow", "degree", "--weight", "h3cube.json"], 0,

@@ -29,8 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cauchy_bound, displacement_past_bound,
-                     fm_displaced_meets, fm_pair_counted, is_continuous,
-                     pp_from_polynomial, pp_min_by_differences,
+                     fm_displaced_meets, fm_pair_counted, invert_unimodular,
+                     is_continuous, pp_from_polynomial, pp_min_by_differences,
                      product_pushforward, raises_every_proper_span,
                      stellar_subdivision_by_generators,
                      subdivision_assignment_per_cone)
@@ -1083,7 +1083,7 @@ def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
     assert calls["dual_basis"] == built
     for m in bl.max_cones:
         rays = bl.cone_rays(m)
-        assert duals[m] == linalg.invert_unimodular(
+        assert duals[m] == invert_unimodular(
             [[r[i] for r in rays] for i in range(3)])
     ident = linalg.identity_matrix(3)
     pulled = [piecewise.pp_pullback(bl, ident, piecewise.courant_function(
@@ -1126,7 +1126,7 @@ def test_unimodular_duals_equal_inverse_ray_matrices(fan):
     duals = fan.unimodular_duals()
     for m in fan.max_cones:
         rays = fan.cone_rays(m)
-        assert duals[m] == linalg.invert_unimodular(
+        assert duals[m] == invert_unimodular(
             [[r[i] for r in rays] for i in range(fan.rank)])
 
 

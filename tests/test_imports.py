@@ -1,7 +1,9 @@
 """Every module of the package, bar the package's own __init__, uses each
-name it imports."""
+name it imports, and every top-level function and class of the package is
+referenced outside its own definition."""
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,13 @@ import tropchow
 PACKAGE_DIR = os.path.dirname(os.path.abspath(tropchow.__file__))
 MODULES = sorted(name for name in os.listdir(PACKAGE_DIR)
                  if name.endswith(".py") and name != "__init__.py")
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
+
+
+def _read(directory, name):
+    with open(os.path.join(directory, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _unused_imports(source: str):
@@ -29,8 +38,7 @@ def _unused_imports(source: str):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
-        assert _unused_imports(fh.read()) == []
+    assert _unused_imports(_read(PACKAGE_DIR, module)) == []
 
 
 def test_unused_import_is_found():
@@ -38,3 +46,60 @@ def test_unused_import_is_found():
               "import os.path\nfrom a import b, c as d\n"
               "def f(x: b) -> None:\n    return os.sep\n")
     assert _unused_imports(source) == [(3, "d")]
+
+
+def _references(node, strings=False):
+    """Names, attribute names and imported names in an ast node; with
+    strings, string constants too (the bench wraps functions by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+        elif (strings and isinstance(sub, ast.Constant)
+              and isinstance(sub.value, str)):
+            out.add(sub.value)
+    return out
+
+
+def _unreferenced(modules, bench):
+    """(module, name) of every top-level function or class of the package
+    sources (module -> source) that no top-level statement of the package
+    references, bar its own definition, and no bench source (a list)
+    references as a name or a string."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    refs = {id(node): _references(node)
+            for tree in trees.values() for node in tree.body}
+    # how many top-level statements of the package reference each name
+    count = Counter(name for names in refs.values() for name in names)
+    used = set().union(*(_references(ast.parse(source), strings=True)
+                         for source in bench))
+    return sorted(
+        (module, node.name) for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used
+        and count[node.name] == (node.name in refs[id(node)]))
+
+
+def test_every_definition_is_referenced():
+    modules = {name: _read(PACKAGE_DIR, name)
+               for name in os.listdir(PACKAGE_DIR) if name.endswith(".py")}
+    bench = [_read(BENCH_DIR, name)
+             for name in os.listdir(BENCH_DIR) if name.endswith(".py")]
+    assert _unreferenced(modules, bench) == []
+
+
+def test_unreferenced_definition_is_found():
+    modules = {"a.py": ("def used():\n    return 1\n"
+                        "def recursive(n):\n    return recursive(n - 1)\n"
+                        "class Named:\n    pass\n"
+                        "def wrapped():\n    pass\n"
+                        "def unused():\n    return used()\n"),
+               "b.py": "from a import used\n"}
+    bench = ["x = a.Named\n", "Target(a, 'wrapped')\n"]
+    assert _unreferenced(modules, bench) == [("a.py", "recursive"),
+                                             ("a.py", "unused")]

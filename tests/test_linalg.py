@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import invert_unimodular
 from tropchow import linalg
 
 
@@ -63,7 +66,7 @@ def test_primitive_vector():
 
 def test_invert_unimodular():
     a = [[1, 2], [1, 3]]
-    ainv = linalg.invert_unimodular(a)
+    ainv = invert_unimodular(a)
     assert linalg.mat_mul(a, ainv) == linalg.identity_matrix(2)
 
 
@@ -94,6 +97,77 @@ def test_saturation_data():
                 sol = linalg.solve(sat, col)
                 assert sol is not None
                 assert all(x.denominator == 1 for x in sol)
+
+
+def _determinantal_index(b):
+    """gcd of the r x r minors of b, r its rank (1 at rank 0): the product
+    of the elementary divisors, read off no elimination of b."""
+    r = linalg.rank(b)
+    g = 0
+    for rows in itertools.combinations(range(len(b)), r):
+        for cols in itertools.combinations(range(len(b[0])), r):
+            minor = linalg.det([[b[i][j] for j in cols] for i in rows])
+            g = math.gcd(g, minor.numerator)
+            if g == 1:
+                return 1
+    return g or 1
+
+
+def _assert_reduced_echelon(h, r):
+    pivots = []
+    for i, row in enumerate(h):
+        nonzero = [j for j, x in enumerate(row) if x]
+        assert bool(nonzero) == (i < r)
+        if nonzero:
+            pivots.append(nonzero[0])
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert all(0 <= h[k][c] < h[i][c] for k in range(i))
+
+
+def _random_unimodular(rng, n):
+    g = linalg.identity_matrix(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(-2, 3)
+        for row in g:  # column j += c * column i
+            row[j] += c * row[i]
+    for j in range(n):
+        if rng.random() < 0.5:
+            for row in g:
+                row[j] = -row[j]
+    return g
+
+
+def test_unimodular_echelon_sweep():
+    # 3000 matrices up to 5 x 6 with entries in [-4, 4]: the echelon is the
+    # reduced row echelon form over Z, the lattice index is the gcd of the
+    # maximal nonzero minors, and proj depends only on the span
+    rng = random.Random(23)
+    for _ in range(3000):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 7)
+        b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:  # a dependent last row
+            b[-1] = [2 * x - y for x, y in zip(b[0], b[m // 2])]
+        h, u, w, r = linalg._unimodular_echelon(b)
+        assert linalg.mat_mul(u, b) == h
+        assert linalg.mat_mul(u, w) == linalg.identity_matrix(m)
+        assert r == linalg.rank(b)
+        _assert_reduced_echelon(h, r)
+        assert linalg.lattice_index(b) == _determinantal_index(b)
+        g = _random_unimodular(rng, n)
+        assert (linalg.saturation_data(b)[0]
+                == linalg.saturation_data(linalg.mat_mul(b, g))[0])
+
+
+def test_xgcd_keeps_a_row_that_divides_its_column():
+    assert linalg._xgcd(3, -6) == (3, 1, 0)
+    assert linalg._xgcd(-3, 6) == (3, -1, 0)
+    assert linalg._xgcd(0, -5) == (5, 0, -1)
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            g, s, t = linalg._xgcd(a, b)
+            assert g == math.gcd(a, b) and s * a + t * b == g
 
 
 def test_rational_solvers():
@@ -143,7 +217,7 @@ def test_invert_unimodular_on_unimodular_products():
                 i, j = rng.sample(range(n), 2)
                 c = rng.randrange(-3, 4)
                 a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-            inv = linalg.invert_unimodular(a)
+            inv = invert_unimodular(a)
             assert all(type(x) is int for row in inv for x in row)
             assert linalg.mat_mul(a, inv) == linalg.identity_matrix(n)
             assert linalg.mat_mul(inv, a) == linalg.identity_matrix(n)
@@ -152,9 +226,9 @@ def test_invert_unimodular_on_unimodular_products():
 
 def test_invert_unimodular_refusals():
     with pytest.raises(ValueError, match="singular"):
-        linalg.invert_unimodular([[1, 1], [1, 1]])
+        invert_unimodular([[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="not unimodular"):
-        linalg.invert_unimodular([[2, 0], [0, 1]])
+        invert_unimodular([[2, 0], [0, 1]])
 
 
 # ---------------------------------------------------------------------------

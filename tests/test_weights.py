@@ -492,3 +492,44 @@ def test_products_and_degrees_on_the_thirty_prime_plane():
     top = fundamental_weight(f)
     square = mw_product(top, top)
     assert isinstance(square, MinkowskiWeight) and square == top
+
+
+BILLERA_FANS = [base + (f" after {k} stellar" if k else "")
+                for base in ("P3", "(P1)^3", "P4", "(P1)^4") for k in range(3)]
+
+
+def _billera_fan(name):
+    """P3, (P1)^3, P4 or (P1)^4 after the stellar subdivisions the name
+    counts, at cones drawn by a seeded generator: a smooth complete fan."""
+    base, _, steps = name.partition(" after ")
+    n = int(base[-1])
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if base[0] == "P":
+        simplex = e + [tuple([-1] * n)]
+        cones = [list(c) for c in itertools.combinations(simplex, n)]
+    else:
+        cones = [[tuple(s * x for x in v) for s, v in zip(signs, e)]
+                 for signs in itertools.product((1, -1), repeat=n)]
+    fan = fans.fan_from_max_cones(n, cones)
+    rng = random.Random(base)
+    for _ in range(int(steps[0]) if steps else 0):
+        fan = fans.stellar_subdivision(
+            fan, rng.choice([c for c in fan.cones if len(c) > 1]))
+    return fan
+
+
+@pytest.mark.parametrize("name", BILLERA_FANS)
+def test_h_vector_gives_weight_ranks_and_pp_dimensions(name):
+    # Billera: on a smooth complete fan both the balanced weights of
+    # codimension k and the Chow group A^k have dimension h_k, and the
+    # piecewise polynomials have Hilbert series h(t) / (1 - t)^n
+    fan = _billera_fan(name)
+    n = fan.rank
+    f = [len(fan.cones_of_dim(i)) for i in range(n + 1)]
+    h = [sum((-1) ** (k - i) * math.comb(n - i, k - i) * f[i]
+             for i in range(k + 1)) for k in range(n + 1)]
+    assert h == h[::-1] and h[0] == h[n] == 1
+    assert [balanced_weight_rank(fan, k) for k in range(n + 1)] == h
+    for d in range(4 if n == 3 else 3):
+        assert piecewise.pp_space_dimension(fan, d) == sum(
+            h[j] * math.comb(d - j + n - 1, n - 1) for j in range(d + 1))
