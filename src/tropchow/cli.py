@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import io
@@ -205,7 +204,7 @@ def cmd_chow_degree(args) -> int:
     if w.codim != w.fan.rank:
         raise io.DocumentError(
             "degree needs codimension equal to the fan rank")
-    value = io.format_rational(w.values.get((), Fraction(0)))
+    value = io.format_rational(w.values[()])
     if args.format == "json":
         _emit_doc(args, "report", {"subject": "degree", "value": value})
     else:

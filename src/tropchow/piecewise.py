@@ -197,7 +197,7 @@ def _linear_coefficients(p: Polynomial, rank: int):
     """Coefficient vector of a homogeneous linear polynomial."""
     if p.degree() > 1 or (0,) * rank in p.terms:
         raise ValueError("function piece is not homogeneous linear")
-    out = [Fraction(0)] * rank
+    out = [0] * rank
     for e, c in p.terms.items():
         out[e.index(1)] = c
     return out

@@ -1,11 +1,15 @@
 """Multivariate polynomials with exact rational coefficients.
 
+The package's number rule: an exact rational value is an int when it is
+integral and a Fraction otherwise (_exact), so that integer inputs stay
+in int arithmetic. Both compare, hash and print alike, so equality and
+repr do not see the difference. Polynomial coefficients follow it, and
+so do the values of weights (weights.MinkowskiWeight) and the
+coefficients of cycles (transforms.ToricCycle).
+
 A polynomial in n variables is stored as a mapping from exponent tuples to
-nonzero coefficients: an integral coefficient is an int, any other a
-Fraction, so that integer inputs stay in int arithmetic. Both compare,
-hash and print alike, so equality and repr do not see the difference.
-Everything needed downstream is here: arithmetic, evaluation, linear
-substitution, and homogeneous truncation.
+nonzero coefficients. Everything needed downstream is here: arithmetic,
+evaluation, linear substitution, and homogeneous truncation.
 """
 from __future__ import annotations
 

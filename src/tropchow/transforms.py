@@ -10,15 +10,15 @@ excess bundle. The three satisfy total = strict + correction, and this
 module computes each side independently so the identity is a check, not
 a definition.
 
-Cycles are carried as integer-combination coefficients on cones whose
-dimension equals the codimension of the cycle; the canonical form of a
-class is its degree pairing against complementary orbit closures, and
-both encodings travel together.
+Cycles are carried as coefficients on cones whose dimension equals the
+codimension of the cycle, each an int when integral and else a Fraction,
+as polynomial coefficients are; the canonical form of a class is its
+degree pairing against complementary orbit closures, and both encodings
+travel together.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
@@ -29,13 +29,15 @@ from .ideals import MonomialIdeal, segre_class
 from .piecewise import (PiecewisePolynomial, courant_function,
                         excess_chern_class, min_refinement, pp_min,
                         pp_pullback, pushforward_from_star)
+from .polynomials import _exact
 from .weights import (MinkowskiWeight, courant_monomial, monomial_coordinates,
                       monomial_function, mw_of_pp, ray_monomial_class)
 
 
 class ToricCycle:
-    """Invariant cycle: coefficients on cones of one dimension, plus the
-    degree-encoded class and a witness function.
+    """Invariant cycle: coefficients on cones of one dimension, each an
+    int when integral and else a Fraction, plus the degree-encoded class
+    and a witness function.
 
     The class is the coefficient sum of the ray-monomial classes of the
     carrier cones (weights.ray_monomial_class, kept per fan), computed at
@@ -53,7 +55,7 @@ class ToricCycle:
         self.fan = fan
         self.codim = codim
         carriers = set(fan.cones_of_dim(codim))
-        vals = {c: Fraction(v) for c, v in dict(coefficients or {}).items()
+        vals = {c: _exact(v) for c, v in dict(coefficients or {}).items()
                 if v != 0}
         if set(vals) - carriers:
             raise ValueError("coefficients must sit on cones of the cycle's "

@@ -1,7 +1,10 @@
 """Balanced weights on fan cones and the intersection calculus on them.
 
-A weight assigns a rational number to every cone of one codimension. The
-calculus here stays in the degree encoding: the weight of a cone is the
+A weight assigns a rational number to every cone of one codimension, an
+int when it is integral and a Fraction otherwise, the number rule of
+polynomial coefficients (polynomials._exact): integral classes on a
+smooth fan have integral weights, so their calculus runs in int
+arithmetic. The calculus here stays in the degree encoding: the weight of a cone is the
 degree of the class multiplied with that cone's orbit closure. Products
 displace by (1, t, ..., t^(n-1)) for large t, and piecewise polynomial
 witnesses move classes back and forth. One exact localization kernel,
@@ -20,10 +23,12 @@ from math import lcm
 from . import linalg, polyhedra
 from .fans import Fan, cone_homes, resolve_smooth
 from .piecewise import PiecewisePolynomial, courant_function
+from .polynomials import _exact
 
 
 class MinkowskiWeight:
-    """Rational weight on all cones of one codimension of a fan."""
+    """Weight on all cones of one codimension of a fan; each value an int
+    when integral, else a Fraction."""
 
     __slots__ = ("fan", "codim", "values")
 
@@ -37,7 +42,7 @@ class MinkowskiWeight:
         unknown = set(vals) - set(cones)
         if unknown:
             raise ValueError(f"values given on non-cones: {sorted(unknown)}")
-        self.values = {c: Fraction(vals.get(c, 0)) for c in cones}
+        self.values = {c: _exact(vals.get(c, 0)) for c in cones}
 
     def support_cones(self):
         return tuple(c for c, v in self.values.items() if v != 0)
@@ -53,7 +58,7 @@ class MinkowskiWeight:
             c: self.values[c] - other.values[c] for c in self.values})
 
     def scale(self, t):
-        t = Fraction(t)
+        t = _exact(t)
         return MinkowskiWeight(self.fan, self.codim,
                                {c: t * v for c, v in self.values.items()})
 
@@ -121,8 +126,9 @@ def is_balanced(w: MinkowskiWeight) -> bool:
 
 def localization_degree(f: PiecewisePolynomial) -> Fraction:
     """Degree of the top homogeneous part of a function on a complete
-    simplicial fan: its weight on the zero cone, by mw_of_pp."""
-    return mw_of_pp(f, f.fan.rank).values[()]
+    simplicial fan: its weight on the zero cone, by mw_of_pp, returned
+    as a Fraction even when it is integral."""
+    return Fraction(mw_of_pp(f, f.fan.rank).values[()])
 
 
 def _localization(fan: Fan):
@@ -306,7 +312,7 @@ def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
     dim_b = fan.rank - b.codim
     values = {}
     for tau in fan.cones_of_dim(fan.rank - codim):
-        total = Fraction(0)
+        total = 0
         for s1 in fan.cones_of_dim(dim_a):
             if not set(tau) <= set(s1) or a.values[s1] == 0:
                 continue
@@ -377,7 +383,8 @@ def pushforward_witness(source_fan: Fan, witness: PiecewisePolynomial,
                         term *= at[j]
                     totals[tau] += term
         for tau in taus:
-            results[tau].append(Fraction(totals[tau], common))
+            q, r = divmod(totals[tau], common)
+            results[tau].append(Fraction(totals[tau], common) if r else q)
     for first, second in results.values():
         if first != second:
             raise ArithmeticError("localization gave inconsistent values")

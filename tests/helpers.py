@@ -19,6 +19,14 @@ from tropchow.weights import (MinkowskiWeight, courant_monomial,
                               localization_degree)
 
 
+def assert_exact(values):
+    """Each value is an int when it is integral and a Fraction otherwise,
+    the rule polynomial coefficients follow; never a float."""
+    for v in values:
+        assert type(v) in (int, Fraction), v
+        assert type(v) is (int if v.denominator == 1 else Fraction), v
+
+
 def ideal_to_payload(ideal):
     return {"fan": io.fan_to_payload(ideal.fan),
             "generators": [list(g) for g in ideal.generators]}

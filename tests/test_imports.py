@@ -1,6 +1,6 @@
 """Every module of the package, bar the package's own __init__, uses each
-name it imports, and every top-level function and class of the package is
-referenced outside its own definition."""
+name it imports, every top-level function and class of the package is
+referenced outside its own definition, and no module divides with /."""
 import ast
 import os
 from collections import Counter
@@ -103,3 +103,22 @@ def test_unreferenced_definition_is_found():
     bench = ["x = a.Named\n", "Target(a, 'wrapped')\n"]
     assert _unreferenced(modules, bench) == [("a.py", "recursive"),
                                              ("a.py", "unused")]
+
+
+def _true_divisions(source: str):
+    """Line of every / and /= in a source: on int operands either one
+    turns an exact value into a float."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div))
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_has_no_true_division(module):
+    assert _true_divisions(_read(PACKAGE_DIR, module)) == []
+
+
+def test_true_division_is_found():
+    source = ("x = 7 // 2\ny = x / 2\n"
+              "def f(z):\n    z /= 3\n    z //= 2\n    return '/'\n")
+    assert _true_divisions(source) == [2, 4]

@@ -3,13 +3,15 @@ from itertools import combinations, product
 
 import pytest
 
+from helpers import assert_exact
 from tropchow import fans
 from tropchow.piecewise import courant_function
 from tropchow.transforms import (BlowupSetup, ToricCycle, cycle_from_class,
                                  fulton_correction, fundamental_cycle,
                                  strict_transform, total_transform,
                                  verify_fulton_identity)
-from tropchow.weights import mw_of_pp
+from tropchow.weights import (mw_of_pp, mw_product, mw_to_pp,
+                              pushforward_witness)
 
 
 def _p2():
@@ -271,6 +273,13 @@ def _p1_fourth():
         for signs in product((1, -1), repeat=4)])
 
 
+def _nearest_carriers(f, center, codim):
+    """The three cones of one codimension sharing the most rays with a
+    center."""
+    return sorted(f.cones_of_dim(codim), key=lambda c: (
+        -len(set(c) & set(center)), c))[:3]
+
+
 @pytest.mark.parametrize("make_fan", [_p4, _p1_fourth])
 def test_rank4_blowups_verify(make_fan):
     """Rank 4: blowups at cones of 2, 3 and 4 rays, each against the
@@ -280,9 +289,62 @@ def test_rank4_blowups_verify(make_fan):
     for size in (2, 3, 4):
         setup = BlowupSetup(f, _ray_cone(f, *E4[:size]))
         for codim in (1, 2, 3):
-            carriers = sorted(f.cones_of_dim(codim), key=lambda c: (
-                -len(set(c) & set(setup.center)), c))[:3]
-            for cone in carriers:
+            for cone in _nearest_carriers(f, setup.center, codim):
                 report = verify_fulton_identity(
                     ToricCycle(f, codim, {cone: 1}), setup)
                 assert report.verdict == "verified", (size, cone)
+
+
+@pytest.mark.parametrize("make_fan, center", [
+    (_p2, ((1, 0), (0, 1))), (_p3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))],
+    ids=["P2-point", "P3-point"])
+def test_cycle_coefficients_are_int_when_integral(make_fan, center):
+    # cycles follow the polynomials' number rule, through every transform
+    f = make_fan()
+    setup = BlowupSetup(f, _ray_cone(f, *center))
+    for codim in range(1, f.rank + 1):
+        for cone in _nearest_carriers(f, setup.center, codim):
+            v = ToricCycle(f, codim, {cone: Fraction(3)})
+            report = verify_fulton_identity(v, setup)
+            assert report.verdict == "verified"
+            for cycle in (v, report.total, report.strict, report.correction):
+                assert all(type(c) is int for c in (
+                    *cycle.coefficients.values(),
+                    *cycle.class_weight.values.values()))
+    half = ToricCycle(f, 1, {(0,): Fraction(1, 2), (1,): Fraction(4, 2)})
+    assert half.coefficients == {(0,): Fraction(1, 2), (1,): 2}
+    assert_exact(half.coefficients.values())
+    assert_exact(half.class_weight.values.values())
+    assert half == ToricCycle(f, 1, {(0,): Fraction(1, 2), (1,): 2})
+
+
+E3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+PROJECTION_CENTERS = [
+    (_p3, E3[:1]), (_p3, E3[:2]), (_p3, E3),
+    (_p3, (E3[1], E3[2], (-1, -1, -1))),
+    (_p4, E4[:1]), (_p4, E4[:2]), (_p4, E4[:3]), (_p4, E4)]
+
+
+@pytest.mark.parametrize("make_fan, center", PROJECTION_CENTERS, ids=[
+    "P3-ray", "P3-line", "P3-point", "P3-other-point",
+    "P4-ray", "P4-plane", "P4-line", "P4-point"])
+def test_projection_formula_on_blowups(make_fan, center):
+    """pi_*(pi^*a . pi^*b) = a . b for the blowup pi at a center: pi^* is
+    the total transform, the product is mw_product on the working fan,
+    and pi_* is pushforward_witness of a witness of it (mw_to_pp) back to
+    the base. a and b run over the three single-cone cycles nearest the
+    center, of codimensions 1+1 and 1+2, and on P4 also 2+2: 180 ordered
+    pairs over the 8 centers. Budget: about 1.5 s for all of them."""
+    f = make_fan()
+    setup = BlowupSetup(f, _ray_cone(f, *center))
+    fine = setup.refined
+    pulled = {k: [(v, total_transform(v, setup).class_weight) for v in (
+        ToricCycle(f, k, {c: 1})
+        for c in _nearest_carriers(f, setup.center, k))] for k in (1, 2)}
+    splits = [(1, 1), (1, 2)] + ([(2, 2)] if f.rank == 4 else [])
+    for ka, kb in splits:
+        for a, up_a in pulled[ka]:
+            for b, up_b in pulled[kb]:
+                witness = mw_to_pp(mw_product(up_a, up_b))
+                assert pushforward_witness(fine, witness, ka + kb, f) == (
+                    mw_product(a.class_weight, b.class_weight)), (a, b)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (cauchy_bound, displacement_past_bound,
+from helpers import (assert_exact, cauchy_bound, displacement_past_bound,
                      fm_displaced_meets, fm_pair_counted, pp_from_polynomial,
                      thirty_prime_plane)
-from tropchow import fans, linalg, piecewise, polyhedra, weights
+from tropchow import fans, io, linalg, piecewise, polyhedra, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
                               courant_monomial, fundamental_weight,
@@ -533,3 +533,46 @@ def test_h_vector_gives_weight_ranks_and_pp_dimensions(name):
     for d in range(4 if n == 3 else 3):
         assert piecewise.pp_space_dimension(fan, d) == sum(
             h[j] * math.comb(d - j + n - 1, n - 1) for j in range(d + 1))
+
+
+def test_weight_values_are_int_when_integral():
+    # the polynomials' number rule: the weights of integral classes on a
+    # smooth fan are integral, and so ints, after every operation on them
+    fine = _bl_p2()
+    x, h = mw_of_pp(_phi(fine, (1, 1)), 1), mw_of_pp(_phi(fine, (1, 0)), 1)
+    made = [mw_of_pp(courant_function(fine, i), 1)
+            for i in range(len(fine.rays))] + [
+        MinkowskiWeight(fine, 1, {c: Fraction(v) for c, v in h.values.items()}),
+        x + h, x - h, h.scale(Fraction(4, 2)), mw_product(x, h),
+        mw_product(x, x), mw_of_pp(_phi(fine, (1, 1)) * _phi(fine, (1, 0)), 2),
+        pushforward_witness(fine, _phi(fine, (1, 0)), 1, _p2()),
+        pl_cap(_phi(fine, (1, 0)), fundamental_weight(fine)),
+        pl_cap(_phi(fine, (1, 1)), x)]
+    for w in made:
+        assert all(type(v) is int for v in w.values.values())
+
+
+def test_weight_values_stay_fractions_when_not_integral():
+    # P(1,1,2) has a cone of index 2, where degrees are halves
+    f = _p112()
+    phi, psi = _phi(f, (1, 0)), _phi(f, (-1, -2))
+    a, b = mw_of_pp(phi, 1), mw_of_pp(psi, 1)
+    made = [a, b, a + b, a - b, a.scale(3), mw_product(a, b),
+            mw_of_pp(phi * psi, 2), pushforward_witness(f, phi * psi, 2, f),
+            pl_cap(phi, b), mw_of_pp(_phi(_p2(), (1, 0)), 1).scale(
+                Fraction(1, 2))]
+    for w in made:
+        assert_exact(w.values.values())
+    assert all(Fraction(1, 2) in w.values.values()
+               for w in (a, mw_product(a, b), made[-1]))
+
+
+def test_int_and_fraction_weights_are_equal_and_print_alike():
+    f = _p2()
+    tops = f.cones_of_dim(2)
+    as_int = MinkowskiWeight(f, 0, {c: 2 for c in tops})
+    as_frac = MinkowskiWeight(f, 0, {c: Fraction(2) for c in tops})
+    assert as_int == as_frac and repr(as_int) == repr(as_frac)
+    texts = {io.print_document(io.Document("weight", io.weight_to_payload(w)))
+             for w in (as_int, as_frac)}
+    assert len(texts) == 1
