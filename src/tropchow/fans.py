@@ -10,7 +10,7 @@ returned as it is (see Fan).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -23,20 +23,20 @@ class Fan:
     """Immutable fan; build through fan_from_max_cones or module helpers.
 
     Data derived from the rays and cones (H-representations, faces, cone
-    dimensions, dual bases, smoothness, ray functions, cone homes and
-    subdivision assignments per target fan, ...) is computed on first use
-    and kept on this object, so a Fan must never be mutated. Construction
-    hands over what it computes while closing over faces: the extreme
-    rays, H-representation and faces of every input cone, the dimension of
-    every cone and the top cones (a Fan built directly finds them by
-    comparing all cones). fan_from_max_cones reads the rays off the
-    generators and the one H-representation it computes per generator
-    list, and keeps the dual basis that the H-representation of a
-    simplicial cone is read off; a stellar subdivision hands each top cone
-    it keeps the H-representation and dual basis the source fan holds for
-    it, and converts only the new cones; fan_from_cells takes rays and
-    H-representations from its caller, as piecewise.min_refinement has
-    them for each cell.
+    dimensions, dual bases, smoothness, ray functions, the star of each
+    cone (star_fan), cone homes and subdivision assignments per target fan,
+    ...) is computed on first use and kept on this object, so a Fan must
+    never be mutated. Construction hands over what it computes while
+    closing over faces: the extreme rays, H-representation and faces of
+    every input cone, the dimension of every cone and the top cones (a Fan
+    built directly finds them by comparing all cones). fan_from_max_cones
+    reads the rays off the generators and the one H-representation it
+    computes per generator list, and keeps the dual basis that the
+    H-representation of a simplicial cone is read off; a stellar
+    subdivision hands each top cone it keeps the H-representation and dual
+    basis the source fan holds for it, and converts only the new cones;
+    fan_from_cells takes rays and H-representations from its caller, as
+    piecewise.min_refinement has them for each cell.
 
     Every builder ends in fan_from_cells, which returns the live fan equal
     to the one it builds when there is one, so equal fans built while one
@@ -575,48 +575,51 @@ def _parallelotope_point(fan: Fan, cone: ConeKey):
 # ---------------------------------------------------------------------------
 # quotients
 
-@dataclass
+@dataclass(frozen=True)
 class StarFan:
     """Quotient fan at a cone, with the lattice maps realizing it.
 
     proj maps the ambient lattice onto the quotient; sect is an integer
     right inverse. cone_to_source maps each quotient cone back to the
-    unique fan cone containing the center whose image it is.
+    unique fan cone containing the center whose image it is, and
+    source_to_cone the other way. Kept on the fan and shared, so frozen.
     """
     fan: Fan
     center: ConeKey
     proj: list
     sect: list
-    cone_to_source: dict = field(default_factory=dict)
-    source_to_cone: dict = field(default_factory=dict)
+    cone_to_source: dict
+    source_to_cone: dict
 
 
 def star_fan(fan: Fan, center: ConeKey) -> StarFan:
+    """Star of a fan cone: the cones over it projected along its span,
+    each ray once; the one such projection, kept on the fan per center."""
     if center not in fan.cones:
         raise ValueError("center is not a fan cone")
-    proj, sect, _ = fan.cone_saturation(center)
-    q = fan.rank - fan.cone_dim(center)
-    sources = [m for m in fan.max_cones if set(center) <= set(m)]
-    images = []
-    for m in sources:
-        img = [linalg.mat_vec(proj, fan.rays[i])
-               for i in m if i not in center]
-        images.append([v for v in img if any(v)])
-    quotient = fan_from_max_cones(q, images)
-    star = StarFan(quotient, center, proj, sect)
-    for src in fan.cones:
-        if not set(center) <= set(src):
-            continue
-        imgs = set()
-        for i in src:
-            if i in center:
-                continue
+
+    def compute():
+        proj, sect, _ = fan.cone_saturation(center)
+        d = fan.cone_dim(center)
+        over = [c for c in fan.cones if set(center) <= set(c)]
+        images = {}  # the primitive image of each ray off the center
+        for i in {i for c in over for i in c} - set(center):
             v = linalg.mat_vec(proj, fan.rays[i])
             if any(v):
-                imgs.add(linalg.primitive_vector(v))
-        key = tuple(sorted(quotient.rays.index(v) for v in imgs))
-        if key not in set(quotient.cones):
-            raise ValueError(f"image of {src} is not a quotient cone")
-        star.cone_to_source[key] = src
-        star.source_to_cone[src] = key
-    return star
+                images[i] = linalg.primitive_vector(v)
+        quotient = fan_from_max_cones(fan.rank - d, [
+            [images[i] for i in m if i in images]
+            for m in fan.max_cones if set(center) <= set(m)])
+        index = {r: j for j, r in enumerate(quotient.rays)}
+        cones = set(quotient.cones)
+        to_source, to_cone = {}, {}
+        for src in over:
+            # the images that are quotient rays span the image cone
+            key = tuple(sorted({index[images[i]] for i in src
+                                if images.get(i) in index}))
+            if (key not in cones
+                    or quotient.cone_dim(key) != fan.cone_dim(src) - d):
+                raise ValueError(f"image of {src} is not a quotient cone")
+            to_source[key], to_cone[src] = src, key
+        return StarFan(quotient, center, proj, sect, to_source, to_cone)
+    return fan.cached(("star", center), compute)

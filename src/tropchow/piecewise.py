@@ -144,7 +144,8 @@ def _courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
             pieces[m] = Polynomial.zero(fan.rank)
             continue
         u, p = fan.cone_dual_basis(m)[m.index(ray_index)]
-        pieces[m] = Polynomial.linear([Fraction(x, p) for x in u])
+        pieces[m] = Polynomial.linear(
+            [Fraction(x, p) if x % p else x // p for x in u])
     return PiecewisePolynomial(fan, pieces)
 
 

@@ -222,22 +222,19 @@ class _StellarStep:
 
     def stratum_slots(self, gamma):
         """Pullbacks to the exceptional star of the graded Segre terms of
-        the center against one orbit closure, keyed by grading."""
-        base = self.base
+        the center against one orbit closure gamma, keyed by grading;
+        each center ray off gamma maps to one ray of gamma's star."""
         if set(self.center) <= set(gamma):
             src = self.cen_star.source_to_cone[gamma]
             w = courant_monomial(self.cen_star.fan, src)
             return {0: pp_pullback(self.exc_star.fan, self.pull_matrix, w)}
-        vstar = star_fan(base, gamma)
-        nrays = len(vstar.fan.rays)
-        gens = []
-        for i in self.center:
-            if i in gamma:
-                continue
-            if tuple(sorted(set(gamma) | {i})) not in set(base.cones):
-                return {}
-            img = tuple(linalg.mat_vec(vstar.proj, base.rays[i]))
-            gens.append(tuple(int(r == img) for r in vstar.fan.rays))
+        vstar = star_fan(self.base, gamma)
+        images = [vstar.source_to_cone.get(tuple(sorted(set(gamma) | {i})))
+                  for i in self.center if i not in gamma]
+        if None in images:
+            return {}
+        gens = [tuple(int(image == (j,)) for j in range(len(vstar.fan.rays)))
+                for image in images]
         assert all(sum(g) == 1 for g in gens)
         data = segre_class(MonomialIdeal(vstar.fan, gens))
         out = {}

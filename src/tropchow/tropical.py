@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg, polyhedra
+from .polynomials import _exact
 
 
 @dataclass(frozen=True)
@@ -325,11 +325,8 @@ class DRCone:
                    for row in self.equations)
 
     def relint_point(self):
-        ne = self.graph.num_edges
-        if not self.rays:
-            return tuple(Fraction(0) for _ in range(ne))
-        return tuple(Fraction(sum(r[i] for r in self.rays))
-                     for i in range(ne))
+        return tuple(sum(r[i] for r in self.rays)
+                     for i in range(self.graph.num_edges))
 
 
 def _wall_key(vec):
@@ -564,11 +561,11 @@ class RubberType:
 
 def rubber_type(graph: WeightedDualGraph, assignment: SlopeAssignment,
                 lengths) -> RubberType:
-    lengths = tuple(Fraction(x) for x in lengths)
+    lengths = tuple(_exact(x) for x in lengths)
     if len(lengths) != graph.num_edges or any(x < 0 for x in lengths):
         raise ValueError("one nonnegative length per edge is required")
     rows = _potential_rows(graph, assignment.slopes)
-    pot = [sum(c * x for c, x in zip(row, lengths)) for row in rows]
+    pot = [_exact(sum(c * x for c, x in zip(row, lengths))) for row in rows]
     for (a, b), m, l in zip(graph.edges, assignment.slopes, lengths):
         if pot[b] - pot[a] != m * l:
             raise ValueError(
@@ -641,7 +638,7 @@ def rubber_pieces(cone: DRCone):
         regions = cut
     out = []
     for rays in dict.fromkeys(rays for _, rays in regions):
-        point = [Fraction(sum(r[i] for r in rays)) for i in range(ne)]
+        point = [sum(r[i] for r in rays) for i in range(ne)]
         rt = rubber_type(graph, cone.assignment, point)
         dim = polyhedra.span_dim(rays)
         simplicial = len(rays) == dim

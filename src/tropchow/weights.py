@@ -4,8 +4,10 @@ A weight assigns a rational number to every cone of one codimension, an
 int when it is integral and a Fraction otherwise, the number rule of
 polynomial coefficients (polynomials._exact): integral classes on a
 smooth fan have integral weights, so their calculus runs in int
-arithmetic. The calculus here stays in the degree encoding: the weight of a cone is the
-degree of the class multiplied with that cone's orbit closure. Products
+arithmetic. The calculus here stays in the degree encoding: the weight
+of a cone is the degree of the class multiplied with that cone's orbit
+closure. Balancing and the corner locus read the lattice normals at a
+cone off its star, which the fan keeps (fans.star_fan). Products
 displace by (1, t, ..., t^(n-1)) for large t, and piecewise polynomial
 witnesses move classes back and forth. One exact localization kernel,
 pushforward_witness, reads every weight off a function: the weight of
@@ -21,7 +23,7 @@ from itertools import combinations, combinations_with_replacement, count
 from math import lcm
 
 from . import linalg, polyhedra
-from .fans import Fan, cone_homes, resolve_smooth
+from .fans import Fan, cone_homes, resolve_smooth, star_fan
 from .piecewise import PiecewisePolynomial, courant_function
 from .polynomials import _exact
 
@@ -85,35 +87,15 @@ def fundamental_weight(fan: Fan) -> MinkowskiWeight:
     return MinkowskiWeight(fan, 0, {c: 1 for c in fan.cones_of_dim(fan.rank)})
 
 
-def _quotient_normals(fan: Fan, tau):
-    """Projection killing a cone's span plus, per cone covering it in one
-    dimension more, the primitive image of the extra rays."""
-    proj = fan.cone_saturation(tau)[0]
-    covers = []
-    d = fan.cone_dim(tau)
-    for sigma in fan.cones_of_dim(d + 1):
-        if not set(tau) <= set(sigma):
-            continue
-        extra = [i for i in sigma if i not in tau]
-        images = set()
-        for i in extra:
-            v = linalg.mat_vec(proj, fan.rays[i])
-            if any(v):
-                images.add(linalg.primitive_vector(v))
-        if len(images) != 1:
-            raise ValueError(f"cone {sigma} is not simplicial over {tau}")
-        covers.append((sigma, next(iter(images))))
-    return proj, covers
-
-
 def _balance_rows(fan: Fan, codim: int):
     """The balancing conditions on weights of one codimension: per cone
-    tau of one dimension less and per coordinate of its quotient, of
-    dimension codim + 1, the coefficient of each covering cone's weight."""
+    tau of one dimension less and per coordinate of its star, of
+    dimension codim + 1, each star ray's entry at its source cone."""
     for tau in fan.cones_of_dim(fan.rank - codim - 1):
-        covers = _quotient_normals(fan, tau)[1]
+        star = star_fan(fan, tau)
         for coord in range(codim + 1):
-            yield {sigma: normal[coord] for sigma, normal in covers}
+            yield {star.cone_to_source[(j,)]: ray[coord]
+                   for j, ray in enumerate(star.fan.rays)}
 
 
 def is_balanced(w: MinkowskiWeight) -> bool:
@@ -298,9 +280,11 @@ def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
     The product's weight at a cone tau sums a(sigma1) * b(sigma2) times
     the multiplicity of the pair displaced by v(t) = (1, t, ..., t^(n-1))
     for large t (_pair_multiplicity), over the cones sigma1 and sigma2 of
-    the two weights' dimensions that contain tau (Fulton-Sturmfels). It is
-    defined for balanced weights only, which this does not check: only
-    for them is it the same for every generic displacement.
+    the two weights' dimensions that contain tau (Fulton-Sturmfels). In a
+    valid fan a pair of nonzero multiplicity meets in one such tau, the
+    cone on their common rays, so each pair of support cones is visited
+    once. It is defined for balanced weights only, which this does not
+    check: only for them is it the same for every generic displacement.
     """
     if a.fan != b.fan:
         raise ValueError("weights live on different fans")
@@ -308,21 +292,13 @@ def mw_product(a: MinkowskiWeight, b: MinkowskiWeight) -> MinkowskiWeight:
     codim = a.codim + b.codim
     if codim > fan.rank:
         raise ValueError("product codimension exceeds the fan rank")
-    dim_a = fan.rank - a.codim
-    dim_b = fan.rank - b.codim
-    values = {}
-    for tau in fan.cones_of_dim(fan.rank - codim):
-        total = 0
-        for s1 in fan.cones_of_dim(dim_a):
-            if not set(tau) <= set(s1) or a.values[s1] == 0:
-                continue
-            for s2 in fan.cones_of_dim(dim_b):
-                if not set(tau) <= set(s2) or b.values[s2] == 0:
-                    continue
-                idx = _pair_multiplicity(fan, s1, s2)
-                if idx:
-                    total += idx * a.values[s1] * b.values[s2]
-        values[tau] = total
+    values = dict.fromkeys(fan.cones_of_dim(fan.rank - codim), 0)
+    for s1 in a.support_cones():
+        for s2 in b.support_cones():
+            tau = tuple(sorted(set(s1) & set(s2)))
+            if tau in values:
+                values[tau] += (_pair_multiplicity(fan, s1, s2)
+                                * a.values[s1] * b.values[s2])
     return MinkowskiWeight(fan, codim, values)
 
 
@@ -411,7 +387,8 @@ def pl_cap(phi: PiecewisePolynomial, w: MinkowskiWeight) -> MinkowskiWeight:
     """Corner locus of a conewise linear function against a weight.
 
     At each cone of one higher codimension the multiplicity is the bend
-    of phi weighted by w: the sum of the piece values on lattice normals
+    of phi weighted by w: the sum of the piece values on lattice normals,
+    the rays of the cone's star (star_fan) lifted through its section,
     minus the linear extension along the cone applied to their sum.
     """
     fan = w.fan
@@ -423,16 +400,16 @@ def pl_cap(phi: PiecewisePolynomial, w: MinkowskiWeight) -> MinkowskiWeight:
                          "pieces")
     values = {}
     for tau in fan.cones_of_dim(fan.rank - w.codim - 1):
-        _, covers = _quotient_normals(fan, tau)
-        sect = fan.cone_saturation(tau)[1]
+        star = star_fan(fan, tau)
         ext = _linear_extension_on(fan, phi, tau)
         bend = Fraction(0)
         drift = [Fraction(0)] * fan.rank
-        for sigma, image in covers:
+        for j, image in enumerate(star.fan.rays):
+            sigma = star.cone_to_source[(j,)]
             z = w.values[sigma]
             if z == 0:
                 continue
-            lift = linalg.mat_vec(sect, image)
+            lift = linalg.mat_vec(star.sect, image)
             bend += z * phi.piece_on(sigma).evaluate(lift)
             drift = [d + z * x for d, x in zip(drift, lift)]
         bend -= sum(e * x for e, x in zip(ext, drift))

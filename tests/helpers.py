@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 from math import isqrt
 
-from tropchow import fans, io, linalg, polyhedra
+from tropchow import fans, io, linalg, polyhedra, weights
 from tropchow.ideals import MonomialIdeal, order_function
 from tropchow.piecewise import (PiecewisePolynomial, _degree_monomials,
                                 _grid_points, _linear_coefficients,
@@ -177,6 +177,49 @@ def subdivision_assignment_per_cone(fine, coarse) -> dict:
             raise ValueError(f"cone {c} does not refine the target fan")
         out[c] = target
     return out
+
+
+def quotient_normals_by_scan(fan, tau) -> dict:
+    """The star of a cone by a scan over the cones one dimension up: per
+    cone sigma over tau, the primitive image of its rays off tau under
+    the projection killing tau's span, which must be one vector."""
+    proj = fan.cone_saturation(tau)[0]
+    covers = {}
+    for sigma in fan.cones_of_dim(fan.cone_dim(tau) + 1):
+        if not set(tau) <= set(sigma):
+            continue
+        images = set()
+        for i in sigma:
+            if i in tau:
+                continue
+            v = linalg.mat_vec(proj, fan.rays[i])
+            if any(v):
+                images.add(linalg.primitive_vector(v))
+        if len(images) != 1:
+            raise ValueError(f"cone {sigma} is not simplicial over {tau}")
+        covers[sigma] = images.pop()
+    return covers
+
+
+def mw_product_by_scan(a, b) -> MinkowskiWeight:
+    """weights.mw_product by a scan over the product's cones tau and every
+    pair of cones of the two weights' dimensions that contains tau."""
+    fan = a.fan
+    codim = a.codim + b.codim
+    values = {}
+    for tau in fan.cones_of_dim(fan.rank - codim):
+        total = 0
+        for s1 in fan.cones_of_dim(fan.rank - a.codim):
+            if not set(tau) <= set(s1) or a.values[s1] == 0:
+                continue
+            for s2 in fan.cones_of_dim(fan.rank - b.codim):
+                if not set(tau) <= set(s2) or b.values[s2] == 0:
+                    continue
+                idx = weights._pair_multiplicity(fan, s1, s2)
+                if idx:
+                    total += idx * a.values[s1] * b.values[s2]
+        values[tau] = total
+    return MinkowskiWeight(fan, codim, values)
 
 
 def stellar_subdivision_by_generators(fan, cone, new_ray=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 
 from helpers import fm_displaced_meets, ideal_to_payload, thirty_prime_plane
 from test_acceptance import _cli_run
-from tropchow import cli, io, tropical
+from tropchow import cli, io, transforms, tropical
 from tropchow.cli import build_parser, main
 from tropchow.fans import fan_from_max_cones, insert_ray
 from tropchow.ideals import MonomialIdeal
@@ -370,14 +371,18 @@ def test_segre_point_ideal(capsys, tmp_path):
     assert degree0[0]["values"] == [{"cone": [], "value": "1"}]
 
 
-def test_fulton_verify_line_through_center(capsys, tmp_path):
-    fan = _p2()
-    path = _write(tmp_path, "setup.json", "setup", {
-        "base": io.fan_to_payload(fan),
+def _line_through_center(tmp_path):
+    """P2 blown up at a point, against the line through it."""
+    return _write(tmp_path, "setup.json", "setup", {
+        "base": io.fan_to_payload(_p2()),
         "center": [[0, 1], [1, 0]],
         "modification": None,
         "cycle": {"codim": 1,
                   "coefficients": [{"cone": [[1, 0]], "value": 1}]}})
+
+
+def test_fulton_verify_line_through_center(capsys, tmp_path):
+    path = _line_through_center(tmp_path)
     code, out, _ = _run(capsys, "fulton", "verify", "--setup", path)
     assert code == 0
     assert "verdict: verified" in out
@@ -390,6 +395,22 @@ def test_fulton_verify_line_through_center(capsys, tmp_path):
         {"cone": [[1, 0]], "value": "1"}]
     assert len(payload["decomposition"]) == 1
     assert payload["decomposition"][0]["new_ray"] == [1, 1]
+
+
+def test_center_ray_off_one_star_ray_exits_3(capsys, monkeypatch, tmp_path):
+    # each center ray off a stratum must map to one ray of the stratum's
+    # star; a star that breaks this is an internal error, not a refusal
+    real = transforms.star_fan
+
+    def doubled(fan, center):
+        star = real(fan, center)
+        return dataclasses.replace(star, source_to_cone={
+            src: key * 2 for src, key in star.source_to_cone.items()})
+    monkeypatch.setattr(transforms, "star_fan", doubled)
+    code, out, err = _run(capsys, "fulton", "verify",
+                          "--setup", _line_through_center(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: AssertionError\n"
 
 
 def test_fulton_verify_p3_along_a_line(capsys, tmp_path):

@@ -1228,6 +1228,7 @@ def _recompute(fan, key):
             fan, coarse),
         "localization": lambda: weights._localization(fan),
         "ray_class": lambda mono: weights.ray_monomial_class(fan, mono),
+        "star": lambda center: fans.star_fan(fan, center),
     }[name]
     return compute(*args)
 
@@ -1254,7 +1255,7 @@ def test_shared_derived_data_equals_a_fresh_fan():
             assert fans._faces_as_keys(fan, c) == fans._faces_as_keys(
                 fresh, c)
     assert {"assignment", "courant", "dual_basis", "duals", "homes",
-            "localization", "ray_class", "smooth"} <= names
+            "localization", "ray_class", "smooth", "star"} <= names
 
 
 @FAN_ORACLE

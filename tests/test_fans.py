@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 
 from tropchow import fans
@@ -138,6 +141,46 @@ def test_star_fan():
     # star at the origin cone is the fan itself
     whole = fans.star_fan(f, ())
     assert whole.fan == f
+
+
+def test_star_is_kept_per_fan_and_frozen():
+    f = _projective_plane()
+    for center in f.cones:
+        star = fans.star_fan(f, center)
+        assert fans.star_fan(f, center) is star
+        assert f._derived[("star", center)] is star
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        star.fan = f
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        star.cone_to_source = {}
+
+
+def test_star_refusals():
+    f = _projective_plane()
+    with pytest.raises(ValueError, match="center is not a fan cone"):
+        fans.star_fan(f, (0, 1, 2))
+    # (1, 1) is no extreme ray of the quadrant that holds it, so the
+    # image of the cone on it is no quotient cone
+    bad = fans.Fan(2, [(0, 1), (1, 0), (1, 1)],
+                   [(), (0,), (1,), (2,), (0, 1, 2)])
+    with pytest.raises(ValueError, match=r"image of \(2,\) is not a "
+                                         "quotient cone"):
+        fans.star_fan(bad, ())
+    assert ("star", ()) not in bad._derived
+
+
+def test_star_at_a_ray_of_the_cube_fan():
+    # no top cone is simplicial over a ray: the image of its fourth ray
+    # lies inside the image cone, which the star keys by its two rays
+    corners = list(itertools.product((1, -1), repeat=3))
+    cube = fans.fan_from_max_cones(3, [[r for r in corners if r[i] == s]
+                                       for i in range(3) for s in (1, -1)])
+    ray = cube.rays.index((1, 1, 1))
+    star = fans.star_fan(cube, (ray,))
+    assert star.fan.rank == 2 and star.fan.is_complete()
+    assert len(star.fan.rays) == len(star.fan.max_cones) == 3
+    assert sorted(star.cone_to_source[m] for m in star.fan.max_cones) == [
+        m for m in cube.max_cones if ray in m]
 
 
 def test_star_at_the_zero_cone_has_identity_maps():

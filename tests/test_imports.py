@@ -1,6 +1,7 @@
 """Every module of the package, bar the package's own __init__, uses each
 name it imports, every top-level function and class of the package is
-referenced outside its own definition, and no module divides with /."""
+referenced outside its own definition, no module divides with /, and no
+function assigns a local it never reads."""
 import ast
 import os
 from collections import Counter
@@ -122,3 +123,64 @@ def test_true_division_is_found():
     source = ("x = 7 // 2\ny = x / 2\n"
               "def f(z):\n    z /= 3\n    z //= 2\n    return '/'\n")
     assert _true_divisions(source) == [2, 4]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    """The nodes of a function's body outside the scopes nested in it."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _dead_locals(source: str):
+    """(line, name) of every plain `name = ...` in a function that the
+    function, nested scopes included, never reads. Tuple-unpacking
+    targets, names starting with _ and global or nonlocal names are
+    exempt."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        read |= {name for node in _own_nodes(func)
+                 if isinstance(node, (ast.Global, ast.Nonlocal))
+                 for name in node.names}
+        out += [(node.lineno, target.id) for node in _own_nodes(func)
+                if isinstance(node, ast.Assign) for target in node.targets
+                if isinstance(target, ast.Name)
+                and not target.id.startswith("_") and target.id not in read]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_has_no_dead_locals(module):
+    assert _dead_locals(_read(PACKAGE_DIR, module)) == []
+
+
+def test_dead_local_is_found():
+    source = ("top = 1\n"
+              "def f(pair):\n"
+              "    global top\n"
+              "    top = 2\n"
+              "    a, b = pair\n"
+              "    _skip = 3\n"
+              "    dead = 4\n"
+              "    kept = seen = 5\n"
+              "    def g():\n"
+              "        inner = kept\n"
+              "        return seen\n"
+              "    return g\n"
+              "class C:\n"
+              "    attr = 6\n"
+              "    def m(self):\n"
+              "        self.x = 7\n"
+              "        lost = 8\n")
+    assert _dead_locals(source) == [(7, "dead"), (10, "inner"), (17, "lost")]

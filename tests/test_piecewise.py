@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (gysin_degree_by_restriction, is_continuous,
-                     pp_from_vector, restrict_to_star, variable)
+from helpers import (assert_exact, gysin_degree_by_restriction,
+                     is_continuous, pp_from_vector, restrict_to_star,
+                     variable)
 from tropchow import fans, linalg, piecewise
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.polynomials import Polynomial
@@ -31,6 +32,28 @@ def test_courant_values():
     assert phi.evaluate((-1, -1)) == 0
     assert phi.evaluate((2, 1)) == 2
     assert phi.evaluate((-2, -3)) == 1  # on the cone of e2 and (-1,-1): x - y
+
+
+def test_ray_function_coefficients_follow_the_number_rule(monkeypatch):
+    # a coefficient is a Fraction only where the dual basis entry is not
+    # divisible by its scale, and none is built on a smooth fan
+    made = []
+    monkeypatch.setattr(piecewise, "Fraction",
+                        lambda *args: made.append(args) or Fraction(*args))
+
+    def coefficients(fan):
+        return [c for i in range(len(fan.rays))
+                for p in piecewise._courant_function(fan, i).pieces.values()
+                for c in p.terms.values()]
+    for fan in (_p2(), _bl_p2()):
+        assert all(type(c) is int for c in coefficients(fan))
+    assert made == []
+    p112 = fans.fan_from_max_cones(2, [
+        [(1, 0), (0, 1)], [(0, 1), (-1, -2)], [(-1, -2), (1, 0)]])
+    halves = coefficients(p112)
+    assert_exact(halves)
+    assert Fraction(-1, 2) in halves and 1 in halves
+    assert made and all(x % p for x, p in made)
 
 
 def test_courant_needs_simplicial():

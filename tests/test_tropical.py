@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import polytope_vertices, total_genus
+from helpers import assert_exact, polytope_vertices, total_genus
 from tropchow import linalg, polyhedra, tropical
 from tropchow.tropical import (DRCone, SlopeAssignment, WeightedDualGraph,
                                balanced_slopes, dr_cone, dr_subfan,
@@ -259,6 +259,26 @@ def test_fiber_product_scaled_contact():
 def test_relint_point():
     side = dr_cone(BANANA, SlopeAssignment(BANANA, (1, -1), (-1, 0)))
     assert side.relint_point() == (Fraction(0), Fraction(1))
+
+
+def test_lengths_and_potentials_follow_the_number_rule():
+    # int at integer points, a Fraction kept where a value is not integral
+    side = dr_cone(BANANA, SlopeAssignment(BANANA, (1, -1), (-1, 0)))
+    assert all(type(x) is int for x in side.relint_point())
+    chain = WeightedDualGraph((1, 0, 1), ((0, 1), (1, 2)), (0, 1, 2))
+    m = SlopeAssignment(chain, (-1, 2, -1), (1, -1))
+    cone = dr_cone(chain, m)
+    assert all(type(x) is int for x in cone.relint_point())
+    for piece in rubber_pieces(cone):
+        assert all(type(x) is int for x in piece.rubber.potentials)
+    for lengths in ((1, 1), (Fraction(2), Fraction(4, 2))):
+        assert all(type(x) is int
+                   for x in rubber_type(chain, m, lengths).potentials)
+    thirds = rubber_type(chain, m, (Fraction(1, 3), 1)).potentials
+    assert_exact(thirds)
+    assert thirds == (0, Fraction(1, 3), Fraction(-2, 3))
+    halves = rubber_type(BANANA, side.assignment, (0, Fraction(1, 2)))
+    assert all(type(x) is int for x in halves.potentials)
 
 
 def _homogenised_rays(equations, walls, ne):

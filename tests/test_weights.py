@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (assert_exact, cauchy_bound, displacement_past_bound,
-                     fm_displaced_meets, fm_pair_counted, pp_from_polynomial,
+                     fm_displaced_meets, fm_pair_counted, mw_product_by_scan,
+                     pp_from_polynomial, quotient_normals_by_scan,
                      thirty_prime_plane)
 from tropchow import fans, io, linalg, piecewise, polyhedra, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
@@ -533,6 +534,64 @@ def test_h_vector_gives_weight_ranks_and_pp_dimensions(name):
     for d in range(4 if n == 3 else 3):
         assert piecewise.pp_space_dimension(fan, d) == sum(
             h[j] * math.comb(d - j + n - 1, n - 1) for j in range(d + 1))
+
+
+ORACLE_FANS = ["P3 after 2 stellar", "(P1)^3 after 2 stellar",
+               "P4 after 1 stellar", "(P1)^4 after 1 stellar", "cube",
+               "P(1,1,2)"]
+
+
+def _oracle_fan(name):
+    """A seeded rank-3 or rank-4 fan (_billera_fan), the cube fan (no
+    top cone simplicial) or P(1,1,2) (simplicial, not smooth)."""
+    special = {"cube": _cube_fan, "P(1,1,2)": _p112}
+    return special[name]() if name in special else _billera_fan(name)
+
+
+@pytest.mark.parametrize("name", ORACLE_FANS)
+def test_star_equals_the_scan_over_covering_cones(name):
+    # star_fan projects each ray once; per cone tau, its rays are the
+    # lattice normals of the cones over tau, one star ray per cone
+    fan = _oracle_fan(name)
+    for tau in fan.cones:
+        star = fans.star_fan(fan, tau)
+        normals = {star.cone_to_source[(j,)]: ray
+                   for j, ray in enumerate(star.fan.rays)}
+        assert len(normals) == len(star.fan.rays)
+        assert normals == quotient_normals_by_scan(fan, tau), tau
+        assert star.source_to_cone == {
+            src: key for key, src in star.cone_to_source.items()}
+        assert set(star.source_to_cone) == {
+            c for c in fan.cones if set(tau) <= set(c)}
+
+
+@pytest.mark.parametrize("name", ORACLE_FANS)
+def test_product_equals_the_scan_over_cones(name):
+    """mw_product visits each pair of support cones once; the scan visits
+    every product cone and every pair over it. Random weights, most of
+    them unbalanced, and on simplicial fans balanced ray-monomial
+    classes, over every split of codimensions. Budget: under 5 s in all."""
+    fan = _oracle_fan(name)
+    rng = random.Random(name)
+    simplicial = all(len(m) == fan.cone_dim(m) for m in fan.max_cones)
+
+    def operands(codim):
+        cones = fan.cones_of_dim(fan.rank - codim)
+        out = [MinkowskiWeight(fan, codim, {
+            c: rng.choice((0, 1, -2, Fraction(1, 2))) for c in cones})]
+        if simplicial:
+            out.append(ray_monomial_class(fan, rng.choices(
+                range(len(fan.rays)), k=codim)))
+        return out
+    seen = 0
+    for i, j in itertools.product(range(fan.rank + 1), repeat=2):
+        if i + j > fan.rank:
+            continue
+        for a, b in itertools.product(operands(i), operands(j)):
+            product = mw_product(a, b)
+            assert product == mw_product_by_scan(a, b), (i, j)
+            seen += not product.is_zero()
+    assert seen
 
 
 def test_weight_values_are_int_when_integral():
