@@ -310,7 +310,7 @@ def cmd_fulton_verify(args) -> int:
 # the contact entries (contact 6,-6 at g=2 n=2 defaults to 30 and would
 # take about 8 s). With contact entries of +-1 the largest calls they
 # admit run in under a second, where graphs at g=2 n=4 would take about
-# 30 s.
+# 2 s.
 TROPDR_MAX_GENUS = {"graphs": 3, "subfan": 2, "rubber": 2, "tc": 2}
 TROPDR_MAX_LEGS = 6
 TROPDR_MAX_EDGES = 6

@@ -111,30 +111,96 @@ class WeightedDualGraph:
         The canonical graph is the relabelling with the smallest key
         (genus tuple, sorted edges, legs); among relabellings with that
         key, the lexicographically smallest one is returned. Only the
-        relabellings that sort the genus tuple can reach the smallest
-        key, so just those are tried: within each block of equal genus,
-        every order of its vertices onto its block of positions.
+        relabellings that sort the genus tuple can reach the smallest key,
+        so a depth-first search fills positions 0, 1, ... in order, each
+        from the unplaced vertices whose genus belongs there.
+
+        With the positions below k filled, the sorted edge list of every
+        completion is bounded from below entry by entry: an edge with both
+        ends placed is exact, one with one end placed at a is at least
+        (a, k), and one with neither end placed is at least (k, k). The
+        children of a node are tried in the order of their bounds, and a
+        child is cut only when its bound is strictly above the best edge
+        list found so far. Ties are not cut: a child whose bound equals
+        the best list may still reach it, and then its legs and its
+        relabelling decide, at the leaf, exactly as the key does. An edge
+        list is held as one number with a digit per pair (a, b), most
+        significant first, counting the edges at that pair: a smaller list
+        is a larger number, and a child's bound is its parent's plus a few
+        terms.
         """
-        genus = self.genus
-        order = sorted(range(len(genus)), key=genus.__getitem__)
-        blocks = [tuple(vs) for _, vs in
-                  itertools.groupby(order, key=genus.__getitem__)]
+        genus, edges, legs = self.genus, self.edges, self.legs
+        nv = len(genus)
+        if nv == 1:
+            return self, (0,)
+        loops = [0] * nv
+        links = [{} for _ in genus]  # per vertex: neighbour -> edge count
+        for a, b in edges:
+            if a == b:
+                loops[a] += 1
+            else:
+                links[a][b] = links[a].get(b, 0) + 1
+                links[b][a] = links[b].get(a, 0) + 1
+        degree = [sum(row.values()) for row in links]
+        target = sorted(genus)
+        # the digit of the pair (a, b) is the (a * side + b)-th from the top
+        # and width bits wide: no digit exceeds the edge count, so none
+        # carries, and the pair (a, b + 1) is one digit right of (a, b)
+        side = nv + 1
+        width = len(edges).bit_length()
+        unit = [1 << width * c for c in range(side * side, 0, -1)]
+        pos = [nv] * nv  # nv: not placed yet
         best = None
-        for arrangement in itertools.product(
-                *map(itertools.permutations, blocks)):
-            # arrangement lists, block by block, the vertex at each position
-            perm = [0] * len(genus)
-            for p, v in enumerate(itertools.chain.from_iterable(arrangement)):
-                perm[v] = p
-            key = (tuple(sorted(tuple(sorted((perm[a], perm[b])))
-                                for a, b in self.edges)),
-                   tuple(perm[v] for v in self.legs),
-                   tuple(perm))
-            if best is None or key < best:
-                best = key
-        edges, legs, perm = best
-        return (WeightedDualGraph._trusted(tuple(sorted(genus)), edges, legs),
-                perm)
+
+        def descend(k, bound, pending, free):
+            # bound: the node's bound; pending: the part of it from the
+            # edges with one end placed, each at (a, k); free: the count of
+            # edges with no end placed, each at (k, k)
+            nonlocal best
+            column = unit[k::side]  # column[a]: the unit of (a, k)
+            here = unit[k * side + k]
+            beside, below = here >> width, unit[(k + 1) * side + k + 1]
+            children = []
+            for v in range(nv):
+                if pos[v] < nv or genus[v] != target[k]:
+                    continue
+                rest, own = pending, degree[v]
+                for u, m in links[v].items():
+                    if pos[u] < k:
+                        rest -= m * column[pos[u]]
+                        own -= m
+                # placing v at k: the pending edges not onto v move on to
+                # (a, k + 1), v's edges to unplaced vertices to (k, k + 1),
+                # and the other free edges to (k + 1, k + 1)
+                moved = rest >> width
+                others = free - loops[v] - own
+                child = (bound - rest + moved + own * (beside - here)
+                         + others * (below - here))
+                # a smaller key is a smaller edge list
+                children.append((-child, v, moved + own * beside, others))
+            children.sort()
+            for key, v, child_pending, child_free in children:
+                if best is not None and key > best[0]:
+                    break
+                pos[v] = k
+                if k + 2 == nv:
+                    # the vertex left takes the last position, so the bound
+                    # is the exact edge list
+                    w = pos.index(nv)
+                    pos[w] = k + 1
+                    leaf = (key, tuple(pos[x] for x in legs), tuple(pos))
+                    if best is None or leaf < best:
+                        best = leaf
+                    pos[w] = nv
+                else:
+                    descend(k + 1, -key, child_pending, child_free)
+                pos[v] = nv
+
+        descend(0, len(edges) * unit[0], 0, len(edges))
+        _, legs, perm = best
+        edges = tuple(sorted(tuple(sorted((perm[a], perm[b])))
+                             for a, b in edges))
+        return WeightedDualGraph._trusted(tuple(target), edges, legs), perm
 
     def canonical_key(self):
         graph, _ = self.canonical()
@@ -145,10 +211,12 @@ def _degenerations(graph: WeightedDualGraph):
     """Every stable graph with one more edge that contracts back to this
     one: a unit of genus traded for a loop, or a vertex split in two
     joined by a new edge, sharing out its genus, its half-edges (a loop
-    has two) and its legs. A split is kept only when both of its
-    vertices are stable, 2h - 2 + val > 0, read off the counts of the
-    ends each one keeps; the new edge keeps it connected, so every
-    candidate is built without the checks of the constructor."""
+    has two) and its legs. The first end at the vertex stays, which
+    skips each split's mirror image, and the ends that move are drawn as
+    combinations, only of the sizes that leave a genus range where both
+    vertices are stable, 2h - 2 + val > 0. The new edge keeps the graph
+    connected, so every candidate is built without the checks of the
+    constructor."""
     genus, edges, legs = graph.genus, graph.edges, graph.legs
     new = len(genus)
     for v, h in enumerate(genus):
@@ -156,29 +224,32 @@ def _degenerations(graph: WeightedDualGraph):
             yield WeightedDualGraph._trusted(
                 genus[:v] + (h - 1,) + genus[v + 1:], edges + ((v, v),),
                 legs)
-        ends = [(i, k) for i, e in enumerate(edges) for k in (0, 1)
-                if e[k] == v]
-        ends += [(j, None) for j, x in enumerate(legs) if x == v]
-        for moved in itertools.product((0, 1), repeat=len(ends)):
-            if moved[:1] == (1,):
-                continue  # mirrors the split keeping the first end at v
-            out = {end for end, m in zip(ends, moved) if m}
+        # (index, is a leg) per end at v; a loop gives two equal ends
+        ends = [(i, False) for i, e in enumerate(edges) for x in e if x == v]
+        ends += [(j, True) for j, x in enumerate(legs) if x == v]
+        for size in range(len(ends[1:]) + 1):
             # genus range keeping 2h - 2 + val > 0 on both sides, where
             # each side also holds one end of the new edge
-            low = max(0, 1 - (len(ends) - len(out)) // 2)
-            high = h - max(0, 1 - len(out) // 2)
+            low = max(0, 1 - (len(ends) - size) // 2)
+            high = h - max(0, 1 - size // 2)
             if low > high:
                 continue
-            split_edges = tuple(
-                tuple(sorted(new if (i, k) in out else x
-                             for k, x in enumerate(e)))
-                for i, e in enumerate(edges)) + ((v, new),)
-            split_legs = tuple(new if (j, None) in out else x
-                               for j, x in enumerate(legs))
-            for h1 in range(low, high + 1):
-                yield WeightedDualGraph._trusted(
-                    genus[:v] + (h1,) + genus[v + 1:] + (h - h1,),
-                    split_edges, split_legs)
+            for out in itertools.combinations(ends[1:], size):
+                split_edges, split_legs = list(edges), list(legs)
+                for i, is_leg in out:
+                    if is_leg:
+                        split_legs[i] = new
+                    else:
+                        # the end at v moves; a loop moved twice ends at
+                        # (new, new)
+                        a, b = split_edges[i]
+                        split_edges[i] = (b, new) if a == v else (a, new)
+                split_edges = tuple(split_edges) + ((v, new),)
+                split_legs = tuple(split_legs)
+                for h1 in range(low, high + 1):
+                    yield WeightedDualGraph._trusted(
+                        genus[:v] + (h1,) + genus[v + 1:] + (h - h1,),
+                        split_edges, split_legs)
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges=None):

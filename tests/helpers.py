@@ -162,6 +162,36 @@ def total_genus(graph: WeightedDualGraph) -> int:
     return sum(graph.genus) + graph.betti
 
 
+def degenerations_by_masks(graph: WeightedDualGraph):
+    """tropical._degenerations as a loop over all 2^ends masks of the ends
+    at each vertex, the rejected ones included: the raw (genus, edges,
+    legs) of every stable candidate, in the multiplicity it is built."""
+    genus, edges, legs = graph.genus, graph.edges, graph.legs
+    new = len(genus)
+    for v, h in enumerate(genus):
+        if h:
+            yield (genus[:v] + (h - 1,) + genus[v + 1:], edges + ((v, v),),
+                   legs)
+        ends = [(i, k) for i, e in enumerate(edges) for k in (0, 1)
+                if e[k] == v]
+        ends += [(j, None) for j, x in enumerate(legs) if x == v]
+        for moved in iproduct((0, 1), repeat=len(ends)):
+            if moved[:1] == (1,):
+                continue  # mirrors the split keeping the first end at v
+            out = {end for end, m in zip(ends, moved) if m}
+            low = max(0, 1 - (len(ends) - len(out)) // 2)
+            high = h - max(0, 1 - len(out) // 2)
+            split_edges = tuple(
+                tuple(sorted(new if (i, k) in out else x
+                             for k, x in enumerate(e)))
+                for i, e in enumerate(edges)) + ((v, new),)
+            split_legs = tuple(new if (j, None) in out else x
+                               for j, x in enumerate(legs))
+            for h1 in range(low, high + 1):
+                yield (genus[:v] + (h1,) + genus[v + 1:] + (h - h1,),
+                       split_edges, split_legs)
+
+
 def subdivision_assignment_per_cone(fine, coarse) -> dict:
     """fans.subdivision_assignment with a home sought for every cone: the
     first top coarse cone holding the cone's relative interior point,

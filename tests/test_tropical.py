@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import assert_exact, polytope_vertices, total_genus
+from helpers import (assert_exact, degenerations_by_masks, polytope_vertices,
+                     total_genus)
 from tropchow import linalg, polyhedra, tropical
 from tropchow.tropical import (DRCone, SlopeAssignment, WeightedDualGraph,
                                balanced_slopes, dr_cone, dr_subfan,
@@ -48,9 +50,33 @@ def test_enumeration_edge_cap():
         (1, 0), (1, 1), (2, 1)]
 
 
+def _relabelled_key(graph, perm):
+    """(genus, sorted edges, legs) of the graph with each vertex v moved
+    to perm[v]."""
+    genus = [0] * graph.num_vertices
+    for v, h in enumerate(graph.genus):
+        genus[perm[v]] = h
+    return (tuple(genus),
+            tuple(sorted(tuple(sorted((perm[a], perm[b])))
+                         for a, b in graph.edges)),
+            tuple(perm[v] for v in graph.legs))
+
+
+def _full_scan_canonical(graph):
+    """Every vertex permutation; the smallest key, and among tied keys
+    the first permutation in lexicographic order."""
+    best = best_perm = None
+    for perm in itertools.permutations(range(graph.num_vertices)):
+        key = _relabelled_key(graph, perm)
+        if best is None or key < best:
+            best, best_perm = key, perm
+    return WeightedDualGraph(*best), best_perm
+
+
 def _brute_force_graphs(g, n):
     """Second algorithm: every genus vector x edge multiset x leg
-    placement with the right Betti number, kept up to isomorphism."""
+    placement with the right Betti number, kept up to isomorphism by the
+    full permutation scan, which shares no code with canonical()."""
     found = {}
     # the per-vertex surpluses 2h - 2 + val sum to 2g - 2 + n, each >= 1
     for nv in range(1, 2 * g - 2 + n + 1):
@@ -66,7 +92,9 @@ def _brute_force_graphs(g, n):
                         graph = WeightedDualGraph(genus, edges, legs)
                     except ValueError:
                         continue
-                    found.setdefault(graph.canonical_key(), graph)
+                    canon, _ = _full_scan_canonical(graph)
+                    found.setdefault(
+                        (canon.genus, canon.edges, canon.legs), graph)
     return [WeightedDualGraph(*key) for key in sorted(found)]
 
 
@@ -398,23 +426,6 @@ SMALL_MODULI = [(g, n) for g in range(3) for n in range(4)
                 if 2 * g - 2 + n > 0] + [(3, 0)]
 
 
-def _full_scan_canonical(graph):
-    """Every vertex permutation; the smallest key, and among tied keys
-    the first permutation in lexicographic order."""
-    best = best_perm = None
-    for perm in itertools.permutations(range(graph.num_vertices)):
-        genus = [0] * graph.num_vertices
-        for v, h in enumerate(graph.genus):
-            genus[perm[v]] = h
-        key = (tuple(genus),
-               tuple(sorted(tuple(sorted((perm[a], perm[b])))
-                            for a, b in graph.edges)),
-               tuple(perm[v] for v in graph.legs))
-        if best is None or key < best:
-            best, best_perm = key, perm
-    return WeightedDualGraph(*best), best_perm
-
-
 def _shuffled(graph, rng):
     """The graph under a random vertex relabelling, with its edges in a
     random order and each written either way round."""
@@ -442,6 +453,61 @@ def test_canonical_matches_full_permutation_scan(g, n):
             assert canon == graph
             assert moved.canonical_key() == (
                 graph.genus, graph.edges, graph.legs)
+
+
+def test_canonical_matches_full_scan_where_the_search_cuts():
+    """Graphs whose genus-0 blocks hold four or five vertices, where the
+    bound cuts branches and ties between them are common: every graph of
+    g=0 n=6 and g=1 n=4, and a seeded sample of the five-vertex graphs
+    of g=0 n=7, each under a random relabelling."""
+    rng = random.Random("cut search")
+    five = [graph for graph in enumerate_stable_graphs(0, 7)
+            if graph.num_vertices == 5]
+    graphs = (enumerate_stable_graphs(0, 6) + enumerate_stable_graphs(1, 4)
+              + rng.sample(five, 150))
+    for graph in graphs:
+        moved = _shuffled(graph, rng)
+        canon, perm = moved.canonical()
+        assert (canon, perm) == _full_scan_canonical(moved)
+        assert canon == graph
+
+
+def _automorphism_count(graph):
+    own = _relabelled_key(graph, range(graph.num_vertices))
+    return sum(_relabelled_key(graph, perm) == own for perm in
+               itertools.permutations(range(graph.num_vertices)))
+
+
+# cubic genus-4 graphs with 12 and 72 automorphisms
+PRISM = WeightedDualGraph((0,) * 6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                     (3, 5), (0, 3), (1, 4), (2, 5)), ())
+K33 = WeightedDualGraph((0,) * 6, tuple((a, b) for a in range(3)
+                                        for b in range(3, 6)), ())
+
+
+def test_canonical_breaks_ties_by_the_first_permutation():
+    """On graphs with automorphisms (parallel edges, the g=3 n=0
+    bananas, two symmetric cubic graphs) several relabellings reach the
+    smallest key, and the lexicographically first one is returned."""
+    rng = random.Random("automorphisms")
+    graphs = [graph for graph in enumerate_stable_graphs(3, 0)
+              if _automorphism_count(graph) > 1]
+    assert len(graphs) == 20
+    assert [_automorphism_count(g) for g in (PRISM, K33)] == [12, 72]
+    for graph in graphs + [PRISM, K33]:
+        for _ in range(3):
+            moved = _shuffled(graph, rng)
+            assert moved.canonical() == _full_scan_canonical(moved)
+
+
+@pytest.mark.parametrize("g, n", [(g, n) for g, n in SMALL_MODULI if g <= 2])
+def test_degenerations_match_the_mask_loop(g, n):
+    """The combinations of moved ends give the same candidates, counted
+    with multiplicity, as the loop over every mask of ends."""
+    for graph in enumerate_stable_graphs(g, n):
+        built = Counter((cand.genus, cand.edges, cand.legs)
+                        for cand in tropical._degenerations(graph))
+        assert built == Counter(degenerations_by_masks(graph))
 
 
 def _fraction_box_slopes(graph, contact, bound):
