@@ -3,13 +3,17 @@
 Exit codes: 0 success, 1 a checked identity or property fails, 2 bad
 input, 3 internal error (an ArithmeticError, RuntimeError or
 AssertionError inside the library, reported on one stderr line).  All
-output is deterministic; documents print in canonical form.
+output is deterministic; documents print in canonical form. Every
+command takes --out FILE, which writes to FILE exactly what stdout would
+get; a command that exits 2 or 3 writes no file.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext, redirect_stdout
 from functools import cache
+from io import StringIO
 
 from . import io
 from .fans import (common_refinement, fan_from_max_cones, star_fan,
@@ -56,17 +60,8 @@ def _load_pp(path: str):
     return io.pp_from_payload(io.expect_kind(io.load(path), "pp").payload)
 
 
-def _emit(args, text: str):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_doc(args, kind: str, payload):
-    _emit(args, io.print_document(io.Document(kind, payload)))
+def _emit_doc(kind: str, payload):
+    sys.stdout.write(io.print_document(io.Document(kind, payload)))
 
 
 def _cones_text(fan, values) -> str:
@@ -106,7 +101,7 @@ def cmd_fan_validate(args) -> int:
             print(f"invalid: {p}")
         return 1
     if args.format == "json":
-        _emit_doc(args, "fan", io.fan_to_payload(fan))
+        _emit_doc("fan", io.fan_to_payload(fan))
     else:
         print(f"rank {fan.rank}, {len(fan.rays)} rays, "
               f"{len(fan.max_cones)} maximal cones")
@@ -119,7 +114,7 @@ def cmd_fan_stellar(args) -> int:
     fan = _load_fan(args.fan)
     cone = _cone_arg(fan, args.cone)
     ray = _ints(args.ray, "--ray") if args.ray else None
-    _emit_doc(args, "fan",
+    _emit_doc("fan",
               io.fan_to_payload(stellar_subdivision(fan, cone, ray)))
     return 0
 
@@ -127,14 +122,14 @@ def cmd_fan_stellar(args) -> int:
 def cmd_fan_star(args) -> int:
     fan = _load_fan(args.fan)
     cone = _cone_arg(fan, args.cone)
-    _emit_doc(args, "fan", io.fan_to_payload(star_fan(fan, cone).fan))
+    _emit_doc("fan", io.fan_to_payload(star_fan(fan, cone).fan))
     return 0
 
 
 def cmd_fan_refine(args) -> int:
     fan = _load_fan(args.fan)
     other = _load_fan(args.other)
-    _emit_doc(args, "fan", io.fan_to_payload(common_refinement(fan, other)))
+    _emit_doc("fan", io.fan_to_payload(common_refinement(fan, other)))
     return 0
 
 
@@ -145,7 +140,7 @@ def cmd_pp_courant(args) -> int:
     idx = _cone_arg(fan, args.cone)
     if len(idx) != 1:
         raise io.DocumentError("courant needs exactly one ray index")
-    _emit_doc(args, "pp", io.pp_to_payload(courant_function(fan, idx[0])))
+    _emit_doc("pp", io.pp_to_payload(courant_function(fan, idx[0])))
     return 0
 
 
@@ -156,7 +151,7 @@ def cmd_pp_eval(args) -> int:
         raise io.DocumentError("point has the wrong number of coordinates")
     value = io.format_rational(pp.evaluate(point))
     if args.format == "json":
-        _emit_doc(args, "report", {"subject": "eval", "value": value})
+        _emit_doc("report", {"subject": "eval", "value": value})
     else:
         print(value)
     return 0
@@ -165,7 +160,7 @@ def cmd_pp_eval(args) -> int:
 def cmd_pp_mul(args) -> int:
     a = _load_pp(args.pp)
     b = _load_pp(args.other)
-    _emit_doc(args, "pp", io.pp_to_payload(a * b))
+    _emit_doc("pp", io.pp_to_payload(a * b))
     return 0
 
 
@@ -182,7 +177,7 @@ def cmd_pp_excess_chern(args) -> int:
              for i in cone]
     exceptional = courant_function(blow, blow.rays.index(exc))
     degree = len(cone) - 1 if args.degree is None else args.degree
-    _emit_doc(args, "pp", io.pp_to_payload(
+    _emit_doc("pp", io.pp_to_payload(
         excess_chern_class(blow, funcs, exceptional, degree)))
     return 0
 
@@ -193,7 +188,7 @@ def cmd_chow_balance(args) -> int:
     w = _load_weight(args.weight)
     ok = is_balanced(w)
     if args.format == "json":
-        _emit_doc(args, "report", {"subject": "balance", "balanced": ok})
+        _emit_doc("report", {"subject": "balance", "balanced": ok})
     else:
         print("balanced" if ok else "not balanced")
     return 0 if ok else 1
@@ -206,7 +201,7 @@ def cmd_chow_degree(args) -> int:
             "degree needs codimension equal to the fan rank")
     value = io.format_rational(w.values[()])
     if args.format == "json":
-        _emit_doc(args, "report", {"subject": "degree", "value": value})
+        _emit_doc("report", {"subject": "degree", "value": value})
     else:
         print(value)
     return 0
@@ -220,7 +215,7 @@ def cmd_chow_product(args) -> int:
         if not is_balanced(w):
             print(f"not balanced: {flag}", file=sys.stderr)
             return 1
-    _emit_doc(args, "weight", io.weight_to_payload(mw_product(a, b)))
+    _emit_doc("weight", io.weight_to_payload(mw_product(a, b)))
     return 0
 
 
@@ -232,13 +227,13 @@ def cmd_chow_push(args) -> int:
         print("not balanced: --weight", file=sys.stderr)
         return 1
     pushed = pushforward_witness(w.fan, mw_to_pp(w), w.codim, target)
-    _emit_doc(args, "weight", io.weight_to_payload(pushed))
+    _emit_doc("weight", io.weight_to_payload(pushed))
     return 0
 
 
 def cmd_chow_of_pp(args) -> int:
     pp = _load_pp(args.pp)
-    _emit_doc(args, "weight",
+    _emit_doc("weight",
               io.weight_to_payload(mw_of_pp(pp, args.codim)))
     return 0
 
@@ -263,7 +258,7 @@ def cmd_segre(args) -> int:
                 {"codim": k,
                  "support": io.values_payload(ideal.fan, cert)}
                 for k, cert in sorted(data.certificates.items())]}
-        _emit_doc(args, "report", payload)
+        _emit_doc("report", payload)
     else:
         for k, w in sorted(data.pieces.items()):
             print(f"s_{k}: {_cones_text(w.fan, w.values)}")
@@ -290,7 +285,7 @@ def cmd_fulton_verify(args) -> int:
                  "slots": [list(s) for s in c.slots],
                  "weight": io.weight_values_payload(c.weight)}
                 for c in report.decomposition]}
-        _emit_doc(args, "report", payload)
+        _emit_doc("report", payload)
     else:
         print(f"verdict: {report.verdict}")
         for label, cycle in (("total:      ", report.total),
@@ -347,7 +342,7 @@ def cmd_tropdr_graphs(args) -> int:
     _check_size(args)
     graphs = enumerate_stable_graphs(args.g, args.n, args.max_edges)
     if args.format == "json":
-        _emit_doc(args, "report",
+        _emit_doc("report",
                   {"subject": "graphs", "count": len(graphs),
                    "graphs": [io.graph_to_payload(g) for g in graphs]})
     else:
@@ -371,7 +366,7 @@ def cmd_tropdr_subfan(args) -> int:
                      for c in piece.cones]
             pieces.append({"graph": io.graph_to_payload(piece.graph),
                            "bound": piece.bound, "cones": cones})
-        _emit_doc(args, "report",
+        _emit_doc("report",
                   {"subject": "subfan", "genus": sf.genus,
                    "num_legs": sf.num_legs, "contact": list(sf.contact),
                    "pieces": pieces})
@@ -400,7 +395,7 @@ def cmd_tropdr_rubber(args) -> int:
                     "smooth": p.smooth,
                     "dimension_ok": p.dimension_ok}
                    for p in pieces]
-        _emit_doc(args, "report",
+        _emit_doc("report",
                   {"subject": "rubber", "count": len(pieces),
                    "pieces": payload})
     else:
@@ -431,7 +426,7 @@ def cmd_tropdr_tc(args) -> int:
                      for c in piece.cones]
             pieces.append({"graph": io.graph_to_payload(piece.graph),
                            "cones": cones})
-        _emit_doc(args, "report",
+        _emit_doc("report",
                   {"subject": "tc", "genus": prod.genus,
                    "num_legs": prod.num_legs,
                    "contacts": [list(c) for c in prod.contacts],
@@ -464,23 +459,19 @@ def build_parser() -> argparse.ArgumentParser:
                                                required=True)
     p = fan.add_parser("validate")
     p.add_argument("--fan", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fan_validate)
     p = fan.add_parser("stellar")
     p.add_argument("--fan", required=True)
     p.add_argument("--cone", required=True)
     p.add_argument("--ray")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fan_stellar)
     p = fan.add_parser("star")
     p.add_argument("--fan", required=True)
     p.add_argument("--cone", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fan_star)
     p = fan.add_parser("refine")
     p.add_argument("--fan", required=True)
     p.add_argument("--other", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fan_refine)
 
     pp = top.add_parser("pp").add_subparsers(dest="subcommand",
@@ -488,63 +479,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = pp.add_parser("courant")
     p.add_argument("--fan", required=True)
     p.add_argument("--cone", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pp_courant)
     p = pp.add_parser("eval")
     p.add_argument("--pp", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pp_eval)
     p = pp.add_parser("mul")
     p.add_argument("--pp", required=True)
     p.add_argument("--other", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pp_mul)
     p = pp.add_parser("excess-chern")
     p.add_argument("--fan", required=True)
     p.add_argument("--cone", required=True)
     p.add_argument("--degree", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pp_excess_chern)
 
     chow = top.add_parser("chow").add_subparsers(dest="subcommand",
                                                  required=True)
     p = chow.add_parser("balance")
     p.add_argument("--weight", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_chow_balance)
     p = chow.add_parser("degree")
     p.add_argument("--weight", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_chow_degree)
     p = chow.add_parser("product")
     p.add_argument("--weight", required=True)
     p.add_argument("--other", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_chow_product)
     p = chow.add_parser("push")
     p.add_argument("--weight", required=True)
     p.add_argument("--fan", required=True,
                    help="coarser fan to push the class to")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_chow_push)
     p = chow.add_parser("of-pp")
     p.add_argument("--pp", required=True)
     p.add_argument("--codim", required=True, type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_chow_of_pp)
 
-    p = top.add_parser("segre")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--fan")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_segre)
+    segre = top.add_parser("segre")
+    segre.add_argument("--ideal", required=True)
+    segre.add_argument("--fan")
+    segre.set_defaults(func=cmd_segre)
 
     fulton = top.add_parser("fulton").add_subparsers(dest="subcommand",
                                                      required=True)
     p = fulton.add_parser("verify")
     p.add_argument("--setup", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fulton_verify)
 
     genus = TROPDR_MAX_GENUS
@@ -572,22 +552,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = tropdr_parser("graphs", cmd_tropdr_graphs)
     p.add_argument("--max-edges", type=int,
                    help=f"at most {TROPDR_MAX_EDGES}")
-    p.add_argument("--out")
     p = tropdr_parser("subfan", cmd_tropdr_subfan)
     p.add_argument("--contact", required=True)
     p.add_argument("--bound", type=int, help=at_most)
-    p.add_argument("--out")
     p = tropdr_parser("rubber", cmd_tropdr_rubber)
     p.add_argument("--contact", required=True)
     p.add_argument("--bound", type=int, help=at_most)
-    p.add_argument("--out")
     p = tropdr_parser("tc", cmd_tropdr_tc)
     p.add_argument("--contact", required=True)
     p.add_argument("--contact2", required=True)
     p.add_argument("--bound", type=int, help=at_most)
     p.add_argument("--bound2", type=int, help=at_most)
-    p.add_argument("--out")
 
+    # every command takes --out, its last option; main honours it
+    for group in (fan, pp, chow, fulton, trop):
+        for p in group.choices.values():
+            p.add_argument("--out")
+    segre.add_argument("--out")
     return parser
 
 
@@ -597,8 +578,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    # with --out, stdout is collected and written to the file once the
+    # command has run, so the file holds exactly what stdout would
+    buffer = StringIO()
     try:
-        return args.func(args)
+        with redirect_stdout(buffer) if args.out else nullcontext():
+            code = args.func(args)
     except ValueError as e:  # io.DocumentError included
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -606,6 +591,10 @@ def main(argv=None) -> int:
         print(f"internal error: {str(e) or type(e).__name__}",
               file=sys.stderr)
         return 3
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(buffer.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ returned as it is (see Fan).
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -26,10 +27,13 @@ class Fan:
     dimensions, dual bases, smoothness, ray functions, the star of each
     cone (star_fan), cone homes and subdivision assignments per target fan,
     ...) is computed on first use and kept on this object, so a Fan must
-    never be mutated. Construction hands over what it computes while
-    closing over faces: the extreme rays, H-representation and faces of
-    every input cone, the dimension of every cone and the top cones (a Fan
-    built directly finds them by comparing all cones). fan_from_max_cones
+    never be mutated. The kept faces of a cone answer every face question:
+    its facets, completeness (facets of top cones) and the coverage check
+    of common_refinement read them. Construction hands over what it
+    computes while closing over faces: the extreme rays, H-representation
+    and faces of every input cone, the dimension of every cone and the top
+    cones (a Fan built directly finds them as fan_from_cells does, from the
+    cones holding each ray). fan_from_max_cones
     reads the rays off the generators and the one H-representation it
     computes per generator list, and keeps the dual basis that the
     H-representation of a simplicial cone is read off; a stellar
@@ -90,9 +94,7 @@ class Fan:
     @property
     def max_cones(self):
         if self._max is None:
-            cs = set(self.cones)
-            self._max = tuple(c for c in self.cones
-                              if not any(set(c) < set(d) for d in cs))
+            self._max = _top_keys(set(self.cones), self.cones)
         return self._max
 
     def cones_of_dim(self, d: int):
@@ -121,14 +123,11 @@ class Fan:
         return tuple(pt)
 
     def facets_of(self, cone: ConeKey):
-        """Codimension-one faces of a cone, as sorted ray-index tuples."""
-        eqs, ineqs = self.cone_hrep(cone)
-        out = set()
-        for a in ineqs:
-            face = tuple(i for i in cone
-                         if sum(x * y for x, y in zip(a, self.rays[i])) == 0)
-            out.add(face)
-        return tuple(sorted(out))
+        """Codimension-one faces of a cone, as sorted ray-index tuples: its
+        kept faces (_faces_as_keys) of one dimension less."""
+        d = self.cone_dim(cone) - 1
+        return tuple(f for f in _faces_as_keys(self, cone)
+                     if self.cone_dim(f) == d)
 
     def minimal_cone_containing(self, point):
         """Smallest fan cone containing the point, or None if outside.
@@ -153,7 +152,7 @@ class Fan:
         if not rays:
             return 1
         if len(rays) == self.rank:
-            return abs(linalg.det(rays).numerator)
+            return abs(linalg.det(rays))
         mat = [[r[i] for r in rays] for i in range(self.rank)]
         return linalg.lattice_index(mat)
 
@@ -178,39 +177,33 @@ class Fan:
 
     def unimodular_duals(self) -> dict:
         """Integer inverse of the ray matrix of every top cone, keyed by
-        cone: its rows are the dual basis. Needs a smooth fan whose top
-        cones are all full-dimensional and every ridge in exactly two of
-        them, i.e. a complete smooth fan."""
+        cone: its rows are the dual basis. Needs a smooth complete fan;
+        the top cones are checked one by one before is_complete runs."""
         return self.cached("duals", self._unimodular_duals)
 
     def _unimodular_duals(self):
-        n = self.rank
         duals = {}
-        ridges: dict[ConeKey, int] = {}  # (n-1)-subsets of smooth top cones
         for m in self.max_cones:
-            if self.cone_dim(m) != n:
+            if self.cone_dim(m) != self.rank:
                 raise ValueError("fan is not complete")
-            for ridge in combinations(m, n - 1) if n else ():
-                ridges[ridge] = ridges.get(ridge, 0) + 1
-            if len(m) != n:  # a top cone that is not simplicial
+            if len(m) != self.rank:  # a top cone that is not simplicial
                 raise ValueError("matrix is not unimodular")
             duals[m] = linalg.integral_rows(self.cone_dual_basis(m))
-        if any(count != 2 for count in ridges.values()):
+        if not self.is_complete():
             raise ValueError("fan is not complete")
         return duals
 
     def is_complete(self) -> bool:
+        """Whether the top cones are full-dimensional and every cone of
+        codimension one (a ridge) is a facet of exactly two of them,
+        counted in one pass over their facets."""
         if self.rank == 0:
             return True
         maxes = self.max_cones
         if not maxes or any(self.cone_dim(c) != self.rank for c in maxes):
             return False
-        for ridge in self.cones_of_dim(self.rank - 1):
-            touching = [m for m in maxes if set(ridge) <= set(m)
-                        and ridge in _faces_as_keys(self, m)]
-            if len(touching) != 2:
-                return False
-        return True
+        counts = Counter(f for m in maxes for f in self.facets_of(m))
+        return all(counts[r] == 2 for r in self.cones_of_dim(self.rank - 1))
 
     def __eq__(self, other):
         return (isinstance(other, Fan) and self.rank == other.rank
@@ -232,14 +225,17 @@ def _faces_as_keys(fan: Fan, cone: ConeKey):
 
 def _face_keys(cone: ConeKey, rays, ineqs):
     """Faces of a cone with the given ray indices, rays and facet
-    inequalities: the rays on which each subset of inequalities vanishes."""
-    faces = {()}
-    for k in range(len(ineqs) + 1):
-        for sub in combinations(ineqs, k):
-            faces.add(tuple(idx for idx, r in zip(cone, rays)
-                            if all(sum(a * b for a, b in zip(w, r)) == 0
-                                   for w in sub)))
-    return tuple(sorted(faces))
+    inequalities: the cone, the zero cone and every intersection of
+    facets, a facet being the rays on which one inequality vanishes. Each
+    face of a pointed cone is an intersection of facets, so closing the
+    facets under intersection finds them all."""
+    facets = {frozenset(i for i, r in zip(cone, rays)
+                        if not polyhedra._dot(w, r)) for w in ineqs}
+    faces, new = {frozenset(cone), frozenset()}, facets
+    while new:
+        faces |= new
+        new = {f & g for f in new for g in facets} - faces
+    return tuple(sorted(tuple(i for i in cone if i in f) for f in faces))
 
 
 def fan_from_max_cones(rank: int, generator_lists) -> Fan:
@@ -452,7 +448,12 @@ def common_refinement(fan1: Fan, fan2: Fan) -> Fan:
 
 
 def _covering_defect(coarse: Fan, fine: Fan):
-    """Check that fine tiles every top cone of coarse; None when it does."""
+    """Check that fine tiles every top cone of coarse; None when it does.
+
+    The cells of fine inside a top cone must include one of its
+    dimension, and among those cells every facet off the top cone's
+    boundary must be a facet of exactly two, counted in one pass as
+    is_complete counts ridges."""
     for m in coarse.max_cones:
         d = coarse.cone_dim(m)
         cells = [c for c in fine.max_cones
@@ -460,20 +461,15 @@ def _covering_defect(coarse: Fan, fine: Fan):
                  and all(coarse.cone_contains(m, r) for r in fine.cone_rays(c))]
         if not cells:
             return f"cone {m} holds no full-dimensional cell"
-        eqs, ineqs = coarse.cone_hrep(m)
+        ineqs = coarse.cone_hrep(m)[1]
+        counts = Counter(f for c in cells for f in fine.facets_of(c))
         for cell in cells:
             for facet in fine.facets_of(cell):
-                pts = fine.cone_rays(facet)
-                on_boundary = any(
-                    all(sum(x * y for x, y in zip(a, p)) == 0 for p in pts)
-                    for a in ineqs)
-                if on_boundary:
-                    continue
-                sharers = [c for c in cells if c != cell
-                           and all(fine.cone_contains(c, p) for p in pts)]
-                if len(sharers) != 1:
+                if counts[facet] != 2 and not any(
+                        all(not polyhedra._dot(a, p)
+                            for p in fine.cone_rays(facet)) for a in ineqs):
                     return (f"facet {facet} of cell {cell} inside cone {m} "
-                            f"is shared by {len(sharers)} cells")
+                            f"is shared by {counts[facet] - 1} cells")
     return None
 
 

@@ -4,8 +4,10 @@ Matrices are plain lists of lists with int or fractions.Fraction entries.
 Elimination is fraction-free: each row is scaled to integers by the lcm of
 its denominators, then eliminated in Python ints (arbitrary precision),
 Gauss-Jordan with every new row divided by its content, or Bareiss for
-det. Fractions are built only for the outputs of rref, solve, nullspace
-and det; rank and primitive_kernel build none. Every inverse of a basis
+det. Fractions are built only for the outputs of rref, solve and
+nullspace, and for a det that is not integral (an integral one is an
+int, the rule polynomial coefficients follow); rank and primitive_kernel
+build none. Every inverse of a basis
 (dual bases of cone rays, unimodular inverses, the start cone of the
 double description) is read off one kernel, scaled_inverse: a single
 elimination of [a | I], whose rows are those of the inverse scaled to
@@ -330,8 +332,9 @@ def primitive_kernel(a) -> list[IntVector]:
     return basis
 
 
-def det(a) -> Fraction:
-    """Determinant by Bareiss elimination on the denominator-cleared rows."""
+def det(a) -> int | Fraction:
+    """Determinant by Bareiss elimination on the denominator-cleared rows:
+    an int when it is integral, else a Fraction."""
     n = len(a)
     rows = _integer_rows(a)
     scale = prod(lcm(*[x.denominator for x in row]) for row in a)
@@ -339,7 +342,7 @@ def det(a) -> Fraction:
     for c in range(n):
         pr = next((i for i in range(c, n) if rows[i][c]), None)
         if pr is None:
-            return Fraction(0)
+            return 0
         if pr != c:
             rows[c], rows[pr] = rows[pr], rows[c]
             sign = -sign
@@ -349,4 +352,5 @@ def det(a) -> Fraction:
             f = rows[i][c]
             rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], prow)]
         prev = pv
-    return Fraction(sign * prev, scale)
+    q, r = divmod(sign * prev, scale)
+    return Fraction(sign * prev, scale) if r else q

@@ -248,7 +248,7 @@ def _pair_multiplicity(fan: Fan, sigma1, sigma2) -> int:
             if sign < 0 and i not in sigma2 or sign > 0 and i not in sigma1:
                 return 0
         if fan.is_smooth():
-            return abs(linalg.det(rays).numerator)
+            return abs(linalg.det(rays))
         return linalg.lattice_index(_saturated_sum(fan, sigma1, sigma2))
     merged = _saturated_sum(fan, sigma1, sigma2)
     if linalg.rank(merged) < n or not _displaced_meets(fan, sigma1, sigma2):

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
-from math import isqrt
+from math import atan2, gcd, isqrt
+from random import Random
 
 from tropchow import fans, io, linalg, polyhedra, weights
 from tropchow.ideals import MonomialIdeal, order_function
@@ -404,6 +405,129 @@ def _independent_subset(vectors, target_rank):
             if len(out) == target_rank:
                 break
     return out
+
+
+# ---------------------------------------------------------------------------
+# fans with many or non-simplicial cones, and the face scans they replace
+
+BILLERA_FANS = [base + (f" after {k} stellar" if k else "")
+                for base in ("P3", "(P1)^3", "P4", "(P1)^4") for k in range(3)]
+
+
+def billera_fan(name):
+    """P3, (P1)^3, P4 or (P1)^4 after the stellar subdivisions the name
+    counts, at cones drawn by a seeded generator: a smooth complete fan."""
+    base, _, steps = name.partition(" after ")
+    n = int(base[-1])
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if base[0] == "P":
+        simplex = e + [tuple([-1] * n)]
+        cones = [list(c) for c in combinations(simplex, n)]
+    else:
+        cones = [[tuple(s * x for x in v) for s, v in zip(signs, e)]
+                 for signs in iproduct((1, -1), repeat=n)]
+    fan = fans.fan_from_max_cones(n, cones)
+    rng = Random(base)
+    for _ in range(int(steps[0]) if steps else 0):
+        fan = fans.stellar_subdivision(
+            fan, rng.choice([c for c in fan.cones if len(c) > 1]))
+    return fan
+
+
+def lattice_polygon(k: int):
+    """Vertices, in counterclockwise order, of a convex lattice k-gon (k
+    even) symmetric about the origin: its edges are twice the k/2
+    shortest primitive directions of the upper half-plane, in order of
+    angle, then their negatives."""
+    m = k // 2
+    dirs = sorted(((a, b) for a in range(-m, m + 1) for b in range(m + 1)
+                   if (b > 0 or a > 0) and gcd(a, b) == 1),
+                  key=lambda d: (d[0] ** 2 + d[1] ** 2, atan2(d[1], d[0])))
+    dirs = sorted(dirs[:m], key=lambda d: atan2(d[1], d[0]))
+    x, y = -sum(a for a, _ in dirs), -sum(b for _, b in dirs)
+    vertices = []
+    for a, b in dirs + [(-a, -b) for a, b in dirs]:
+        vertices.append((x, y))
+        x, y = x + 2 * a, y + 2 * b
+    return vertices
+
+
+def polygon_cone_fan(k: int):
+    """The fan of one cone, over a lattice k-gon at height 1: k rays and
+    k facets, so 2k + 2 cones."""
+    return fans.fan_from_max_cones(
+        3, [[(x, y, 1) for x, y in lattice_polygon(k)]])
+
+
+def prism_face_fan(k: int):
+    """The complete face fan of the prism over a lattice k-gon: k square
+    top cones and two k-gon ones, 3k + 3 cones below them."""
+    p = lattice_polygon(k)
+    sides = [[(x, y, z) for x, y in (p[i], p[i - 1]) for z in (1, -1)]
+             for i in range(k)]
+    caps = [[(x, y, z) for x, y in p] for z in (1, -1)]
+    return fans.fan_from_max_cones(3, sides + caps)
+
+
+def faces_by_subset_scan(cone, rays, ineqs):
+    """Faces of a cone with the given ray indices, rays and facet
+    inequalities: the rays on which each subset of inequalities vanishes,
+    all 2^facets subsets visited."""
+    faces = {()}
+    for k in range(len(ineqs) + 1):
+        for sub in combinations(ineqs, k):
+            faces.add(tuple(idx for idx, r in zip(cone, rays)
+                            if all(polyhedra._dot(w, r) == 0 for w in sub)))
+    return tuple(sorted(faces))
+
+
+def facets_by_inequalities(fan, cone):
+    """Facets of a fan cone: the rays on which each inequality of its
+    H-representation vanishes."""
+    return tuple(sorted({tuple(i for i in cone
+                               if polyhedra._dot(a, fan.rays[i]) == 0)
+                         for a in fan.cone_hrep(cone)[1]}))
+
+
+def is_complete_by_ridge_scan(fan) -> bool:
+    """Completeness by a scan of every ridge against every top cone: the
+    top cones are full-dimensional and each ridge is a face, found by
+    the subset scan, of exactly two."""
+    if fan.rank == 0:
+        return True
+    maxes = fan.max_cones
+    if not maxes or any(fan.cone_dim(c) != fan.rank for c in maxes):
+        return False
+    return all(
+        sum(set(ridge) <= set(m) and ridge in faces_by_subset_scan(
+            m, fan.cone_rays(m), fan.cone_hrep(m)[1]) for m in maxes) == 2
+        for ridge in fan.cones_of_dim(fan.rank - 1))
+
+
+def covering_defect_by_sharers(coarse, fine):
+    """fans._covering_defect by containment: every facet, by its
+    inequalities, of a cell inside a coarse top cone and off its boundary
+    lies in exactly one other such cell."""
+    for m in coarse.max_cones:
+        d = coarse.cone_dim(m)
+        cells = [c for c in fine.max_cones
+                 if fine.cone_dim(c) == d
+                 and all(coarse.cone_contains(m, r) for r in fine.cone_rays(c))]
+        if not cells:
+            return f"cone {m} holds no full-dimensional cell"
+        ineqs = coarse.cone_hrep(m)[1]
+        for cell in cells:
+            for facet in facets_by_inequalities(fine, cell):
+                pts = fine.cone_rays(facet)
+                if any(all(polyhedra._dot(a, p) == 0 for p in pts)
+                       for a in ineqs):
+                    continue
+                sharers = [c for c in cells if c != cell
+                           and all(fine.cone_contains(c, p) for p in pts)]
+                if len(sharers) != 1:
+                    return (f"facet {facet} of cell {cell} inside cone {m} "
+                            f"is shared by {len(sharers)} cells")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,32 @@ def test_pp_courant_and_eval(capsys, tmp_path, p2_doc):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["tropdr", "graphs", "--g", "0", "--n", "4"],
+    ["--format", "json", "fan", "validate", "--fan", "p2.json"]])
+def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, p2_doc, argv):
+    argv = [p2_doc if a == "p2.json" else a for a in argv]
+    code, out, err = _run(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert _run(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert code == 0 and out
+    assert path.read_bytes() == out.encode()
+
+
+def test_fan_refine_of_differing_supports_exits_2(capsys, tmp_path):
+    orthant = _write(tmp_path, "orthant.json", "fan",
+                     {"rank": 2, "max_cones": [[[1, 0], [0, 1]]]})
+    half = _write(tmp_path, "half.json", "fan",
+                  {"rank": 2, "max_cones": [[[1, 0], [1, 1]]]})
+    path = tmp_path / "refined.json"
+    code, out, err = _run(capsys, "fan", "refine", "--fan", orthant,
+                          "--other", half, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: supports differ: facet ")
+    assert err.count("\n") == 1
+    assert not path.exists()  # a refusal writes no file
+
+
 def test_chow_degree_of_squared_hyperplane(capsys, tmp_path, p2_doc):
     fan = _p2()
     h = mw_of_pp(courant_function(fan, 2), 1)

@@ -11,9 +11,10 @@ from itertools import combinations
 import pytest
 
 from helpers import ideal_to_payload
+from test_weights import _cube_fan
 from tropchow import io
 from tropchow.cli import main
-from tropchow.fans import fan_from_max_cones
+from tropchow.fans import fan_from_max_cones, stellar_subdivision
 from tropchow.ideals import MonomialIdeal
 from tropchow.piecewise import courant_function
 from tropchow.weights import mw_of_pp
@@ -35,6 +36,9 @@ def _documents():
     h3 = mw_of_pp(courant_function(p3, 3), 1)
     return {
         "p3.json": ("fan", io.fan_to_payload(p3)),
+        "cube.json": ("fan", io.fan_to_payload(_cube_fan())),
+        "p3bl.json": ("fan", io.fan_to_payload(
+            stellar_subdivision(p3, p3.max_cones[0]))),
         "line.json": ("setup", {
             "base": io.fan_to_payload(p3),
             "center": line,
@@ -64,6 +68,14 @@ GOLDEN = [
     (["--format", "json", "pp", "eval", "--pp", "l2.json",
       "--point=-1/3,-1/2"], 0,
      "dfa827025432c60ef4667bee032ba7af549827a2b2d9c8a4a7c1d9ebbed23eb9"),
+    (["fan", "validate", "--fan", "p3.json"], 0,
+     "3e34e2d8c37f8238c8c17aecf2b9156375837b53efb6dcaa9180e099ac17a649"),
+    # no top cone of the cube fan is simplicial
+    (["fan", "validate", "--fan", "cube.json"], 0,
+     "53f2348127ad48fd18c7d12577ba165425bca00aca76fb34cb6af494427006e7"),
+    (["--format", "json", "fan", "refine", "--fan", "p3.json", "--other",
+      "p3bl.json"], 0,
+     "3407672ccbac22f69b6a4cd07e55dd933ae4b02e64ee5ed4492d5b6e517a0178"),
     (["pp", "courant", "--fan", "p3.json", "--cone", "3"], 0,
      "d5fc3c7b4b29e2375fb0b28a7eb760836469b596dc189d527cfeedecc992356b"),
     # the star of P3 at its ray (-1, -1, -1) is the standard P2

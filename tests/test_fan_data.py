@@ -10,12 +10,15 @@ out; pp_min picks the least piece from a table of values at the rays;
 simplicial cones give their facets, ray functions and unimodular duals
 from one dual basis, min_refinement keeps a top cone whole where the
 minimum is linear, a stellar subdivision keeps the cells of the top
-cones away from its center, and _undo_stellar compares top cones instead
-of building the subdivision. Each is checked here against an independent
-computation: fresh polyhedra calls, scans over all cones, the product
-route, the pairwise differences of pieces, the rank-based search, the
-subset enumeration, a least-norm Gram solve, the per-cell enumeration
-and the subdivision rebuilt from generators.
+cones away from its center, _undo_stellar compares top cones instead
+of building the subdivision, and the faces of a cone are its facets
+closed under intersection, which facets, completeness and the coverage
+check of common_refinement read. Each is checked here against an
+independent computation: fresh polyhedra calls, scans over all cones,
+the product route, the pairwise differences of pieces, the rank-based
+search, the subset enumeration, a least-norm Gram solve, the per-cell
+enumeration, the subdivision rebuilt from generators, and the ridge and
+containment scans in tests/helpers.py.
 """
 import gc
 import itertools
@@ -28,12 +31,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cauchy_bound, displacement_past_bound,
+from helpers import (BILLERA_FANS, billera_fan, cauchy_bound,
+                     covering_defect_by_sharers, displacement_past_bound,
+                     faces_by_subset_scan, facets_by_inequalities,
                      fm_displaced_meets, fm_pair_counted, invert_unimodular,
-                     is_continuous, pp_from_polynomial, pp_min_by_differences,
-                     product_pushforward, raises_every_proper_span,
+                     is_complete_by_ridge_scan, is_continuous,
+                     pp_from_polynomial, pp_min_by_differences,
+                     prism_face_fan, product_pushforward,
+                     raises_every_proper_span,
                      stellar_subdivision_by_generators,
                      subdivision_assignment_per_cone)
+from test_weights import _cube_fan, _prism_fan
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
 from tropchow.polynomials import Polynomial
 
@@ -74,17 +82,6 @@ def _fresh_hreps(fan):
             for c in fan.cones}
 
 
-def _fresh_faces(fan, cone, hrep):
-    """Faces as ray sets cut out by subsets of facet inequalities."""
-    faces = {()}
-    for k in range(len(hrep[1]) + 1):
-        for sub in itertools.combinations(hrep[1], k):
-            faces.add(tuple(i for i in cone if all(
-                sum(a * b for a, b in zip(w, fan.rays[i])) == 0
-                for w in sub)))
-    return tuple(sorted(faces))
-
-
 def _scan_minimal_cone(fan, hreps, point):
     """Every cone tested; the first of least dimension that holds the
     point wins."""
@@ -109,7 +106,8 @@ def test_handed_over_data_equals_fresh_computation(fan):
         fan.cones, key=lambda c: (polyhedra.span_dim(fan.cone_rays(c)), c)))
     for c in fan.cones:
         assert fan.cone_hrep(c) == hreps[c]
-        assert fans._faces_as_keys(fan, c) == _fresh_faces(fan, c, hreps[c])
+        assert fans._faces_as_keys(fan, c) == faces_by_subset_scan(
+            c, fan.cone_rays(c), hreps[c][1])
         assert fan.cone_dim(c) == polyhedra.span_dim(fan.cone_rays(c))
     assert fans.validate_fan(fan) == []
 
@@ -434,14 +432,91 @@ def test_min_refinement_cells_equal_fresh_conversion(fan, draw):
     for c in refined.cones:
         hrep = polyhedra.cone_constraints(refined.cone_rays(c), fan.rank)
         assert refined.cone_hrep(c) == hrep
-        assert fans._faces_as_keys(refined, c) == _fresh_faces(
-            refined, c, hrep)
+        assert fans._faces_as_keys(refined, c) == faces_by_subset_scan(
+            c, refined.cone_rays(c), hrep[1])
     for m in refined.max_cones:
         assert tuple(refined.cone_rays(m)) == polyhedra.rays_from_constraints(
             refined.cone_hrep(m), fan.rank)
     assert fans.validate_fan(refined) == []
     assert refined == fans.fan_from_max_cones(
         fan.rank, [refined.cone_rays(m) for m in refined.max_cones])
+
+
+# ---------------------------------------------------------------------------
+# faces, facets, completeness and coverage read off the kept faces
+
+
+def assert_faces_equal_the_scans(fan):
+    """Every face question of the fan against the scans it replaced."""
+    for c in fan.cones:
+        assert fans._faces_as_keys(fan, c) == faces_by_subset_scan(
+            c, fan.cone_rays(c), fan.cone_hrep(c)[1])
+        assert fan.facets_of(c) == facets_by_inequalities(fan, c)
+    assert fan.is_complete() == is_complete_by_ridge_scan(fan)
+
+
+@pytest.mark.parametrize("name", ["cube", "prism 3", "prism 6", "prism 8"]
+                         + BILLERA_FANS)
+def test_faces_equal_the_subset_scan(name):
+    # the cube and prism fans: no top cone, or only the two caps, simplicial
+    if name == "cube":
+        fan = _cube_fan()
+    elif name == "prism 3":
+        fan = _prism_fan()
+    elif name.startswith("prism"):
+        fan = prism_face_fan(int(name.split()[1]))
+    else:
+        fan = billera_fan(name)
+    assert_faces_equal_the_scans(fan)
+    assert fan.is_complete()
+    assert fans._covering_defect(fan, fan) is None
+    assert covering_defect_by_sharers(fan, fan) is None
+
+
+def _refinement_draws(rng, count):
+    """Seeded (fan, min_refinement of it) pairs: the bases, the cube and
+    one stellar subdivision of each, and simplicial cones of lower
+    dimension, cut by the least of 2 or 3 drawn linear functions and,
+    on a simplicial fan, a drawn ray function."""
+    full = [fans.fan_from_max_cones(*b) for b in [*BASES.values(), CUBE]]
+    full += [fans.stellar_subdivision(f, f.max_cones[0]) for f in full]
+    for _ in range(count):
+        if rng.random() < 0.7:
+            fan = rng.choice(full)
+        else:
+            rank = rng.choice((3, 4))
+            gens = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                    for _ in range(rank - 1)]
+            if linalg.rank(gens) < rank - 1:
+                continue
+            fan = fans.fan_from_max_cones(rank, [gens])
+        functions = [pp_from_polynomial(fan, Polynomial.linear(
+            [rng.randint(-2, 2) for _ in range(fan.rank)]))
+            for _ in range(rng.randint(2, 3))]
+        if all(len(m) == fan.cone_dim(m) for m in fan.max_cones):
+            functions.append(piecewise.courant_function(
+                fan, rng.randrange(len(fan.rays))))
+        yield fan, piecewise.min_refinement(fan, functions)[0]
+
+
+def test_faces_of_min_refinement_cells_equal_the_scans():
+    non_simplicial = lower = 0
+    for fan, refined in _refinement_draws(random.Random(27), 40):
+        assert_faces_equal_the_scans(refined)
+        assert fans._covering_defect(fan, refined) is None
+        assert covering_defect_by_sharers(fan, refined) is None
+        # without one cell the refinement no longer covers the fan
+        gone = refined.max_cones[-1]
+        holed = fans.fan_from_cells(refined.rank, [
+            fans._top_cell(refined, m) for m in refined.max_cones
+            if m != gone])
+        defect = fans._covering_defect(fan, holed)
+        assert defect is not None
+        assert defect == covering_defect_by_sharers(fan, holed)
+        non_simplicial += sum(len(m) > refined.cone_dim(m)
+                              for m in refined.max_cones)
+        lower += refined.cone_dim(refined.max_cones[0]) < refined.rank
+    assert non_simplicial > 0 and lower > 0
 
 
 def test_facets_read_off_rows_in_a_lower_dimensional_span():

@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
+import time
 
 import pytest
 
+from helpers import (covering_defect_by_sharers, faces_by_subset_scan,
+                     facets_by_inequalities, is_complete_by_ridge_scan,
+                     polygon_cone_fan, prism_face_fan)
 from tropchow import fans
 
 
@@ -32,17 +36,42 @@ def test_canonical_construction():
     assert g == f
 
 
+def _overlapping():
+    # the cones on (1, 0), (1, 2) and on (0, 1), (1, 1) overlap
+    return fans.Fan(2, ((0, 1), (1, 0), (1, 1), (1, 2)),
+                    ((), (0,), (1,), (2,), (3,), (1, 3), (0, 2)))
+
+
+def _redundant():
+    # (1, 1) is no extreme ray of the quadrant that lists it
+    return fans.Fan(2, ((0, 1), (1, 0), (1, 1)),
+                    ((), (0,), (1,), (2,), (0, 1, 2)))
+
+
 def test_validate_catches_overlap():
-    bad = fans.Fan(2, ((0, 1), (1, 0), (1, 1), (1, 2)),
-                   ((), (0,), (1,), (2,), (3,), (1, 3), (0, 2)))
-    problems = fans.validate_fan(bad)
+    problems = fans.validate_fan(_overlapping())
     assert any("intersection" in p for p in problems)
 
 
 def test_validate_catches_redundant_generator():
-    bad = fans.Fan(2, ((0, 1), (1, 0), (1, 1)), ((), (0,), (1,), (2,), (0, 1, 2)))
-    problems = fans.validate_fan(bad)
+    problems = fans.validate_fan(_redundant())
     assert any("non-extremal" in p for p in problems)
+
+
+def test_faces_of_directly_built_fans_equal_the_scans():
+    # no face data is handed over: the faces, top cones, facets,
+    # completeness and coverage of a Fan built directly are all derived
+    for bad in (_overlapping(), _redundant()):
+        for c in bad.cones:
+            assert fans._faces_as_keys(bad, c) == faces_by_subset_scan(
+                c, bad.cone_rays(c), bad.cone_hrep(c)[1])
+            assert bad.facets_of(c) == facets_by_inequalities(bad, c)
+        assert bad.max_cones == tuple(
+            c for c in bad.cones if not any(set(c) < set(d)
+                                            for d in bad.cones))
+        assert bad.is_complete() is is_complete_by_ridge_scan(bad) is False
+        assert fans._covering_defect(bad, bad) == (
+            covering_defect_by_sharers(bad, bad))
 
 
 def test_completeness_negative():
@@ -159,10 +188,8 @@ def test_star_refusals():
     f = _projective_plane()
     with pytest.raises(ValueError, match="center is not a fan cone"):
         fans.star_fan(f, (0, 1, 2))
-    # (1, 1) is no extreme ray of the quadrant that holds it, so the
-    # image of the cone on it is no quotient cone
-    bad = fans.Fan(2, [(0, 1), (1, 0), (1, 1)],
-                   [(), (0,), (1,), (2,), (0, 1, 2)])
+    # the image of the cone on the redundant ray is no quotient cone
+    bad = _redundant()
     with pytest.raises(ValueError, match=r"image of \(2,\) is not a "
                                          "quotient cone"):
         fans.star_fan(bad, ())
@@ -217,6 +244,34 @@ def test_common_refinement_rejects_support_mismatch():
         assert False
     except ValueError:
         pass
+
+
+def test_common_refinement_rejects_a_half_orthant():
+    # the cell the two share is the half orthant: its facet on (1, 1)
+    # lies inside the orthant and in no second cell, in either order
+    orthant = fans.fan_from_max_cones(2, [[(1, 0), (0, 1)]])
+    half = fans.fan_from_max_cones(2, [[(1, 0), (1, 1)]])
+    message = ("supports differ: facet (1,) of cell (0, 1) inside cone "
+               "(0, 1) is shared by 0 cells")
+    for pair in ((orthant, half), (half, orthant)):
+        with pytest.raises(ValueError) as refusal:
+            fans.common_refinement(*pair)
+        assert str(refusal.value) == message
+    assert fans.common_refinement(half, half) is half
+
+
+def test_polygonal_cones():
+    # a cone over a lattice 24-gon and the face fan of the prism over a
+    # 16-gon: 2^24 and 2^16 subsets of facets, but only 50 and 99 cones
+    start = time.monotonic()
+    cone = polygon_cone_fan(24)
+    assert len(cone.rays) == 24 and len(cone.cones) == 50
+    assert fans.validate_fan(cone) == [] and not cone.is_complete()
+    prism = prism_face_fan(16)
+    assert len(prism.max_cones) == 18 and len(prism.cones) == 99
+    assert fans.validate_fan(prism) == [] and prism.is_complete()
+    assert not prism.is_smooth()
+    assert time.monotonic() - start < 1
 
 
 def test_subdivision_assignment():

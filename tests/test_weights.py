@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (assert_exact, cauchy_bound, displacement_past_bound,
-                     fm_displaced_meets, fm_pair_counted, mw_product_by_scan,
-                     pp_from_polynomial, quotient_normals_by_scan,
-                     thirty_prime_plane)
+from helpers import (BILLERA_FANS, assert_exact, billera_fan, cauchy_bound,
+                     displacement_past_bound, fm_displaced_meets,
+                     fm_pair_counted, mw_product_by_scan, pp_from_polynomial,
+                     quotient_normals_by_scan, thirty_prime_plane)
 from tropchow import fans, io, linalg, piecewise, polyhedra, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
@@ -495,36 +495,12 @@ def test_products_and_degrees_on_the_thirty_prime_plane():
     assert isinstance(square, MinkowskiWeight) and square == top
 
 
-BILLERA_FANS = [base + (f" after {k} stellar" if k else "")
-                for base in ("P3", "(P1)^3", "P4", "(P1)^4") for k in range(3)]
-
-
-def _billera_fan(name):
-    """P3, (P1)^3, P4 or (P1)^4 after the stellar subdivisions the name
-    counts, at cones drawn by a seeded generator: a smooth complete fan."""
-    base, _, steps = name.partition(" after ")
-    n = int(base[-1])
-    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    if base[0] == "P":
-        simplex = e + [tuple([-1] * n)]
-        cones = [list(c) for c in itertools.combinations(simplex, n)]
-    else:
-        cones = [[tuple(s * x for x in v) for s, v in zip(signs, e)]
-                 for signs in itertools.product((1, -1), repeat=n)]
-    fan = fans.fan_from_max_cones(n, cones)
-    rng = random.Random(base)
-    for _ in range(int(steps[0]) if steps else 0):
-        fan = fans.stellar_subdivision(
-            fan, rng.choice([c for c in fan.cones if len(c) > 1]))
-    return fan
-
-
 @pytest.mark.parametrize("name", BILLERA_FANS)
 def test_h_vector_gives_weight_ranks_and_pp_dimensions(name):
     # Billera: on a smooth complete fan both the balanced weights of
     # codimension k and the Chow group A^k have dimension h_k, and the
     # piecewise polynomials have Hilbert series h(t) / (1 - t)^n
-    fan = _billera_fan(name)
+    fan = billera_fan(name)
     n = fan.rank
     f = [len(fan.cones_of_dim(i)) for i in range(n + 1)]
     h = [sum((-1) ** (k - i) * math.comb(n - i, k - i) * f[i]
@@ -542,10 +518,10 @@ ORACLE_FANS = ["P3 after 2 stellar", "(P1)^3 after 2 stellar",
 
 
 def _oracle_fan(name):
-    """A seeded rank-3 or rank-4 fan (_billera_fan), the cube fan (no
+    """A seeded rank-3 or rank-4 fan (billera_fan), the cube fan (no
     top cone simplicial) or P(1,1,2) (simplicial, not smooth)."""
     special = {"cube": _cube_fan, "P(1,1,2)": _p112}
-    return special[name]() if name in special else _billera_fan(name)
+    return special[name]() if name in special else billera_fan(name)
 
 
 @pytest.mark.parametrize("name", ORACLE_FANS)
