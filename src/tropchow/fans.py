@@ -13,7 +13,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from . import linalg, polyhedra
 
@@ -399,23 +399,18 @@ def stellar_subdivision(fan: Fan, cone: ConeKey, new_ray=None) -> Fan:
 
 def _stellar(fan: Fan, cone: ConeKey, ray):
     """stellar_subdivision by a primitive ray known to lie in the relative
-    interior of the cone, without locating it again."""
-    return fan_from_cells(fan.rank, [
-        _top_cell(fan, m) if m is not None else _cell(fan.rank, rays)
-        for m, rays in _stellar_tops(fan, cone, ray)])
-
-
-def _stellar_tops(fan: Fan, cone: ConeKey, ray):
-    """Top cones of the stellar subdivision by a ray in the cone's relative
-    interior, as (kept top cone or None, sorted rays); the ray lies off
-    each facet it is added to, so every ray listed is extreme."""
+    interior of the cone, without locating it again: each top cone around
+    the cone gives way to its facets that miss the cone, each with the ray
+    added, which lies off the facet, so every ray of the new cells is
+    extreme."""
+    cells = []
     for m in fan.max_cones:
         if not set(cone) <= set(m):
-            yield m, tuple(fan.cone_rays(m))
+            cells.append(_top_cell(fan, m))
             continue
-        for f in fan.facets_of(m):
-            if not set(cone) <= set(f):
-                yield None, tuple(sorted(fan.cone_rays(f) + [ray]))
+        cells += [_cell(fan.rank, sorted(fan.cone_rays(f) + [ray]))
+                  for f in fan.facets_of(m) if not set(cone) <= set(f)]
+    return fan_from_cells(fan.rank, cells)
 
 
 def insert_ray(fan: Fan, ray) -> Fan:
@@ -545,27 +540,26 @@ def _resolve_smooth(fan: Fan) -> Fan:
 
 def _parallelotope_point(fan: Fan, cone: ConeKey):
     """Nonzero lattice point of the half-open ray parallelotope with the
-    smallest coefficient sum (lex tie-break on the ambient vector). The
-    scan runs over coordinates x in the saturated basis of the cone's
-    span; the coefficients in the rays are t = a^-1 x, a inverted once."""
+    smallest coefficient sum (lex tie-break on the ambient vector).
+
+    The Hermite form h = u * R of the ray columns R (linalg's
+    _unimodular_echelon) holds, in its first k rows, the rays' coordinates
+    in a basis of the saturated lattice of their span, upper triangular
+    with a positive diagonal. So the vectors y with 0 <= y_i < h_ii are
+    the lattice points modulo the rays, each once, mult of them, and
+    t = frac(h^-1 y) are the coefficients of each one's parallelotope
+    point."""
     rays = fan.cone_rays(cone)
-    sat = fan.cone_saturation(cone)[2]
-    # coordinates of rays in the saturated lattice of their span
-    coords = [linalg.solve(sat, r) for r in rays]
-    assert all(x.denominator == 1 for c in coords for x in c)
-    a = [[int(c[i]) for c in coords] for i in range(len(rays))]
-    inverse = linalg.scaled_inverse(a)
-    best = None
-    for x in product(*(range(sum(min(0, y) for y in row),
-                             sum(max(0, y) for y in row) + 1) for row in a)):
-        t = [Fraction(sum(y * z for y, z in zip(u, x)), p) for u, p in inverse]
-        if any(t) and all(0 <= c < 1 for c in t):
-            key = (sum(t), tuple(sum(y * z for y, z in zip(row, x))
-                                 for row in sat))
-            best = key if best is None else min(best, key)
-    if best is None:
-        raise RuntimeError("no parallelotope point found")
-    return best[1]
+    h = linalg._unimodular_echelon([list(col) for col in zip(*rays)])[0]
+    inverse = linalg.scaled_inverse(h[:len(rays)])
+    keys = []
+    for y in islice(product(*(range(h[i][i]) for i in range(len(rays)))),
+                    1, None):
+        t = [Fraction(sum(a * b for a, b in zip(u, y)), p) % 1
+             for u, p in inverse]
+        keys.append((sum(t), tuple(int(sum(c * r[i] for c, r in zip(t, rays)))
+                                   for i in range(fan.rank))))
+    return min(keys)[1]
 
 
 # ---------------------------------------------------------------------------

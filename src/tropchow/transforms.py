@@ -18,13 +18,12 @@ travel together.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import linalg
-from .fans import (Fan, _cell, _stellar_tops, _top_cell,
-                   fan_from_cells, resolve_smooth, star_fan,
-                   stellar_subdivision, subdivision_assignment)
+from .fans import (Fan, _cell, _top_cell, fan_from_cells, resolve_smooth,
+                   star_fan, stellar_subdivision, subdivision_assignment)
 from .ideals import MonomialIdeal, segre_class
 from .piecewise import (PiecewisePolynomial, courant_function,
                         excess_chern_class, min_refinement, pp_min,
@@ -145,57 +144,68 @@ class BlowupSetup:
 
 
 def _stellar_tower(coarse: Fan, fine: Fan):
-    """Factor a smooth refinement into stellar subdivisions at smooth
-    cones, each new ray the sum of its center's rays; bottom-up list."""
+    """Factor a smooth refinement of a smooth fan into stellar subdivisions
+    at smooth cones, each new ray the sum of its center's rays and each fan
+    on the way a refinement of the coarse one; bottom-up list.
+
+    Raises RuntimeError when no ray can be undone: weak factorization may
+    need blowdowns too, so some refinements have no such tower."""
     steps = []
     g = fine
     while set(g.rays) != set(coarse.rays):
-        found = None
-        for r in sorted(set(g.rays) - set(coarse.rays)):
-            found = _undo_stellar(g, r)
-            if found is not None:
-                break
+        found = next(filter(None, (
+            _undo_stellar(g, r, coarse)
+            for r in sorted(set(g.rays) - set(coarse.rays)))), None)
         if found is None:
-            raise ValueError("refinement does not factor into smooth "
-                             "stellar subdivisions")
+            raise RuntimeError("refinement does not factor into smooth "
+                               "stellar subdivisions")
         steps.append(found)
         g = found[0]
-    if g != coarse:
-        raise ValueError("stellar factorization missed the carrier fan")
+    # a smooth fan that refines the smooth carrier with its rays is it
+    assert g == coarse
     steps.reverse()
     return steps
 
 
-def _undo_stellar(g: Fan, r):
-    """(coarser fan, center, r, g) when g is the stellar subdivision of a
-    smooth fan at a smooth cone whose rays sum to r; None otherwise.
+def _undo_stellar(g: Fan, r, carrier: Fan):
+    """(coarser fan, center, r, g) when g is the stellar subdivision, at a
+    smooth cone whose rays sum to r, of a smooth fan refining the carrier;
+    None otherwise.
 
-    The center is sought among the subsets of r's link summing to r,
-    the whole link first: the center of a point blowup is a top cone.
-    Each top cone around r gives the coarse cone with r traded for the
-    center's rays, and the top cones away from r keep the cells g holds;
-    a candidate is the one when its subdivision has g's top cones."""
+    Each top cone around r holds all of the center's rays but one, and the
+    missing one is r minus the others. So in the coordinates of one top
+    cone t0 around r, a center ray off t0 is 1 at r and 0 or -1 at the
+    rest, and the rays at -1 are the rest of the center: each link ray
+    names at most one candidate, tried the largest first, then by ray
+    indices. A candidate is the center when every top cone around r
+    misses exactly one of its rays, and each coarse cell (a top cone with
+    r traded for the ray it misses, so unimodular too) is reached from
+    |center| top cones and lies in a top cone of the carrier; only the
+    coarse fan of the center is built."""
     ri = g.rays.index(r)
-    around = [set(m) - {ri} for m in g.max_cones if ri in m]
-    link = sorted(set().union(*around))
-    kept = [_top_cell(g, m) for m in g.max_cones if ri not in m]
-    tops = {tuple(g.cone_rays(m)) for m in g.max_cones}
-    for size in range(len(link), 1, -1):
-        for center in combinations(link, size):
-            rays = [g.rays[i] for i in center]
-            if tuple(sum(x) for x in zip(*rays)) != r:
-                continue
-            star = {tuple(sorted(m | set(center))) for m in around}
-            try:
-                cand = fan_from_cells(g.rank, kept + [
-                    _cell(g.rank, g.cone_rays(c)) for c in sorted(star)])
-            except ValueError:  # a cone with a line: not the center
-                continue
-            key = tuple(sorted(cand.rays.index(v) for v in rays))
-            if key not in set(cand.cones) or not cand.is_smooth():
-                continue
-            if {ts for _, ts in _stellar_tops(cand, key, r)} == tops:
-                return cand, key, r, g
+    around = [m for m in g.max_cones if ri in m]
+    t0 = around[0]
+    dual = linalg.integral_rows(g.cone_dual_basis(t0))
+    candidates = []
+    for x in sorted(set().union(*around) - {ri}):
+        coords = dict(zip(t0, linalg.mat_vec(dual, g.rays[x])))
+        if coords.pop(ri) == 1 and set(coords.values()) <= {0, -1}:
+            candidates.append(tuple(sorted(
+                [x] + [i for i, c in coords.items() if c == -1])))
+    for center in sorted(candidates, key=lambda c: (-len(c), c)):
+        missing = [set(center) - set(m) for m in around]
+        if any(len(s) != 1 for s in missing):
+            continue
+        cells = Counter(tuple(sorted(set(m) - {ri} | s))
+                        for m, s in zip(around, missing))
+        if all(n == len(center) and any(
+                all(carrier.cone_contains(c, v) for v in g.cone_rays(cell))
+                for c in carrier.max_cones) for cell, n in cells.items()):
+            cand = fan_from_cells(g.rank, [
+                _top_cell(g, m) for m in g.max_cones if ri not in m] + [
+                _cell(g.rank, g.cone_rays(c)) for c in sorted(cells)])
+            rays = g.cone_rays(center)
+            return cand, tuple(sorted(cand.rays.index(v) for v in rays)), r, g
     return None
 
 

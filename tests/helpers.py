@@ -15,6 +15,8 @@ from tropchow.piecewise import (PiecewisePolynomial, _degree_monomials,
                                 _grid_points, _linear_coefficients,
                                 _shared_rays, courant_function, pp_pullback)
 from tropchow.polynomials import Polynomial
+from tropchow.transforms import (BlowupSetup, ToricCycle,
+                                 verify_fulton_identity)
 from tropchow.tropical import WeightedDualGraph
 from tropchow.weights import (MinkowskiWeight, courant_monomial,
                               localization_degree)
@@ -253,22 +255,129 @@ def mw_product_by_scan(a, b) -> MinkowskiWeight:
     return MinkowskiWeight(fan, codim, values)
 
 
-def stellar_subdivision_by_generators(fan, cone, new_ray=None):
-    """fans.stellar_subdivision with every top cone rebuilt from its
-    generators by fan_from_max_cones: the top cones away from the center
-    as they are, and each facet missing the center of one around it with
-    the new ray added."""
-    ray = linalg.primitive_vector(
-        fan.relint_point(cone) if new_ray is None else new_ray)
-    new_max = []
+def _stellar_top_rays(fan, cone, ray):
+    """The rays of each top cone of the stellar subdivision at a cone by a
+    ray in its relative interior: the top cones away from the center as
+    they are, and each facet missing the center of one around it with the
+    ray added."""
     for m in fan.max_cones:
         if not set(cone) <= set(m):
-            new_max.append(fan.cone_rays(m))
+            yield fan.cone_rays(m)
             continue
         for f in fan.facets_of(m):
             if not set(cone) <= set(f):
-                new_max.append(fan.cone_rays(f) + [ray])
-    return fans.fan_from_max_cones(fan.rank, new_max)
+                yield fan.cone_rays(f) + [ray]
+
+
+def stellar_subdivision_by_generators(fan, cone, new_ray=None):
+    """fans.stellar_subdivision with every top cone rebuilt from its
+    generators (_stellar_top_rays) by fan_from_max_cones."""
+    ray = linalg.primitive_vector(
+        fan.relint_point(cone) if new_ray is None else new_ray)
+    return fans.fan_from_max_cones(fan.rank,
+                                   list(_stellar_top_rays(fan, cone, ray)))
+
+
+def undo_stellar_by_subsets(g, r, carrier, outcomes=None):
+    """transforms._undo_stellar by a scan over the subsets of r's link
+    that sum to r, the whole link first: each top cone around r gives the
+    coarse cone with r traded for the subset's rays, the top cones away
+    from r keep their cells, and a subset is the center when that coarse
+    fan is smooth, its stellar subdivision at the subset has g's top
+    cones and it refines the carrier. Appends to outcomes, per smooth
+    coarse fan built, whether its subdivision has g's top cones."""
+    ri = g.rays.index(r)
+    around = [set(m) - {ri} for m in g.max_cones if ri in m]
+    link = sorted(set().union(*around))
+    kept = [fans._top_cell(g, m) for m in g.max_cones if ri not in m]
+    tops = {tuple(g.cone_rays(m)) for m in g.max_cones}
+    for size in range(len(link), 1, -1):
+        for center in combinations(link, size):
+            rays = [g.rays[i] for i in center]
+            if tuple(sum(x) for x in zip(*rays)) != r:
+                continue
+            star = {tuple(sorted(m | set(center))) for m in around}
+            try:
+                cand = fans.fan_from_cells(g.rank, kept + [
+                    fans._cell(g.rank, g.cone_rays(c)) for c in sorted(star)])
+            except ValueError:  # a cone with a line: not the center
+                continue
+            key = tuple(sorted(cand.rays.index(v) for v in rays))
+            if key not in set(cand.cones) or not cand.is_smooth():
+                continue
+            same = {tuple(sorted(t))
+                    for t in _stellar_top_rays(cand, key, r)} == tops
+            if outcomes is not None:
+                outcomes.append(same)
+            if not same:
+                continue
+            if all(any(all(carrier.cone_contains(c, v)
+                           for v in cand.cone_rays(m))
+                       for c in carrier.max_cones) for m in cand.max_cones):
+                return cand, key, r, g
+    return None
+
+
+def parallelotope_point_by_box(fan, cone):
+    """fans._parallelotope_point by a scan of the box of coordinates x in
+    the saturated basis of the cone's span that can hold a parallelotope
+    point; the coefficients in the rays are t = a^-1 x."""
+    rays = fan.cone_rays(cone)
+    sat = fan.cone_saturation(cone)[2]
+    coords = [linalg.solve(sat, r) for r in rays]
+    assert all(x.denominator == 1 for c in coords for x in c)
+    a = [[int(c[i]) for c in coords] for i in range(len(rays))]
+    inverse = linalg.scaled_inverse(a)
+    best = None
+    for x in iproduct(*(range(sum(min(0, y) for y in row),
+                              sum(max(0, y) for y in row) + 1) for row in a)):
+        t = [Fraction(sum(y * z for y, z in zip(u, x)), p) for u, p in inverse]
+        if any(t) and all(0 <= c < 1 for c in t):
+            key = (sum(t), tuple(sum(y * z for y, z in zip(row, x))
+                                 for row in sat))
+            best = key if best is None else min(best, key)
+    return None if best is None else best[1]
+
+
+def tower_sweep_setup(seed: int):
+    """The blowup of P3 (even seeds) or (P1)^3 (odd seeds) at a seeded
+    cone of at least two rays, against a carrier made from the base by 1-3
+    seeded directions with entries in -2..2, each inserted by insert_ray
+    and resolved by resolve_smooth."""
+    rng = Random(seed)
+    base = billera_fan("(P1)^3" if seed % 2 else "P3")
+    carrier = base
+    for _ in range(rng.randint(1, 3)):
+        v = (0, 0, 0)
+        while not any(v) or linalg.primitive_vector(v) in carrier.rays:
+            v = tuple(rng.randint(-2, 2) for _ in range(3))
+        carrier = fans.resolve_smooth(fans.insert_ray(carrier, v))
+    center = rng.choice([c for c in base.cones if len(c) >= 2])
+    return BlowupSetup(base, center, carrier)
+
+
+def verifies_every_cone_cycle(setup) -> bool:
+    """Whether the blowup identity verifies for the cycle of each cone of
+    the carrier, in every codimension."""
+    fan = setup.modification
+    return all(verify_fulton_identity(ToricCycle(fan, k, {c: 1}),
+                                      setup).verdict == "verified"
+               for k in range(fan.rank + 1) for c in fan.cones_of_dim(k))
+
+
+def product_tower_setup(m: int):
+    """F x (P1)^2, F the smooth complete 2-fan on the m >= 4 rays (1, k)
+    for 0 <= k <= m - 4, (0, 1), (-1, 0) and (0, -1), blown up along the
+    2-cone of the (P1)^2 factor: one tower step, whose new ray has a link
+    of m + 2 rays."""
+    f = [(1, k) for k in range(m - 3)] + [(0, 1), (-1, 0), (0, -1)]
+    base = fans.fan_from_max_cones(4, [
+        [a + (0, 0), b + (0, 0), (0, 0, s, 0), (0, 0, 0, t)]
+        for a, b in zip(f, f[1:] + f[:1])
+        for s, t in iproduct((1, -1), repeat=2)])
+    center = tuple(sorted(base.rays.index(r)
+                          for r in ((0, 0, 1, 0), (0, 0, 0, 1))))
+    return BlowupSetup(base, center)
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,25 @@ def test_fulton_verify_p3_along_a_line(capsys, tmp_path):
     assert "verdict: verified" in out
 
 
+def test_fulton_verify_without_a_stellar_tower_exits_3(capsys, tmp_path):
+    # a valid setup whose working fan no smooth stellar tower over the
+    # carrier reaches: an internal limitation, not malformed input
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    p3 = fan_from_max_cones(3, [list(c) for c in combinations(e, 3)])
+    carrier = insert_ray(insert_ray(p3, (-1, 0, -1)), (-1, 1, -1))
+    line = [[0, 0, 1], [0, 1, 0]]
+    path = _write(tmp_path, "setup.json", "setup", {
+        "base": io.fan_to_payload(p3),
+        "center": line,
+        "modification": io.fan_to_payload(carrier),
+        "cycle": {"codim": 2,
+                  "coefficients": [{"cone": line, "value": 1}]}})
+    code, out, err = _run(capsys, "fulton", "verify", "--setup", path)
+    assert (code, out) == (3, "")
+    assert err == ("internal error: refinement does not factor into smooth "
+                   "stellar subdivisions\n")
+
+
 def test_fulton_verify_refuses_a_carrier_off_the_base(capsys, tmp_path):
     # P1xP1 is complete and smooth, but its cone on (-1, 0), (0, -1)
     # straddles two top cones of P2

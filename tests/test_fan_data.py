@@ -10,14 +10,17 @@ out; pp_min picks the least piece from a table of values at the rays;
 simplicial cones give their facets, ray functions and unimodular duals
 from one dual basis, min_refinement keeps a top cone whole where the
 minimum is linear, a stellar subdivision keeps the cells of the top
-cones away from its center, _undo_stellar compares top cones instead
-of building the subdivision, and the faces of a cone are its facets
+cones away from its center, _undo_stellar reads its candidate centers
+off one top cone's coordinates and decides by counting coarse cells,
+_parallelotope_point visits one lattice point per class modulo the rays,
+read off the Hermite form, and the faces of a cone are its facets
 closed under intersection, which facets, completeness and the coverage
 check of common_refinement read. Each is checked here against an
 independent computation: fresh polyhedra calls, scans over all cones,
 the product route, the pairwise differences of pieces, the rank-based
 search, the subset enumeration, a least-norm Gram solve, the per-cell
-enumeration, the subdivision rebuilt from generators, and the ridge and
+enumeration, the subdivision rebuilt from generators, the scans over
+subsets of a link and over a box of lattice points, and the ridge and
 containment scans in tests/helpers.py.
 """
 import gc
@@ -39,8 +42,10 @@ from helpers import (BILLERA_FANS, billera_fan, cauchy_bound,
                      pp_from_polynomial, pp_min_by_differences,
                      prism_face_fan, product_pushforward,
                      raises_every_proper_span,
+                     parallelotope_point_by_box,
                      stellar_subdivision_by_generators,
-                     subdivision_assignment_per_cone)
+                     subdivision_assignment_per_cone,
+                     undo_stellar_by_subsets)
 from test_weights import _cube_fan, _prism_fan
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
 from tropchow.polynomials import Polynomial
@@ -1391,41 +1396,72 @@ def test_stellar_subdivision_of_special_fans(gens):
 
 
 def _stellar_towers(count=30):
-    """Smooth fans from 1-3 stellar subdivisions of P2, P1xP1 and the
-    smooth 3-fans at seeded cones."""
+    """(base, fan) with the fan smooth, from 1-3 stellar subdivisions of
+    the base, P2, P1xP1 or a smooth 3-fan, at seeded cones."""
     for name, gens in sorted({**BASES, **SMOOTH_3FANS}.items()):
         rng = random.Random(name)
         for _ in range(count):
-            fan = fans.fan_from_max_cones(*gens)
+            base = fan = fans.fan_from_max_cones(*gens)
             for _ in range(rng.randint(1, 3)):
                 fan = fans.stellar_subdivision(fan, rng.choice(fan.cones[1:]))
-            yield fan
+            yield base, fan
 
 
-def test_undo_stellar_decides_as_the_full_build(monkeypatch):
-    """_undo_stellar takes the first candidate whose subdivision has g's
-    top cones; building that subdivision must give g exactly then."""
-    tried = []
-    tops = transforms._stellar_tops
-
-    def recorded(cand, key, r):
-        tried.append((cand, key))
-        return tops(cand, key, r)
-    monkeypatch.setattr(transforms, "_stellar_tops", recorded)
-    seen = {True: 0, False: 0}
-    for g in _stellar_towers():
+def test_undo_stellar_decides_as_the_full_build():
+    """_undo_stellar reads its candidates off one top cone's coordinates
+    and decides by counting coarse cells; the subset scan builds each
+    candidate's coarse fan and compares its subdivision with g. With the
+    base as carrier both find the same center or none, and the stellar
+    subdivision of the coarse fan at the center, rebuilt from generators,
+    is g exactly."""
+    outcomes = []
+    found_count = 0
+    for base, g in _stellar_towers():
         for r in g.rays:
-            tried.clear()
-            found = transforms._undo_stellar(g, r)
-            built = [stellar_subdivision_by_generators(cand, key, r) == g
-                     for cand, key in tried]
-            if found is None:
-                assert built == [False] * len(tried)
-            else:
-                assert built == [False] * (len(tried) - 1) + [True]
-                assert found == (*tried[-1], r, g)
-            for outcome in built:
-                seen[outcome] += 1
-    print(f"_undo_stellar candidates: {seen[True]} accepted, "
-          f"{seen[False]} refused")
+            found = transforms._undo_stellar(g, r, base)
+            assert found == undo_stellar_by_subsets(g, r, base, outcomes)
+            if found is not None:
+                cand, key, _, _ = found
+                assert stellar_subdivision_by_generators(cand, key, r) is g
+                found_count += 1
+    seen = {b: outcomes.count(b) for b in (True, False)}
+    print(f"_undo_stellar: {found_count} (g, r) undone; subset scan "
+          f"candidates: {seen[True]} accepted, {seen[False]} refused")
     assert seen[True] > 200 and seen[False] > 40, seen
+
+
+def _box_size(rays):
+    """The number of points parallelotope_point_by_box visits."""
+    h = linalg._unimodular_echelon([list(col) for col in zip(*rays)])[0]
+    return math.prod(sum(map(abs, row)) + 1 for row in h[:len(rays)])
+
+
+def _multiple_cones(rank, dim, count, rng):
+    """Seeded simplicial cones of one dimension and multiplicity > 1 in
+    one rank, each as a fan of one top cone, with boxes of at most 2*10^4
+    points."""
+    found = []
+    while len(found) < count:
+        rays = sorted({linalg.primitive_vector(v) for v in (
+            tuple(rng.randint(-3, 3) for _ in range(rank))
+            for _ in range(dim)) if any(v)})
+        if len(rays) != dim or polyhedra.span_dim(rays) != dim:
+            continue
+        fan = fans.fan_from_max_cones(rank, [rays])
+        (top,) = fan.max_cones
+        if fan.cone_multiplicity(top) > 1 and _box_size(rays) <= 20000:
+            found.append((fan, top))
+    return found
+
+
+@pytest.mark.parametrize("rank, dim", [(2, 2), (3, 3), (3, 2), (4, 4),
+                                       (4, 3), (4, 2)])
+def test_parallelotope_point_equals_the_box_scan(rank, dim):
+    """_parallelotope_point visits the mult classes of lattice points
+    modulo the rays through the Hermite form; the box scan visits every
+    point of a box around the parallelotope. Both pick the same point."""
+    rng = random.Random(f"parallelotope {rank} {dim}")
+    for fan, top in _multiple_cones(rank, dim, 12, rng):
+        point = fans._parallelotope_point(fan, top)
+        assert point == parallelotope_point_by_box(fan, top), fan.rays
+        assert fan.minimal_cone_containing(point) not in ((), None)

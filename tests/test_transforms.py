@@ -3,7 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import assert_exact
+from helpers import (assert_exact, product_tower_setup, tower_sweep_setup,
+                     undo_stellar_by_subsets, verifies_every_cone_cycle)
 from tropchow import fans
 from tropchow.piecewise import courant_function
 from tropchow.transforms import (BlowupSetup, ToricCycle, cycle_from_class,
@@ -348,3 +349,72 @@ def test_projection_formula_on_blowups(make_fan, center):
                 witness = mw_to_pp(mw_product(up_a, up_b))
                 assert pushforward_witness(fine, witness, ka + kb, f) == (
                     mw_product(a.class_weight, b.class_weight)), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# towers past a greedy center, and the refinements with no tower
+
+
+def _p3_line_setup(*extras):
+    """P3 blown up along the line on (0, 0, 1) and (0, 1, 0), against P3
+    with the extra directions inserted in turn."""
+    f = _p3()
+    carrier = f
+    for v in extras:
+        carrier = fans.insert_ray(carrier, v)
+    return BlowupSetup(f, _ray_cone(f, (0, 0, 1), (0, 1, 0)), carrier)
+
+
+def test_tower_whose_first_center_leaves_the_carrier():
+    """(-1, 1, 1) is the sum of (-1, 0, 0) and (0, 1, 1), the first
+    center in ray order, but undoing it there gives a fan that does not
+    refine the carrier, and no tower goes on from it. The tower takes the
+    center on (-1, 1, 0) and (0, 0, 1), and every cone cycle of the
+    carrier verifies."""
+    setup = _p3_line_setup((-1, 0, 0), (-1, 1, 0))
+    steps = setup.tower()
+    assert [s.ray for s in steps] == [(0, 1, 1), (-1, 1, 1), (-1, 2, 1)]
+    assert steps[0].base == setup.modification
+    assert steps[1].base.cone_rays(steps[1].center) == [(-1, 1, 0),
+                                                        (0, 0, 1)]
+    assert verifies_every_cone_cycle(setup)
+
+
+def test_refinement_without_a_tower_is_an_internal_limitation():
+    """A working fan that no smooth stellar tower over the carrier
+    reaches (weak factorization would need blowdowns too) is refused
+    with a RuntimeError, not as malformed input."""
+    setup = _p3_line_setup((-1, 0, -1), (-1, 1, -1))
+    with pytest.raises(RuntimeError, match="does not factor"):
+        setup.tower()
+
+
+def test_seeded_towers_verify_or_are_refused():
+    """Blowups of P3 and (P1)^3 along cones of 2 or 3 rays against
+    carriers with 1-3 seeded rays inserted and resolved: each either
+    verifies the identity for every cone cycle of its carrier or has no
+    stellar tower. Seeds 0-39 give 37 and 3; four of the towers are ones
+    that a center leaving the carrier used to block. Budget: about 5 s."""
+    outcomes = []
+    for seed in range(40):
+        setup = tower_sweep_setup(seed)
+        try:
+            outcomes.append(verifies_every_cone_cycle(setup))
+        except RuntimeError:
+            outcomes.append(None)
+    assert (outcomes.count(True), outcomes.count(None)) == (37, 3)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_rank4_tower_with_a_long_link_matches_the_subset_scan(m):
+    """F x (P1)^2 blown up along the (P1)^2 factor: the new ray's link has
+    m + 2 rays, and _undo_stellar finds the center the subset scan
+    finds."""
+    setup = product_tower_setup(m)
+    (step,) = setup.tower()
+    assert (step.base, step.center, step.ray) == (
+        setup.base, setup.center, (0, 0, 1, 1))
+    g = setup.refined
+    assert g == step.result
+    assert undo_stellar_by_subsets(g, step.ray, setup.base) == (
+        step.base, step.center, step.ray, g)
