@@ -33,14 +33,14 @@ class Fan:
     computes while closing over faces: the extreme rays, H-representation
     and faces of every input cone, the dimension of every cone and the top
     cones (a Fan built directly finds them as fan_from_cells does, from the
-    cones holding each ray). fan_from_max_cones
-    reads the rays off the generators and the one H-representation it
-    computes per generator list, and keeps the dual basis that the
-    H-representation of a simplicial cone is read off; a stellar
-    subdivision hands each top cone it keeps the H-representation and dual
-    basis the source fan holds for it, and converts only the new cones;
-    fan_from_cells takes rays and H-representations from its caller, as
-    piecewise.min_refinement has them for each cell.
+    cones holding each ray). Every new cell is converted by _cell, which
+    computes one H-representation per generator list, reads the rays off
+    independent generators or else off that H-representation, and keeps
+    the dual basis that the H-representation of a simplicial cone is
+    read off: fan_from_max_cones converts each generator list, and a
+    stellar subdivision and piecewise.min_refinement convert only their
+    new cells and hand each top cone they keep whole the cell the source
+    fan holds for it (_top_cell).
 
     Every builder ends in fan_from_cells, which returns the live fan equal
     to the one it builds when there is one, so equal fans built while one
@@ -252,9 +252,14 @@ def fan_from_max_cones(rank: int, generator_lists) -> Fan:
 
 def _cell(rank: int, gens):
     """The cell (see fan_from_cells) of the cone on sorted, distinct,
-    primitive, nonzero generators."""
+    primitive, nonzero generators. Independent generators are its rays
+    as they are; the rays of dependent ones are read off the H-rep by
+    polyhedra.rays_from_constraints, which raises ValueError when the
+    cone contains a line."""
     hrep, basis = polyhedra._constraints_and_basis(gens, rank)
-    return polyhedra.extreme_generators(gens, hrep), hrep, basis
+    if basis is None:
+        gens = polyhedra.rays_from_constraints(hrep, rank)
+    return tuple(gens), hrep, basis
 
 
 def _top_cell(fan: Fan, m: ConeKey):
@@ -269,11 +274,12 @@ _LIVE_FANS = weakref.WeakValueDictionary()
 
 def fan_from_cells(rank: int, cells) -> Fan:
     """Build a canonical fan from its top cones given as cells (rays,
-    H-rep, dual basis or None): the sorted extreme primitive rays of each
-    cone, its constraint form as polyhedra.cone_constraints gives it and
-    maybe the polyhedra.dual_basis of a simplicial cone's rays. All are
-    handed to the fan as they are; faces are closed over automatically.
-    A simplicial cell's faces are the subsets of its rays.
+    H-rep, dual basis or None), each from _cell or _top_cell: the sorted
+    extreme primitive rays of each cone, its constraint form as
+    polyhedra.cone_constraints gives it and maybe the polyhedra.dual_basis
+    of a simplicial cone's rays. All are handed to the fan as they are;
+    faces are closed over automatically. A simplicial cell's faces are
+    the subsets of its rays.
 
     Returns the live fan with the same rank, rays and cones when there
     is one, so that its derived data is shared (see Fan).
@@ -329,7 +335,12 @@ def _top_keys(keys, cones):
 
 
 def validate_fan(fan: Fan) -> list[str]:
-    """Check fan axioms; returns a list of violations (empty when valid)."""
+    """Check fan axioms; returns a list of violations (empty when valid).
+
+    The extreme rays of each top cone are read off its H-representation,
+    and every cone must be one of the top cones' faces (cones under a top
+    cone that contains a line are not judged); each pair of top cones
+    must meet in a face of both."""
     problems = []
     for i, r in enumerate(fan.rays):
         if not any(r):
@@ -340,21 +351,23 @@ def validate_fan(fan: Fan) -> list[str]:
         problems.append("rays are not sorted and distinct")
     if () not in fan.cones:
         problems.append("zero cone missing")
-    cone_set = set(fan.cones)
-    for c in fan.cones:
-        rays = fan.cone_rays(c)
+    cone_set, faces = set(fan.cones), set()
+    maxes = fan.max_cones
+    for c in maxes:
         try:
             extreme = polyhedra.rays_from_constraints(fan.cone_hrep(c), fan.rank)
         except ValueError:
             problems.append(f"cone {c} contains a line")
+            faces.update(f for f in cone_set if set(f) <= set(c))
             continue
-        if set(extreme) != set(rays):
+        if set(extreme) != set(fan.cone_rays(c)):
             problems.append(f"cone {c} has non-extremal or missing rays")
-            continue
         for f in _faces_as_keys(fan, c):
+            faces.add(f)
             if f not in cone_set:
                 problems.append(f"face {f} of cone {c} is not in the fan")
-    maxes = fan.max_cones
+    problems += [f"cone {c} is not a face of any top cone"
+                 for c in fan.cones if c not in faces]
     for a, b in combinations(maxes, 2):
         (ea, ia), (eb, ib) = fan.cone_hrep(a), fan.cone_hrep(b)
         inter = polyhedra.rays_from_constraints((ea + eb, ia + ib), fan.rank)

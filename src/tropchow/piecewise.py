@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg, polyhedra
-from .fans import Fan, StarFan, cone_homes, fan_from_cells
+from .fans import Fan, StarFan, _cell, _top_cell, cone_homes, fan_from_cells
 from .polynomials import Polynomial
 
 
@@ -229,25 +229,24 @@ def min_refinement(fan: Fan, functions):
     becomes conewise linear; returns (refined fan, minimum).
 
     A top cone on which one function is at most every other at every ray
-    is its own cell, with the rays and H-rep the fan has for it: any other
+    is its own cell, the fan's cell for it (fans._top_cell): any other
     cell of full dimension there lies where its function equals that one,
     which is the whole cone again. Any other top cone's rays are split by
     the inequalities l_j <= l_i; cells of full dimension in their cone
-    survive, each with its facets read off its rows against its rays.
+    survive, each converted as any cone's rays are (fans._cell).
     Everything is closed over faces and deduplicated.
     """
     cells = []
     for m in fan.max_cones:
-        rays, hrep = fan.cone_rays(m), fan.cone_hrep(m)
+        rays = fan.cone_rays(m)
         linear = [f.pieces[m] for f in functions]
         values = [[lj.value(r) for r in rays] for lj in linear]
         if any(all(a <= b for vi in values for a, b in zip(vj, vi))
                for vj in values):
-            cells.append((tuple(rays), hrep, None))
+            cells.append(_top_cell(fan, m))
             continue
-        eqs, ineqs = hrep
         for j, lj in enumerate(linear):
-            cell, rows = tuple(rays), ineqs
+            cell, rows = tuple(rays), fan.cone_hrep(m)[1]
             for i, li in enumerate(linear):
                 if i == j:
                     continue
@@ -257,8 +256,7 @@ def min_refinement(fan: Fan, functions):
                     cell = polyhedra.split(cell, rows, row)[0]
                     rows += (row,)
             if polyhedra.span_dim(cell) == fan.cone_dim(m):
-                cells.append((cell, polyhedra.facet_constraints(
-                    cell, (eqs, rows)), None))
+                cells.append(_cell(fan.rank, cell))
     refined = fan_from_cells(fan.rank, cells)
     out = pp_min(refined, [pp_pullback(refined, linalg.identity_matrix(fan.rank), f)
                            for f in functions])

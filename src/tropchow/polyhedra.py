@@ -16,15 +16,13 @@ independent rows cut out, whose rays are the columns of their inverse
 rows. Generators that are not independent get their facets from
 rays_from_constraints by duality: the facets of cone(G) within span(G)
 are the extreme rays of the dual cone {w in span(G) : g.w >= 0 for g in
-G}, which is pointed there. When both forms of a cone are at hand,
-possibly redundant, the irredundant part of either is read off the other
-by one rank per candidate instead (extreme_generators,
-facet_constraints): in a pointed cone of dimension d, a generator is
-extreme and a row is a facet exactly when the partners vanishing on it
-have rank d - 1. Every kernel vector is a primitive integer vector read
-off the integer echelon form (linalg.primitive_kernel). Nothing here
-decides affine feasibility: whether cone s1 meets s2 + v is whether v
-lies in the cone spanned by the rays of s1 and minus those of s2.
+G}, which is pointed there; their extreme rays are the rays that
+rays_from_constraints reads off those facets in turn. So every
+conversion is dual_basis or split. Every kernel vector is a primitive
+integer vector read off the integer echelon form
+(linalg.primitive_kernel). Nothing here decides affine feasibility:
+whether cone s1 meets s2 + v is whether v lies in the cone spanned by
+the rays of s1 and minus those of s2.
 """
 from __future__ import annotations
 
@@ -184,54 +182,3 @@ def split(rays, rows, a):
                      for x, y in zip(rays[n], rays[p])]))
     return (tuple(sorted([r for r, s in zip(rays, side) if s >= 0] + cut)),
             tuple(sorted([r for r, s in zip(rays, side) if s <= 0] + cut)))
-
-
-def _tight_rank_is(vector, partners, target: int) -> bool:
-    """Whether the partners vanishing on a vector have the given rank."""
-    tight = [p for p in partners if _dot(p, vector) == 0]
-    if len(tight) < target:
-        return False
-    return (linalg.rank(tight) if tight else 0) == target
-
-
-def extreme_generators(generators, constraints):
-    """Extreme rays of the cone spanned by distinct primitive generators,
-    given its constraint form (as from cone_constraints).
-
-    Independent generators are all extreme. Otherwise a generator is
-    extreme when the facets tight on it have rank d - 1, d the dimension
-    of the cone. Raises ValueError when the cone contains a line.
-    """
-    eqs, ineqs = constraints
-    d = len(generators[0]) - len(eqs)
-    if len(generators) > d:
-        if len(ineqs) < d or linalg.rank(ineqs) < d:
-            raise ValueError("cone contains a line")
-        generators = [g for g in generators if _tight_rank_is(g, ineqs, d - 1)]
-    return tuple(sorted(generators))
-
-
-def facet_constraints(rays, constraints):
-    """Constraint form of a pointed cone from its extreme rays and a pair
-    (equalities, rows): independent equalities cutting out the span of
-    the rays, and rows nonnegative on the rays, facets among them.
-
-    A row is a facet when the rays tight on it have rank d - 1, d the
-    dimension of the cone; its primitive normal within the span is the
-    canonical facet functional. The result equals cone_constraints(rays).
-    """
-    eqs, rows = constraints
-    d = len(rays[0]) - len(eqs)
-    facets = set()
-    for a in rows:
-        if not _tight_rank_is(a, rays, d - 1):
-            continue
-        if eqs:
-            tight = [r for r in rays if _dot(a, r) == 0]
-            w = linalg.primitive_kernel(tight + list(eqs))[0]
-            if any(_dot(w, r) < 0 for r in rays):
-                w = tuple(-x for x in w)
-        else:
-            w = linalg.primitive_vector(a)
-        facets.add(w)
-    return tuple(sorted(eqs)), tuple(sorted(facets))

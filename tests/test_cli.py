@@ -183,6 +183,27 @@ def test_fan_with_a_wrong_length_ray_exits_2(capsys, tmp_path, cones,
     assert message in err
 
 
+def test_fan_with_a_line_is_invalid_or_refused(capsys, tmp_path):
+    # the upper half-plane: validate reports it, every other command
+    # refuses the document
+    path = _write(tmp_path, "half.json", "fan",
+                  {"rank": 2, "max_cones": [[[1, 0], [-1, 0], [0, 1]]]})
+    assert _run(capsys, "fan", "validate", "--fan", path) == (
+        1, "invalid: cone contains a line\n", "")
+    assert _run(capsys, "fan", "star", "--fan", path, "--cone", "0") == (
+        2, "", "error: invalid fan: cone contains a line\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("fan", "star", "--cone", "3"), "ray index 3 out of range"),
+    (("pp", "courant", "--cone", "0,1"),
+     "courant needs exactly one ray index"),
+], ids=["cone out of range", "courant of two rays"])
+def test_cone_flag_refusals_exit_2(capsys, p2_doc, argv, message):
+    assert _run(capsys, *argv, "--fan", p2_doc) == (
+        2, "", f"error: {message}\n")
+
+
 def test_fan_stellar_adds_ray(capsys, p2_doc):
     code, out, _ = _run(capsys, "fan", "stellar", "--fan", p2_doc,
                         "--cone", "1,2")
@@ -238,6 +259,18 @@ def test_pp_courant_and_eval(capsys, tmp_path, p2_doc):
     assert code == 2
 
 
+def test_pp_mul_squares_a_courant_function(capsys, tmp_path):
+    f = courant_function(_p2(), 2)
+    courant = _write(tmp_path, "courant.json", "pp", io.pp_to_payload(f))
+    square = str(tmp_path / "square.json")
+    assert _run(capsys, "pp", "mul", "--pp", courant, "--other", courant,
+                "--out", square) == (0, "", "")
+    assert io.pp_from_payload(io.load(square).payload) == f * f
+    code, out, _ = _run(capsys, "pp", "eval", "--pp", square,
+                        "--point", "2,1")
+    assert (code, out) == (0, "4\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["tropdr", "graphs", "--g", "0", "--n", "4"],
     ["--format", "json", "fan", "validate", "--fan", "p2.json"]])
@@ -291,6 +324,12 @@ def test_chow_balance_exit_codes(capsys, tmp_path):
     assert (code, out) == (0, "balanced\n")
     code, out, _ = _run(capsys, "chow", "balance", "--weight", bad_path)
     assert (code, out) == (1, "not balanced\n")
+    for path, code in ((good_path, 0), (bad_path, 1)):
+        got, out, _ = _run(capsys, "--format", "json",
+                           "chow", "balance", "--weight", path)
+        assert got == code
+        assert io.parse_document(out) == io.Document(
+            "report", {"subject": "balance", "balanced": not code})
 
 
 def test_chow_product_refuses_unbalanced_weights(capsys, tmp_path):
@@ -395,6 +434,13 @@ def test_segre_point_ideal(capsys, tmp_path):
     assert payload["subject"] == "segre"
     degree0 = [p for p in payload["pieces"] if p["codim"] == 2]
     assert degree0[0]["values"] == [{"cone": [], "value": "1"}]
+    # --fan must name the ideal's own fan
+    assert _run(capsys, "segre", "--ideal", path, "--fan", _write(
+        tmp_path, "p2.json", "fan", io.fan_to_payload(_p2()))) == (0, out, "")
+    other = _write(tmp_path, "blown.json", "fan",
+                   io.fan_to_payload(insert_ray(_p2(), (1, 1))))
+    assert _run(capsys, "segre", "--ideal", path, "--fan", other) == (
+        2, "", "error: --fan does not match the ideal's fan\n")
 
 
 def _line_through_center(tmp_path):

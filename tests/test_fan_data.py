@@ -525,14 +525,17 @@ def test_faces_of_min_refinement_cells_equal_the_scans():
 
 
 def test_facets_read_off_rows_in_a_lower_dimensional_span():
-    # the cone spanned by (1, 0, 0) and (1, 1, 0) inside the plane z = 0,
-    # cut from the half-plane y >= 0 by the row x - y >= 0 and a row
-    # that leaves the plane
+    # the cone spanned by (1, 0, 0) and (1, 1, 0) inside the plane z = 0:
+    # its facets within the plane are y >= 0 and x - y >= 0, read off the
+    # dual basis of its rays, or off the double description when a
+    # redundant generator (2, 1, 0) makes the generators dependent
     rays = [(1, 0, 0), (1, 1, 0)]
-    rows = ((0, 1, 0), (1, -1, 0), (1, -1, 5), (0, 0, 1))
-    got = polyhedra.facet_constraints(rays, (((0, 0, 1),), rows))
-    assert got == polyhedra.cone_constraints(rays, 3)
-    assert got == (((0, 0, 1),), ((0, 1, 0), (1, -1, 0)))
+    hrep = (((0, 0, 1),), ((0, 1, 0), (1, -1, 0)))
+    assert polyhedra.cone_constraints(rays, 3) == hrep
+    assert fans._cell(3, rays) == (
+        tuple(rays), hrep, polyhedra.dual_basis(rays))
+    assert fans._cell(3, sorted(rays + [(2, 1, 0)])) == (
+        tuple(rays), hrep, None)
 
 
 def _scan_assignment(fine, coarse):

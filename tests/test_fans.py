@@ -58,6 +58,41 @@ def test_validate_catches_redundant_generator():
     assert any("non-extremal" in p for p in problems)
 
 
+def test_validate_catches_a_cone_that_is_no_face_of_a_top_cone():
+    # the square cone on (+-1, +-1, 1) with its diagonal cone (0, 3): each
+    # cone is fine on its own, and the square is the only top cone
+    square = fans.Fan(3, ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)),
+                      ((), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3),
+                       (1, 3), (2, 3), (0, 1, 2, 3)))
+    assert square.max_cones == ((0, 1, 2, 3),)
+    assert fans.validate_fan(square) == [
+        "cone (0, 3) is not a face of any top cone"]
+
+
+@pytest.mark.parametrize("rays,cones,problems", [
+    (((0, 0), (0, 1), (1, 0)), ((), (0,), (1,), (2,), (1, 2)),
+     ["ray 0 is zero", "cone (0,) has non-extremal or missing rays",
+      "intersection of (0,) and (1, 2) is not a face of (0,)"]),
+    (((0, 1), (2, 0)), ((), (0,), (1,), (0, 1)),
+     ["ray 1 = (2, 0) is not primitive",
+      "cone (0, 1) has non-extremal or missing rays"]),
+    (((1, 0), (0, 1)), ((), (0,), (1,), (0, 1)),
+     ["rays are not sorted and distinct"]),
+    (((0, 1), (0, 1)), ((), (0,), (1,)),
+     ["rays are not sorted and distinct"]),
+    (((0, 1), (1, 0)), ((0,), (1,), (0, 1)),
+     ["zero cone missing", "face () of cone (0, 1) is not in the fan"]),
+    # the cones under a top cone with a line are not judged
+    (((-1, 0), (0, 1), (1, 0)), ((), (0,), (1,), (2,), (0, 1, 2)),
+     ["cone (0, 1, 2) contains a line"]),
+    (((0, 1), (1, 0)), ((), (0,), (0, 1)),
+     ["face (1,) of cone (0, 1) is not in the fan"]),
+], ids=["zero ray", "non-primitive ray", "unsorted rays", "repeated ray",
+        "no zero cone", "line", "missing face"])
+def test_validate_refusals_of_directly_built_fans(rays, cones, problems):
+    assert fans.validate_fan(fans.Fan(2, rays, cones)) == problems
+
+
 def test_faces_of_directly_built_fans_equal_the_scans():
     # no face data is handed over: the faces, top cones, facets,
     # completeness and coverage of a Fan built directly are all derived

@@ -389,6 +389,38 @@ def test_rubber_rays_match_homogenised_route():
     assert cut == 25
 
 
+# genus-2 cones for contact (-1, 2, -1) and slopes of size at most 1, each
+# with a region that a wall leaves whole on its lower side
+_BELOW_A_WALL = [
+    (((0, 0, 1), ((0, 1), (0, 1), (0, 2)), (1, 0, 2)), (-1, 0, -1)),
+    (((0, 0, 0), ((0, 1), (0, 1), (0, 2), (1, 2)), (0, 2, 0)),
+     (1, 0, 1, 1)),
+    (((0, 0, 0, 0, 0), ((0, 1), (0, 1), (0, 2), (2, 3), (3, 4), (3, 4)),
+      (1, 2, 4)), (-1, 0, 1, -1, -1, 0)),
+]
+
+
+def test_rubber_regions_below_a_wall_match_homogenised_route(monkeypatch):
+    below = 0
+    compute = polyhedra.split
+
+    def counted(rays, rows, wall):
+        nonlocal below
+        upper, lower = compute(rays, rows, wall)
+        below += upper != rays and lower == rays
+        return upper, lower
+    for parts, slopes in _BELOW_A_WALL:
+        graph = WeightedDualGraph(*parts)
+        (a,) = [a for a in balanced_slopes(graph, (-1, 2, -1), 1)
+                if a.slopes == slopes]
+        cone = dr_cone(graph, a)
+        with monkeypatch.context() as patch:
+            patch.setattr(polyhedra, "split", counted)
+            got = tuple(p.rays for p in rubber_pieces(cone))
+        assert got == _homogenised_regions(cone)
+    assert below == 5
+
+
 def test_rubber_pieces_split_the_rays_they_hold(monkeypatch):
     cones = _level_crossing_cones()
     calls = {"rays_from_constraints": 0, "split": 0}
