@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
+from math import gcd
 
 from . import linalg, polyhedra
 
@@ -79,7 +80,7 @@ class Fan:
 
     def cone_dim(self, cone: ConeKey) -> int:
         if cone not in self._dim:
-            self._dim[cone] = polyhedra.span_dim(self.cone_rays(cone))
+            self._dim[cone] = linalg.rank(self.cone_rays(cone))
         return self._dim[cone]
 
     def cone_hrep(self, cone: ConeKey):
@@ -306,7 +307,7 @@ def fan_from_cells(rank: int, cells) -> Fan:
                 faces[key] = _face_keys(key, [all_rays[i] for i in key],
                                         hrep[1])
     for c in {c for fs in faces.values() for c in fs} - dims.keys():
-        dims[c] = polyhedra.span_dim([all_rays[i] for i in c])
+        dims[c] = linalg.rank([all_rays[i] for i in c])
     cones = tuple(sorted(dims, key=lambda c: (dims[c], c)))
     key = (rank, tuple(all_rays), cones)
     fan = _LIVE_FANS.get(key)
@@ -345,7 +346,7 @@ def validate_fan(fan: Fan) -> list[str]:
     for i, r in enumerate(fan.rays):
         if not any(r):
             problems.append(f"ray {i} is zero")
-        elif linalg.vector_gcd(r) != 1:
+        elif gcd(*r) != 1:
             problems.append(f"ray {i} = {r} is not primitive")
     if list(fan.rays) != sorted(set(fan.rays)):
         problems.append("rays are not sorted and distinct")
@@ -523,10 +524,14 @@ _RESOLVE_STEPS = 1000  # refinements before resolve_smooth gives up
 def resolve_smooth(fan: Fan) -> Fan:
     """Refine until every cone is unimodular.
 
-    Simplicial cones of multiplicity m > 1 are split at a parallelotope
-    lattice point chosen to have minimal coefficient sum; this strictly
-    decreases multiplicities, so the loop terminates. Computed once per
-    fan object, which then returns the same fan.
+    While some top cone is not simplicial, the fan is subdivided at its
+    least-dimensional non-simplicial cone (by (dimension, rays)): every
+    face of that cone is simplicial, so every new cone of its dimension
+    is too, and the count of non-simplicial cones of that dimension
+    falls. Then simplicial cones of multiplicity m > 1 are split at a
+    parallelotope lattice point chosen to have minimal coefficient sum;
+    this strictly decreases multiplicities, so the loop terminates.
+    Computed once per fan object, which then returns the same fan.
     """
     return fan.cached("resolve_smooth", lambda: _resolve_smooth(fan))
 
@@ -544,7 +549,9 @@ def _resolve_smooth(fan: Fan) -> Fan:
         if target is None:
             return current
         if current.cone_multiplicity(target) is None:
-            current = stellar_subdivision(current, target)
+            current = stellar_subdivision(current, min(
+                (c for c in current.cones if len(c) != current.cone_dim(c)),
+                key=lambda c: (current.cone_dim(c), c)))
             continue
         witness = _parallelotope_point(current, target)
         current = insert_ray(current, witness)

@@ -36,10 +36,7 @@ class Document:
 
 
 def format_rational(x) -> str:
-    q = Fraction(x)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(x))
 
 
 def parse_rational(value) -> Fraction:

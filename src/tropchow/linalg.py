@@ -27,19 +27,12 @@ IntMatrix = list[list[int]]
 IntVector = tuple[int, ...]
 
 
-def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive_vector(v) -> IntVector:
     """Rescale an integer vector to its primitive representative.
 
     Raises ValueError on the zero vector, which has no primitive rescaling.
     """
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)

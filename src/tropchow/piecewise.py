@@ -9,6 +9,7 @@ cone, so agreement there is agreement everywhere on the face.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import linalg, polyhedra
 from .fans import Fan, StarFan, _cell, _top_cell, cone_homes, fan_from_cells
@@ -16,16 +17,9 @@ from .polynomials import Polynomial
 
 
 def _grid_points(rays, rank, degree):
-    pts = []
-    def rec(i, budget, acc):
-        if i == len(rays):
-            pts.append(tuple(acc))
-            return
-        for c in range(budget + 1):
-            nxt = [a + c * b for a, b in zip(acc, rays[i])]
-            rec(i + 1, budget - c, nxt)
-    rec(0, max(degree, 0), [0] * rank)
-    return pts
+    d = max(degree, 0)
+    return [tuple(sum(c * r[j] for c, r in zip(cs, rays)) for j in range(rank))
+            for cs in product(range(d + 1), repeat=len(rays)) if sum(cs) <= d]
 
 
 class PiecewisePolynomial:
@@ -87,7 +81,8 @@ class PiecewisePolynomial:
         for c in self.fan.max_cones:
             if self.fan.cone_contains(c, point):
                 return self.pieces[c].evaluate(point)
-        raise ValueError(f"point {point} is outside the fan support")
+        raise ValueError(f"point ({', '.join(map(str, point))}) is outside "
+                         "the fan support")
 
     def piece_on(self, cone) -> Polynomial:
         """Piece of some top cone containing the given fan cone."""
@@ -149,18 +144,13 @@ def _courant_function(fan: Fan, ray_index: int) -> PiecewisePolynomial:
     return PiecewisePolynomial(fan, pieces)
 
 
-def _is_identity(matrix, n: int) -> bool:
-    return len(matrix) == n and all(
-        len(row) == n and all(x == (i == j) for j, x in enumerate(row))
-        for i, row in enumerate(matrix))
-
-
 def pp_pullback(source_fan: Fan, matrix, target_pp: PiecewisePolynomial
                 ) -> PiecewisePolynomial:
     """Compose a piecewise polynomial with a linear map that maps every
     source cone into some target cone. Under the identity each source
     cone takes its home cone's piece as it is."""
-    identity = _is_identity(matrix, source_fan.rank)
+    identity = [list(row) for row in matrix] == linalg.identity_matrix(
+        source_fan.rank)
     pieces = {}
     for m, home in cone_homes(source_fan, matrix, target_pp.fan).items():
         piece = target_pp.pieces[home]
@@ -252,10 +242,10 @@ def min_refinement(fan: Fan, functions):
                     continue
                 coeffs = _linear_coefficients(li - lj, fan.rank)
                 if any(coeffs):
-                    row = polyhedra._to_primitive_int(coeffs)
+                    row = linalg._integer_rows([coeffs])[0]
                     cell = polyhedra.split(cell, rows, row)[0]
                     rows += (row,)
-            if polyhedra.span_dim(cell) == fan.cone_dim(m):
+            if linalg.rank(cell) == fan.cone_dim(m):
                 cells.append(_cell(fan.rank, cell))
     refined = fan_from_cells(fan.rank, cells)
     out = pp_min(refined, [pp_pullback(refined, linalg.identity_matrix(fan.rank), f)
@@ -297,17 +287,8 @@ def pp_space_dimension(fan: Fan, degree: int) -> int:
 
 
 def _degree_monomials(rank: int, degree: int):
-    monos = []
-    def rec(i, left, acc):
-        if i == rank - 1:
-            monos.append(tuple(acc + [left]))
-            return
-        for c in range(left + 1):
-            rec(i + 1, left - c, acc + [c])
-    if rank == 0:
-        return [()] if degree == 0 else []
-    rec(0, degree, [])
-    return monos
+    return [e for e in product(range(degree + 1), repeat=rank)
+            if sum(e) == degree]
 
 
 def pp_space_basis(fan: Fan, degree: int):

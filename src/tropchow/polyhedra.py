@@ -27,28 +27,12 @@ the rays of s1 and minus those of s2.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, lcm
 
 from . import linalg
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _to_primitive_int(v):
-    """Scale a rational vector to a primitive integer vector."""
-    den = lcm(*[x.denominator for x in v])
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector")
-    return tuple(x // g for x in ints)
-
-
-def span_dim(vectors) -> int:
-    vecs = [v for v in vectors if any(v)]
-    return linalg.rank(vecs) if vecs else 0
 
 
 def dual_basis(rays):

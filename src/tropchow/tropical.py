@@ -385,7 +385,7 @@ class DRCone:
 
     @property
     def dim(self) -> int:
-        return polyhedra.span_dim(self.rays)
+        return linalg.rank(self.rays)
 
     def contains(self, point) -> bool:
         """Whether the point has no negative length and every equation
@@ -681,7 +681,7 @@ class RubberPiece:
 
     @property
     def dim(self) -> int:
-        return polyhedra.span_dim(self.rays)
+        return linalg.rank(self.rays)
 
 
 def rubber_pieces(cone: DRCone):
@@ -711,7 +711,7 @@ def rubber_pieces(cone: DRCone):
     for rays in dict.fromkeys(rays for _, rays in regions):
         point = [sum(r[i] for r in rays) for i in range(ne)]
         rt = rubber_type(graph, cone.assignment, point)
-        dim = polyhedra.span_dim(rays)
+        dim = linalg.rank(rays)
         simplicial = len(rays) == dim
         columns = [tuple(r[i] for r in rays) for i in range(ne)]
         smooth = simplicial and (

@@ -19,7 +19,7 @@ the dual basis the fan keeps for that cone (_linear_extension_on).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, count
+from itertools import combinations, count
 from math import lcm
 
 from . import linalg, polyhedra
@@ -422,10 +422,11 @@ def pl_cap(phi: PiecewisePolynomial, w: MinkowskiWeight) -> MinkowskiWeight:
 
 def mw_to_pp(w: MinkowskiWeight) -> PiecewisePolynomial:
     """A piecewise polynomial witness of a balanced weight: a function of
-    matching degree whose weight equals the input."""
+    matching degree whose weight equals the input, a combination of the
+    ray monomials of the cones of its codimension (as cycle_from_class
+    reads a class)."""
     fan = w.fan
-    monomials = sorted({tuple(sorted(c)) for m in fan.max_cones
-                        for c in combinations_with_replacement(m, w.codim)})
+    monomials = fan.cones_of_dim(w.codim)
     if not monomials:
         raise ValueError("no candidate witnesses")
     coords = monomial_coordinates(fan, monomials, w)

@@ -708,7 +708,8 @@ def _triangulate(points):
         if any(v < 0 for v in vals):
             a = tuple(-x for x in a)
             b = -b
-        key = polyhedra._to_primitive_int(tuple(a) + (b,))
+        key = linalg.primitive_vector(
+            linalg._integer_rows([tuple(a) + (b,)])[0])
         if key in seen:
             continue
         seen.add(key)

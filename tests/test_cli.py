@@ -259,6 +259,15 @@ def test_pp_courant_and_eval(capsys, tmp_path, p2_doc):
     assert code == 2
 
 
+def test_pp_eval_off_the_support_spells_the_point(capsys, tmp_path):
+    quadrant = fan_from_max_cones(2, [[(1, 0), (0, 1)]])
+    ray = _write(tmp_path, "ray.json", "pp",
+                 io.pp_to_payload(courant_function(quadrant, 0)))
+    for point, spelled in (("-1,0", "(-1, 0)"), ("-1/2,4/2", "(-1/2, 2)")):
+        assert _run(capsys, "pp", "eval", "--pp", ray, f"--point={point}") == (
+            2, "", f"error: point {spelled} is outside the fan support\n")
+
+
 def test_pp_mul_squares_a_courant_function(capsys, tmp_path):
     f = courant_function(_p2(), 2)
     courant = _write(tmp_path, "courant.json", "pp", io.pp_to_payload(f))

@@ -93,8 +93,8 @@ def _scan_minimal_cone(fan, hreps, point):
     best = None
     for c in fan.cones:
         if polyhedra.cone_contains(hreps[c], point):
-            if best is None or (polyhedra.span_dim(fan.cone_rays(c))
-                                < polyhedra.span_dim(fan.cone_rays(best))):
+            if best is None or (linalg.rank(fan.cone_rays(c))
+                                < linalg.rank(fan.cone_rays(best))):
                 best = c
     return best
 
@@ -108,12 +108,12 @@ def _box(rank, radius=2):
 def test_handed_over_data_equals_fresh_computation(fan):
     hreps = _fresh_hreps(fan)
     assert fan.cones == tuple(sorted(
-        fan.cones, key=lambda c: (polyhedra.span_dim(fan.cone_rays(c)), c)))
+        fan.cones, key=lambda c: (linalg.rank(fan.cone_rays(c)), c)))
     for c in fan.cones:
         assert fan.cone_hrep(c) == hreps[c]
         assert fans._faces_as_keys(fan, c) == faces_by_subset_scan(
             c, fan.cone_rays(c), hreps[c][1])
-        assert fan.cone_dim(c) == polyhedra.span_dim(fan.cone_rays(c))
+        assert fan.cone_dim(c) == linalg.rank(fan.cone_rays(c))
     assert fans.validate_fan(fan) == []
 
 
@@ -267,7 +267,7 @@ def test_generic_vector_on_special_fans():
 
 
 def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
-    calls = {"_constraints_and_basis": 0, "span_dim": 0, "_face_keys": 0}
+    calls = {"_constraints_and_basis": 0, "rank": 0, "_face_keys": 0}
 
     def count(module, name):
         compute = getattr(module, name)
@@ -279,18 +279,18 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
 
     # every H-rep, the fan's own and cone_constraints', is computed here
     count(polyhedra, "_constraints_and_basis")
-    count(polyhedra, "span_dim")
+    count(linalg, "rank")
     count(fans, "_face_keys")
     p3 = fans.fan_from_max_cones(*BASES["P3"])
     # one H-rep per generator list; no face search and no rank, since the
     # faces of a simplicial cell are the subsets of its rays
-    assert calls == {"_constraints_and_basis": 4, "span_dim": 0,
+    assert calls == {"_constraints_and_basis": 4, "rank": 0,
                      "_face_keys": 0}
     bl = fans.stellar_subdivision(p3, p3.max_cones[0])
     assert len(bl.max_cones) == 6 and len(bl.cones) == 1 + 5 + 9 + 6
     # the 3 top cones away from the center keep P3's cells; only the 3
     # cones over the center's facets are computed
-    assert calls == {"_constraints_and_basis": 4 + 3, "span_dim": 0,
+    assert calls == {"_constraints_and_basis": 4 + 3, "rank": 0,
                      "_face_keys": 0}
     for m in p3.max_cones[1:]:
         key = tuple(sorted(bl.rays.index(r) for r in p3.cone_rays(m)))
@@ -305,7 +305,7 @@ def test_fan_from_max_cones_computes_each_hrep_once(monkeypatch):
         bl.cone_dim(c)
         # locating a point asks for no H-rep of a lower cone either
         assert bl.minimal_cone_containing(bl.relint_point(c)) == c
-    assert calls == {"_constraints_and_basis": 7, "span_dim": 0,
+    assert calls == {"_constraints_and_basis": 7, "rank": 0,
                      "_face_keys": 0}
     # a cell that is not simplicial searches its faces once, when built
     cube = fans.fan_from_max_cones(*CUBE)
@@ -1080,10 +1080,10 @@ def _enumerated_min_refinement(fan, functions):
             for i, li in enumerate(linear):
                 coeffs = piecewise._linear_coefficients(li - lj, fan.rank)
                 if i != j and any(coeffs):
-                    rows.append(polyhedra._to_primitive_int(coeffs))
+                    rows.append(linalg._integer_rows([coeffs])[0])
             cell = polyhedra.rays_from_constraints((eqs, tuple(rows)),
                                                    fan.rank)
-            if polyhedra.span_dim(cell) == fan.cone_dim(m):
+            if linalg.rank(cell) == fan.cone_dim(m):
                 cells.append(cell)
     refined = fans.fan_from_max_cones(fan.rank, cells)
     ident = linalg.identity_matrix(fan.rank)
@@ -1448,7 +1448,7 @@ def _multiple_cones(rank, dim, count, rng):
         rays = sorted({linalg.primitive_vector(v) for v in (
             tuple(rng.randint(-3, 3) for _ in range(rank))
             for _ in range(dim)) if any(v)})
-        if len(rays) != dim or polyhedra.span_dim(rays) != dim:
+        if len(rays) != dim or linalg.rank(rays) != dim:
             continue
         fan = fans.fan_from_max_cones(rank, [rays])
         (top,) = fan.max_cones

@@ -189,6 +189,19 @@ def test_multiplicity_and_resolution():
     assert fans.validate_fan(resh) == []
 
 
+def test_resolution_of_pyramids_sharing_a_square(monkeypatch):
+    # subdividing a pyramid at the sum of its rays leaves a pyramid over
+    # the same square face, again and again; the square comes first
+    monkeypatch.setattr(fans, "_RESOLVE_STEPS", 20)
+    square = [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 1, 0)]
+    f = fans.fan_from_max_cones(4, [square + [(0, 0, 0, s)] for s in (1, -1)])
+    res = fans.resolve_smooth(f)
+    assert res.is_smooth() and fans.validate_fan(res) == []
+    assert set(res.rays) == set(f.rays) | {(0, 0, 1, 0)}
+    assert len(res.max_cones) == 8
+    fans.subdivision_assignment(res, f)
+
+
 def test_star_fan():
     f = _projective_plane()
     ray_e1 = (f.rays.index((1, 0)),)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -294,6 +295,30 @@ def test_rank4_blowups_verify(make_fan):
                 report = verify_fulton_identity(
                     ToricCycle(f, codim, {cone: 1}), setup)
                 assert report.verdict == "verified", (size, cone)
+
+
+@pytest.mark.parametrize("ray", [
+    (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1), (-1, 0, 0, 0), (1, 1, 1, 0)])
+def test_rank4_blowups_against_subdividing_carriers(monkeypatch, ray):
+    """Rank 4: P4 blown up along the 2- and 3-cones on e1, e2 (, e3),
+    against P4 with one ray inserted, each against a seeded cycle on
+    three carrier cones of every codimension 1 to 3. The working fans of
+    the (0, 1, 1, 0) and (1, 0, 1, 1) carriers along the 2-cone have
+    top cones over a shared non-simplicial face. Budget: under 1.5 s
+    for all five carriers."""
+    monkeypatch.setattr(fans, "_RESOLVE_STEPS", 20)
+    f = _p4()
+    carrier = fans.insert_ray(f, ray)
+    for size in (2, 3):
+        setup = BlowupSetup(f, _ray_cone(f, *E4[:size]), carrier)
+        assert setup.refined.is_smooth()
+        for codim in (1, 2, 3):
+            rng = random.Random(f"{ray} {size} {codim}")
+            cycle = ToricCycle(carrier, codim, {
+                c: rng.choice((-2, -1, 1, 2, 3))
+                for c in rng.sample(carrier.cones_of_dim(codim), 3)})
+            report = verify_fulton_identity(cycle, setup)
+            assert report.verdict == "verified", (size, cycle)
 
 
 @pytest.mark.parametrize("make_fan, center", [
