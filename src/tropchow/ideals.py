@@ -2,17 +2,18 @@
 
 An ideal is a finite set of exponent vectors over the fan's rays, each
 one standing for an effective divisor sum. The induced order function is
-the minimum of the corresponding divisor functions; making it conewise
-linear is exactly the normalized blowup, and Segre classes come out of
-the exceptional function by pushing its powers back down.
+the minimum of the corresponding divisor functions; the coarsest fan on
+which it is conewise linear is the normalized blowup. Segre classes are
+read on a smooth refinement of that fan, a principalization of the
+ideal, by pushing powers of the exceptional function back down.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import linalg
-from .fans import Fan, resolve_smooth
-from .piecewise import PiecewisePolynomial, min_refinement, pp_pullback
+from .fans import Fan
+from .piecewise import PiecewisePolynomial, pp_min, pp_pullback, principalize
 from .weights import (MinkowskiWeight, monomial_coordinates, monomial_function,
                       pushforward_witness)
 
@@ -51,13 +52,6 @@ class MonomialIdeal:
         return tuple(out)
 
 
-def order_function(ideal: MonomialIdeal):
-    """Minimum of the generator divisor functions, on the coarsest
-    refinement where it is conewise linear (the normalized blowup fan)."""
-    functions = [ideal.divisor_function(g) for g in ideal.generators]
-    return min_refinement(ideal.fan, functions)
-
-
 @dataclass
 class SegreData:
     """Graded Segre weights on the ambient fan with, per codimension, a
@@ -67,25 +61,32 @@ class SegreData:
     certificates: dict = field(default_factory=dict)
 
 
-def _expand_on(fan: Fan, ordf_src: PiecewisePolynomial) -> PiecewisePolynomial:
-    pulled = pp_pullback(fan, linalg.identity_matrix(fan.rank), ordf_src)
-    out = monomial_function(fan, {(i,): pulled.evaluate(r)
-                                  for i, r in enumerate(fan.rays)})
-    if out != pulled:
-        raise AssertionError("order function failed to expand over rays")
-    return out
+def _principalization(ideal: MonomialIdeal):
+    """(fan, exceptional function): the ideal's fan subdivided until the
+    minimum of the generators' divisor functions is linear on every
+    cone, and that minimum. The generators are taken in one at a time,
+    each step principalizing the minimum so far against the next
+    divisor function (piecewise.principalize of two functions, which
+    ends)."""
+    fan = ideal.fan
+    ident = linalg.identity_matrix(fan.rank)
+    functions = [ideal.divisor_function(g) for g in ideal.generators]
+    exc = functions[0]
+    for f in functions[1:]:
+        pair = [exc, pp_pullback(fan, ident, f)]
+        fan, _ = principalize(fan, pair)
+        exc = pp_min(fan, [pp_pullback(fan, ident, g) for g in pair])
+    return fan, exc
 
 
 def segre_class(ideal: MonomialIdeal) -> SegreData:
     """Graded Segre class of the subscheme cut out by a monomial ideal,
-    through the normalized blowup: alternating pushforwards of powers of
-    the exceptional function."""
+    through a principalization of the ideal: alternating pushforwards of
+    powers of the exceptional function."""
     ambient = ideal.fan
     if not ambient.is_complete():
         raise ValueError("ambient fan must be complete")
-    blow_fan, ordf = order_function(ideal)
-    blow_fan = resolve_smooth(blow_fan)
-    exc = _expand_on(blow_fan, ordf)
+    blow_fan, exc = _principalization(ideal)
     data = SegreData(ambient)
     power = PiecewisePolynomial.constant(blow_fan, 1)
     sign = 1

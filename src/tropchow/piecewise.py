@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg, polyhedra
-from .fans import Fan, StarFan, _cell, _top_cell, cone_homes, fan_from_cells
+from .fans import (Fan, StarFan, _cell, _top_cell, cone_homes, fan_from_cells,
+                   stellar_subdivision)
 from .polynomials import Polynomial
 
 
@@ -251,6 +252,55 @@ def min_refinement(fan: Fan, functions):
     out = pp_min(refined, [pp_pullback(refined, linalg.identity_matrix(fan.rank), f)
                            for f in functions])
     return refined, out
+
+
+_TOWER_STEPS = 1000  # stellar subdivisions before principalize gives up
+
+
+def principalize(fan: Fan, functions):
+    """Subdivide a smooth fan until the pointwise minimum of conewise
+    linear functions is linear on every cone: toric principalization of
+    the ideal they stand for (compare Goward, Trans. AMS 357, 2005).
+    Returns the final fan and its steps (base, center, ray, result),
+    bottom-up.
+
+    At each ray every function's excess over the least value there is
+    kept. A cone is bad when each function's excess, summed over the
+    cone's rays, is positive: no function is least at all of them. The
+    center is a least-dimensional bad cone, the one whose sums, sorted
+    from the largest, are largest, then the first by key, and
+    stellar_subdivision at the sum of its rays keeps the fan smooth. The
+    new ray's values are the sums of its center's, so its excesses are
+    the center's sums less their least one. For two functions the
+    centers are 2-cones at whose rays their difference is p > 0 and
+    -q < 0: each step removes the one with the largest (max(p, q),
+    min(p, q)), and every bad 2-cone it makes has a smaller pair, so the
+    loop ends. For more functions no such bound is known here:
+    RuntimeError when more than _TOWER_STEPS steps would be needed.
+    """
+    excess = {}
+    for i, r in enumerate(fan.rays):
+        v = [f.piece_on((i,)).value(r) for f in functions]
+        excess[r] = [x - min(v) for x in v]
+    steps = []
+    while True:
+        bad = {}
+        for c in fan.cones[1:]:
+            sums = [sum(col) for col in zip(*(excess[r]
+                                              for r in fan.cone_rays(c)))]
+            if min(sums):
+                bad[c] = sums
+        if not bad:
+            return fan, tuple(steps)
+        if len(steps) == _TOWER_STEPS:
+            raise RuntimeError("principalization did not terminate")
+        center = min(bad, key=lambda c: (len(c), sorted(-s for s in bad[c]),
+                                         c))
+        ray = tuple(map(sum, zip(*fan.cone_rays(center))))
+        excess[ray] = [s - min(bad[center]) for s in bad[center]]
+        result = stellar_subdivision(fan, center)
+        steps.append((fan, center, ray, result))
+        fan = result
 
 
 def excess_chern_class(fan: Fan, center_functions, exceptional: PiecewisePolynomial,

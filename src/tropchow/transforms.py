@@ -18,16 +18,14 @@ travel together.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
-from .fans import (Fan, _cell, _top_cell, fan_from_cells, resolve_smooth,
-                   star_fan, stellar_subdivision, subdivision_assignment)
+from .fans import Fan, star_fan, stellar_subdivision, subdivision_assignment
 from .ideals import MonomialIdeal, segre_class
 from .piecewise import (PiecewisePolynomial, courant_function,
-                        excess_chern_class, min_refinement, pp_min,
-                        pp_pullback, pushforward_from_star)
+                        excess_chern_class, principalize, pp_pullback,
+                        pushforward_from_star)
 from .polynomials import _exact
 from .weights import (MinkowskiWeight, courant_monomial, monomial_coordinates,
                       monomial_function, mw_of_pp, ray_monomial_class)
@@ -101,9 +99,12 @@ class BlowupSetup:
     """Blowup of a complete smooth fan at one of its smooth cones, against
     a complete smooth subdivision carrying the cycles of interest.
 
-    The working fan refines both the stellar subdivision at the center and
-    the carrier subdivision, finely enough that the order function of the
-    center's ideal is conewise linear, and is kept smooth.
+    The working fan is the carrier principalized for the center's ideal
+    (piecewise.principalize of the center's Courant functions read on
+    the carrier): a tower of smooth stellar subdivisions, built forward,
+    after which the minimum of those functions, the order function of
+    the center, is linear on every cone. So it refines both the stellar
+    subdivision at the center and the carrier, and is smooth.
     """
 
     def __init__(self, base: Fan, center, modification: Fan | None = None):
@@ -122,91 +123,20 @@ class BlowupSetup:
         self.modification = modification
         self.blowup = stellar_subdivision(base, center)
         ident = linalg.identity_matrix(base.rank)
-        pulled = [pp_pullback(modification, ident, courant_function(base, i))
-                  for i in center]
-        refined, _ = min_refinement(modification, pulled)
-        refined = resolve_smooth(refined)
-        subdivision_assignment(refined, self.blowup)
-        subdivision_assignment(refined, modification)
-        pp_min(refined, [pp_pullback(refined, ident, f) for f in pulled])
-        self.refined = refined
+        self.refined, self._principalization = principalize(modification, [
+            pp_pullback(modification, ident, courant_function(base, i))
+            for i in center])
+        # kept on the working fan, where strict_transform reads it
+        subdivision_assignment(self.refined, modification)
         self._steps = None
 
     def tower(self):
-        """Smooth stellar factorization of the working fan over the
-        carrier, listed bottom-up."""
+        """The steps that build the working fan from the carrier, smooth
+        stellar subdivisions listed bottom-up."""
         if self._steps is None:
-            self._steps = tuple(
-                _StellarStep(b, c, r, g)
-                for b, c, r, g in _stellar_tower(self.modification,
-                                                 self.refined))
+            self._steps = tuple(_StellarStep(*step)
+                                for step in self._principalization)
         return self._steps
-
-
-def _stellar_tower(coarse: Fan, fine: Fan):
-    """Factor a smooth refinement of a smooth fan into stellar subdivisions
-    at smooth cones, each new ray the sum of its center's rays and each fan
-    on the way a refinement of the coarse one; bottom-up list.
-
-    Raises RuntimeError when no ray can be undone: weak factorization may
-    need blowdowns too, so some refinements have no such tower."""
-    steps = []
-    g = fine
-    while set(g.rays) != set(coarse.rays):
-        found = next(filter(None, (
-            _undo_stellar(g, r, coarse)
-            for r in sorted(set(g.rays) - set(coarse.rays)))), None)
-        if found is None:
-            raise RuntimeError("refinement does not factor into smooth "
-                               "stellar subdivisions")
-        steps.append(found)
-        g = found[0]
-    # a smooth fan that refines the smooth carrier with its rays is it
-    assert g == coarse
-    steps.reverse()
-    return steps
-
-
-def _undo_stellar(g: Fan, r, carrier: Fan):
-    """(coarser fan, center, r, g) when g is the stellar subdivision, at a
-    smooth cone whose rays sum to r, of a smooth fan refining the carrier;
-    None otherwise.
-
-    Each top cone around r holds all of the center's rays but one, and the
-    missing one is r minus the others. So in the coordinates of one top
-    cone t0 around r, a center ray off t0 is 1 at r and 0 or -1 at the
-    rest, and the rays at -1 are the rest of the center: each link ray
-    names at most one candidate, tried the largest first, then by ray
-    indices. A candidate is the center when every top cone around r
-    misses exactly one of its rays, and each coarse cell (a top cone with
-    r traded for the ray it misses, so unimodular too) is reached from
-    |center| top cones and lies in a top cone of the carrier; only the
-    coarse fan of the center is built."""
-    ri = g.rays.index(r)
-    around = [m for m in g.max_cones if ri in m]
-    t0 = around[0]
-    dual = linalg.integral_rows(g.cone_dual_basis(t0))
-    candidates = []
-    for x in sorted(set().union(*around) - {ri}):
-        coords = dict(zip(t0, linalg.mat_vec(dual, g.rays[x])))
-        if coords.pop(ri) == 1 and set(coords.values()) <= {0, -1}:
-            candidates.append(tuple(sorted(
-                [x] + [i for i, c in coords.items() if c == -1])))
-    for center in sorted(candidates, key=lambda c: (-len(c), c)):
-        missing = [set(center) - set(m) for m in around]
-        if any(len(s) != 1 for s in missing):
-            continue
-        cells = Counter(tuple(sorted(set(m) - {ri} | s))
-                        for m, s in zip(around, missing))
-        if all(n == len(center) and any(
-                all(carrier.cone_contains(c, v) for v in g.cone_rays(cell))
-                for c in carrier.max_cones) for cell, n in cells.items()):
-            cand = fan_from_cells(g.rank, [
-                _top_cell(g, m) for m in g.max_cones if ri not in m] + [
-                _cell(g.rank, g.cone_rays(c)) for c in sorted(cells)])
-            rays = g.cone_rays(center)
-            return cand, tuple(sorted(cand.rays.index(v) for v in rays)), r, g
-    return None
 
 
 class _StellarStep:
@@ -319,8 +249,8 @@ def total_transform(cycle: ToricCycle, setup: BlowupSetup) -> ToricCycle:
 
 
 def fulton_correction(cycle: ToricCycle, setup: BlowupSetup):
-    """Correction term of the blowup formula, telescoped over the stellar
-    factorization of the working fan.
+    """Correction term of the blowup formula, telescoped over the tower
+    of stellar subdivisions that builds the working fan.
 
     At each step the carried cycle meets the step's center along strata
     whose Segre terms, decorated with excess Chern classes in

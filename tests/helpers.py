@@ -10,10 +10,11 @@ from math import atan2, gcd, isqrt
 from random import Random
 
 from tropchow import fans, io, linalg, polyhedra, weights
-from tropchow.ideals import MonomialIdeal, order_function
+from tropchow.ideals import MonomialIdeal, SegreData, _support_certificate
 from tropchow.piecewise import (PiecewisePolynomial, _degree_monomials,
                                 _grid_points, _linear_coefficients,
-                                _shared_rays, courant_function, pp_pullback)
+                                _shared_rays, courant_function,
+                                min_refinement, pp_pullback)
 from tropchow.polynomials import Polynomial
 from tropchow.transforms import (BlowupSetup, ToricCycle,
                                  verify_fulton_identity)
@@ -278,44 +279,24 @@ def stellar_subdivision_by_generators(fan, cone, new_ray=None):
                                    list(_stellar_top_rays(fan, cone, ray)))
 
 
-def undo_stellar_by_subsets(g, r, carrier, outcomes=None):
-    """transforms._undo_stellar by a scan over the subsets of r's link
-    that sum to r, the whole link first: each top cone around r gives the
-    coarse cone with r traded for the subset's rays, the top cones away
-    from r keep their cells, and a subset is the center when that coarse
-    fan is smooth, its stellar subdivision at the subset has g's top
-    cones and it refines the carrier. Appends to outcomes, per smooth
-    coarse fan built, whether its subdivision has g's top cones."""
-    ri = g.rays.index(r)
-    around = [set(m) - {ri} for m in g.max_cones if ri in m]
-    link = sorted(set().union(*around))
-    kept = [fans._top_cell(g, m) for m in g.max_cones if ri not in m]
-    tops = {tuple(g.cone_rays(m)) for m in g.max_cones}
-    for size in range(len(link), 1, -1):
-        for center in combinations(link, size):
-            rays = [g.rays[i] for i in center]
-            if tuple(sum(x) for x in zip(*rays)) != r:
-                continue
-            star = {tuple(sorted(m | set(center))) for m in around}
-            try:
-                cand = fans.fan_from_cells(g.rank, kept + [
-                    fans._cell(g.rank, g.cone_rays(c)) for c in sorted(star)])
-            except ValueError:  # a cone with a line: not the center
-                continue
-            key = tuple(sorted(cand.rays.index(v) for v in rays))
-            if key not in set(cand.cones) or not cand.is_smooth():
-                continue
-            same = {tuple(sorted(t))
-                    for t in _stellar_top_rays(cand, key, r)} == tops
-            if outcomes is not None:
-                outcomes.append(same)
-            if not same:
-                continue
-            if all(any(all(carrier.cone_contains(c, v)
-                           for v in cand.cone_rays(m))
-                       for c in carrier.max_cones) for m in cand.max_cones):
-                return cand, key, r, g
-    return None
+def assert_principalizes(fan, functions, fine, steps=None):
+    """fine, smooth, refines min_refinement's fan for the functions (the
+    normalized blowup fan), which is returned; each of the steps, when
+    given, is a stellar subdivision of the fan before it at a smooth
+    cone of at least two rays by the sum of its rays, as rebuilt from
+    generators, and they lead from fan to fine."""
+    coarse, _ = min_refinement(fan, functions)
+    fans.subdivision_assignment(fine, coarse)
+    assert fine.is_smooth()
+    current = fan
+    for base, center, ray, result in steps or ():
+        assert base is current and len(center) >= 2
+        assert base.cone_multiplicity(center) == 1
+        assert ray == tuple(map(sum, zip(*base.cone_rays(center))))
+        assert result == stellar_subdivision_by_generators(base, center)
+        current = result
+    assert steps is None or current is fine
+    return coarse
 
 
 def parallelotope_point_by_box(fan, cone):
@@ -793,6 +774,29 @@ def newton_region(points) -> NewtonRegion:
             if not all(sum(a * x for a, x in zip(row, q)) >= b
                        for row, b in facets)))
     return NewtonRegion(n, minimal, facets, bounded, volume, lattice)
+
+
+def order_function(ideal: MonomialIdeal):
+    """Minimum of the generator divisor functions, on the coarsest
+    refinement where it is conewise linear (the normalized blowup fan)."""
+    functions = [ideal.divisor_function(g) for g in ideal.generators]
+    return min_refinement(ideal.fan, functions)
+
+
+def segre_class_by_resolution(ideal: MonomialIdeal) -> SegreData:
+    """ideals.segre_class read on resolve_smooth of the normalized blowup
+    fan (order_function) instead of on a principalization."""
+    blow_fan, ordf = order_function(ideal)
+    blow_fan = fans.resolve_smooth(blow_fan)
+    exc = pp_pullback(blow_fan, linalg.identity_matrix(blow_fan.rank), ordf)
+    data = SegreData(ideal.fan)
+    power = PiecewisePolynomial.constant(blow_fan, 1)
+    for k in range(1, ideal.fan.rank + 1):
+        power = power * exc
+        data.pieces[k] = weights.pushforward_witness(
+            blow_fan, power, k, ideal.fan).scale((-1) ** (k + 1))
+        data.certificates[k] = _support_certificate(ideal, data.pieces[k], k)
+    return data
 
 
 def exceptional_class(ideal: MonomialIdeal) -> PiecewisePolynomial:

@@ -509,9 +509,9 @@ def test_fulton_verify_p3_along_a_line(capsys, tmp_path):
     assert "verdict: verified" in out
 
 
-def test_fulton_verify_without_a_stellar_tower_exits_3(capsys, tmp_path):
-    # a valid setup whose working fan no smooth stellar tower over the
-    # carrier reaches: an internal limitation, not malformed input
+def test_fulton_verify_p3_line_against_a_two_ray_carrier(capsys, tmp_path):
+    # P3 along a line against P3 with (-1, 0, -1) and then (-1, 1, -1)
+    # inserted: the working fan is built forward in 4 stellar steps
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
     p3 = fan_from_max_cones(3, [list(c) for c in combinations(e, 3)])
     carrier = insert_ray(insert_ray(p3, (-1, 0, -1)), (-1, 1, -1))
@@ -523,9 +523,11 @@ def test_fulton_verify_without_a_stellar_tower_exits_3(capsys, tmp_path):
         "cycle": {"codim": 2,
                   "coefficients": [{"cone": line, "value": 1}]}})
     code, out, err = _run(capsys, "fulton", "verify", "--setup", path)
-    assert (code, out) == (3, "")
-    assert err == ("internal error: refinement does not factor into smooth "
-                   "stellar subdivisions\n")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "verdict: verified"
+    assert "strict:     0" in lines
+    assert lines[-1] == "strata contributing: 3"
 
 
 def test_fulton_verify_refuses_a_carrier_off_the_base(capsys, tmp_path):

@@ -10,18 +10,16 @@ out; pp_min picks the least piece from a table of values at the rays;
 simplicial cones give their facets, ray functions and unimodular duals
 from one dual basis, min_refinement keeps a top cone whole where the
 minimum is linear, a stellar subdivision keeps the cells of the top
-cones away from its center, _undo_stellar reads its candidate centers
-off one top cone's coordinates and decides by counting coarse cells,
-_parallelotope_point visits one lattice point per class modulo the rays,
-read off the Hermite form, and the faces of a cone are its facets
-closed under intersection, which facets, completeness and the coverage
-check of common_refinement read. Each is checked here against an
-independent computation: fresh polyhedra calls, scans over all cones,
-the product route, the pairwise differences of pieces, the rank-based
-search, the subset enumeration, a least-norm Gram solve, the per-cell
-enumeration, the subdivision rebuilt from generators, the scans over
-subsets of a link and over a box of lattice points, and the ridge and
-containment scans in tests/helpers.py.
+cones away from its center, _parallelotope_point visits one lattice
+point per class modulo the rays, read off the Hermite form, and the
+faces of a cone are its facets closed under intersection, which
+facets, completeness and the coverage check of common_refinement read.
+Each is checked here against an independent computation: fresh
+polyhedra calls, scans over all cones, the product route, the pairwise
+differences of pieces, the rank-based search, the subset enumeration, a
+least-norm Gram solve, the per-cell enumeration, the subdivision rebuilt
+from generators, the scan over a box of lattice points, and the ridge
+and containment scans in tests/helpers.py.
 """
 import gc
 import itertools
@@ -44,8 +42,7 @@ from helpers import (BILLERA_FANS, billera_fan, cauchy_bound,
                      raises_every_proper_span,
                      parallelotope_point_by_box,
                      stellar_subdivision_by_generators,
-                     subdivision_assignment_per_cone,
-                     undo_stellar_by_subsets)
+                     subdivision_assignment_per_cone)
 from test_weights import _cube_fan, _prism_fan
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
 from tropchow.polynomials import Polynomial
@@ -1396,41 +1393,6 @@ def test_stellar_subdivision_equals_the_generator_route(fan):
 def test_stellar_subdivision_of_special_fans(gens):
     _assert_subdivisions_equal_the_generator_route(
         fans.fan_from_max_cones(*gens))
-
-
-def _stellar_towers(count=30):
-    """(base, fan) with the fan smooth, from 1-3 stellar subdivisions of
-    the base, P2, P1xP1 or a smooth 3-fan, at seeded cones."""
-    for name, gens in sorted({**BASES, **SMOOTH_3FANS}.items()):
-        rng = random.Random(name)
-        for _ in range(count):
-            base = fan = fans.fan_from_max_cones(*gens)
-            for _ in range(rng.randint(1, 3)):
-                fan = fans.stellar_subdivision(fan, rng.choice(fan.cones[1:]))
-            yield base, fan
-
-
-def test_undo_stellar_decides_as_the_full_build():
-    """_undo_stellar reads its candidates off one top cone's coordinates
-    and decides by counting coarse cells; the subset scan builds each
-    candidate's coarse fan and compares its subdivision with g. With the
-    base as carrier both find the same center or none, and the stellar
-    subdivision of the coarse fan at the center, rebuilt from generators,
-    is g exactly."""
-    outcomes = []
-    found_count = 0
-    for base, g in _stellar_towers():
-        for r in g.rays:
-            found = transforms._undo_stellar(g, r, base)
-            assert found == undo_stellar_by_subsets(g, r, base, outcomes)
-            if found is not None:
-                cand, key, _, _ = found
-                assert stellar_subdivision_by_generators(cand, key, r) is g
-                found_count += 1
-    seen = {b: outcomes.count(b) for b in (True, False)}
-    print(f"_undo_stellar: {found_count} (g, r) undone; subset scan "
-          f"candidates: {seen[True]} accepted, {seen[False]} refused")
-    assert seen[True] > 200 and seen[False] > 40, seen
 
 
 def _box_size(rays):

@@ -4,10 +4,11 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import (assert_exact, product_tower_setup, tower_sweep_setup,
-                     undo_stellar_by_subsets, verifies_every_cone_cycle)
-from tropchow import fans
-from tropchow.piecewise import courant_function
+from helpers import (assert_exact, assert_principalizes, product_tower_setup,
+                     setup_to_payload, stellar_subdivision_by_generators,
+                     tower_sweep_setup, verifies_every_cone_cycle)
+from tropchow import cli, fans, io, linalg, piecewise
+from tropchow.piecewise import courant_function, pp_pullback
 from tropchow.transforms import (BlowupSetup, ToricCycle, cycle_from_class,
                                  fulton_correction, fundamental_cycle,
                                  strict_transform, total_transform,
@@ -299,14 +300,14 @@ def test_rank4_blowups_verify(make_fan):
 
 @pytest.mark.parametrize("ray", [
     (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1), (-1, 0, 0, 0), (1, 1, 1, 0)])
-def test_rank4_blowups_against_subdividing_carriers(monkeypatch, ray):
+def test_rank4_blowups_against_subdividing_carriers(ray):
     """Rank 4: P4 blown up along the 2- and 3-cones on e1, e2 (, e3),
     against P4 with one ray inserted, each against a seeded cycle on
-    three carrier cones of every codimension 1 to 3. The working fans of
-    the (0, 1, 1, 0) and (1, 0, 1, 1) carriers along the 2-cone have
-    top cones over a shared non-simplicial face. Budget: under 1.5 s
-    for all five carriers."""
-    monkeypatch.setattr(fans, "_RESOLVE_STEPS", 20)
+    three carrier cones of every codimension 1 to 3. The normalized
+    blowups of the (0, 1, 1, 0) and (1, 0, 1, 1) carriers along the
+    2-cone have top cones over a shared non-simplicial face, which the
+    working fan, built by stellar subdivisions at smooth cones, never
+    has. Budget: under 1.5 s for all five carriers."""
     f = _p4()
     carrier = fans.insert_ray(f, ray)
     for size in (2, 3):
@@ -319,6 +320,31 @@ def test_rank4_blowups_against_subdividing_carriers(monkeypatch, ray):
                 for c in rng.sample(carrier.cones_of_dim(codim), 3)})
             report = verify_fulton_identity(cycle, setup)
             assert report.verdict == "verified", (size, cycle)
+
+
+def _p5():
+    e = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    return fans.fan_from_max_cones(5, [
+        list(c) for c in combinations(e + [(-1,) * 5], 5)])
+
+
+def test_rank5_blowups_verify_multi_cone_cycles():
+    """Rank 5: P5 blown up at 12 seeded cones of 2 or 3 rays, against P5
+    with (1, 1, 1, 1, 0) inserted and resolved, each against a seeded
+    cycle on 2-4 carrier cones of every codimension 1 to 4: 48 cycles.
+    Budget: under 3 s."""
+    f = _p5()
+    carrier = fans.resolve_smooth(fans.insert_ray(f, (1, 1, 1, 1, 0)))
+    for seed in range(12):
+        rng = random.Random(f"rank5 {seed}")
+        center = rng.choice([c for c in f.cones if len(c) == 2 + seed % 2])
+        setup = BlowupSetup(f, center, carrier)
+        for codim in range(1, 5):
+            cones = rng.sample(carrier.cones_of_dim(codim), rng.randint(2, 4))
+            cycle = ToricCycle(carrier, codim, {
+                c: rng.choice((-2, -1, 1, 2, 3)) for c in cones})
+            report = verify_fulton_identity(cycle, setup)
+            assert report.verdict == "verified", (center, cycle)
 
 
 @pytest.mark.parametrize("make_fan, center", [
@@ -377,7 +403,7 @@ def test_projection_formula_on_blowups(make_fan, center):
 
 
 # ---------------------------------------------------------------------------
-# towers past a greedy center, and the refinements with no tower
+# towers built forward by principalization
 
 
 def _p3_line_setup(*extras):
@@ -391,35 +417,50 @@ def _p3_line_setup(*extras):
 
 
 def test_tower_whose_first_center_leaves_the_carrier():
-    """(-1, 1, 1) is the sum of (-1, 0, 0) and (0, 1, 1), the first
-    center in ray order, but undoing it there gives a fan that does not
-    refine the carrier, and no tower goes on from it. The tower takes the
-    center on (-1, 1, 0) and (0, 0, 1), and every cone cycle of the
-    carrier verifies."""
+    """The tower starts at the carrier's 2-cone on (-1, 1, 0) and
+    (0, 0, 1), a cone off the line on which neither center function is
+    least at both rays, and then subdivides the line itself. Every cone
+    cycle of the carrier verifies."""
     setup = _p3_line_setup((-1, 0, 0), (-1, 1, 0))
     steps = setup.tower()
-    assert [s.ray for s in steps] == [(0, 1, 1), (-1, 1, 1), (-1, 2, 1)]
+    assert [s.ray for s in steps] == [(-1, 1, 1), (0, 1, 1)]
     assert steps[0].base == setup.modification
-    assert steps[1].base.cone_rays(steps[1].center) == [(-1, 1, 0),
+    assert steps[0].base.cone_rays(steps[0].center) == [(-1, 1, 0),
                                                         (0, 0, 1)]
+    assert steps[1].base.cone_rays(steps[1].center) == [(0, 0, 1),
+                                                        (0, 1, 0)]
     assert verifies_every_cone_cycle(setup)
 
 
-def test_refinement_without_a_tower_is_an_internal_limitation():
-    """A working fan that no smooth stellar tower over the carrier
-    reaches (weak factorization would need blowdowns too) is refused
-    with a RuntimeError, not as malformed input."""
+def test_tower_step_cap_is_an_internal_limitation(monkeypatch, capsys,
+                                                  tmp_path):
+    """A principalization that needs more than piecewise._TOWER_STEPS
+    steps is refused with a RuntimeError, not as malformed input, and
+    fulton verify exits 3 with one internal error line. The P3 line
+    against two inserted rays needs 4 steps."""
     setup = _p3_line_setup((-1, 0, -1), (-1, 1, -1))
-    with pytest.raises(RuntimeError, match="does not factor"):
-        setup.tower()
+    assert len(setup.tower()) == 4
+    line = ToricCycle(setup.modification, 2, {setup.center: 1})
+    path = tmp_path / "setup.json"
+    path.write_text(io.print_document(io.Document(
+        "setup", setup_to_payload(setup, line))))
+    monkeypatch.setattr(piecewise, "_TOWER_STEPS", 4)
+    assert len(BlowupSetup(setup.base, setup.center,
+                           setup.modification).tower()) == 4
+    monkeypatch.setattr(piecewise, "_TOWER_STEPS", 3)
+    with pytest.raises(RuntimeError,
+                       match="^principalization did not terminate$"):
+        BlowupSetup(setup.base, setup.center, setup.modification)
+    assert cli.main(["fulton", "verify", "--setup", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "", "internal error: principalization did not terminate\n")
 
 
 def test_seeded_towers_verify_or_are_refused():
     """Blowups of P3 and (P1)^3 along cones of 2 or 3 rays against
-    carriers with 1-3 seeded rays inserted and resolved: each either
-    verifies the identity for every cone cycle of its carrier or has no
-    stellar tower. Seeds 0-39 give 37 and 3; four of the towers are ones
-    that a center leaving the carrier used to block. Budget: about 5 s."""
+    carriers with 1-3 seeded rays inserted and resolved: each verifies
+    the identity for every cone cycle of its carrier, and none is
+    refused. Budget: about 5 s."""
     outcomes = []
     for seed in range(40):
         setup = tower_sweep_setup(seed)
@@ -427,19 +468,35 @@ def test_seeded_towers_verify_or_are_refused():
             outcomes.append(verifies_every_cone_cycle(setup))
         except RuntimeError:
             outcomes.append(None)
-    assert (outcomes.count(True), outcomes.count(None)) == (37, 3)
+    assert (outcomes.count(True), outcomes.count(None)) == (40, 0)
+
+
+def test_principalized_working_fans_against_the_resolution_route():
+    """Seeds 0-119 of the tower sweep: the working fan refines the
+    normalized blowup of the carrier at the center (min_refinement of
+    the center's functions), has at most as many top cones as
+    resolve_smooth of it, and is reached from the carrier by the
+    recorded steps, each a smooth stellar subdivision at the sum of its
+    center's rays. Budget: about 2 s."""
+    for seed in range(120):
+        setup = tower_sweep_setup(seed)
+        fan = setup.modification
+        ident = linalg.identity_matrix(fan.rank)
+        coarse = assert_principalizes(fan, [
+            pp_pullback(fan, ident, courant_function(setup.base, i))
+            for i in setup.center], setup.refined, setup._principalization)
+        assert len(setup.refined.max_cones) <= len(
+            fans.resolve_smooth(coarse).max_cones)
 
 
 @pytest.mark.parametrize("m", [4, 8])
-def test_rank4_tower_with_a_long_link_matches_the_subset_scan(m):
+def test_rank4_tower_with_a_long_link(m):
     """F x (P1)^2 blown up along the (P1)^2 factor: the new ray's link has
-    m + 2 rays, and _undo_stellar finds the center the subset scan
-    finds."""
+    m + 2 rays, and the tower is the one stellar subdivision at the
+    center, as rebuilt from generators."""
     setup = product_tower_setup(m)
     (step,) = setup.tower()
     assert (step.base, step.center, step.ray) == (
         setup.base, setup.center, (0, 0, 1, 1))
-    g = setup.refined
-    assert g == step.result
-    assert undo_stellar_by_subsets(g, step.ray, setup.base) == (
-        step.base, step.center, step.ray, g)
+    assert setup.refined == step.result == stellar_subdivision_by_generators(
+        setup.base, setup.center)
