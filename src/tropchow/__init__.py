@@ -5,8 +5,8 @@ entry points are re-exported here; the submodules carry the rest.
 """
 
 from .fans import (Fan, StarFan, common_refinement, fan_from_max_cones,
-                   insert_ray, resolve_smooth, star_fan,
-                   stellar_subdivision, validate_fan)
+                   insert_ray, star_fan, stellar_subdivision,
+                   validate_fan)
 from .ideals import (MonomialIdeal, SegreData, pullback_ideal, segre_class)
 from .piecewise import (PiecewisePolynomial, courant_function,
                         excess_chern_class, min_refinement, pp_min,
@@ -26,7 +26,7 @@ from .weights import (MinkowskiWeight, balanced_weight_rank,
 
 __all__ = [
     "Fan", "StarFan", "common_refinement", "fan_from_max_cones",
-    "insert_ray", "resolve_smooth", "star_fan", "stellar_subdivision",
+    "insert_ray", "star_fan", "stellar_subdivision",
     "validate_fan",
     "MonomialIdeal", "SegreData", "pullback_ideal", "segre_class",
     "PiecewisePolynomial", "courant_function", "excess_chern_class",

@@ -3,17 +3,16 @@
 A Fan stores primitive ray vectors in lex order and every cone (including
 the zero cone) as a sorted tuple of ray indices. Builders canonicalize
 arbitrary generator input, so two fans with the same support and cones
-compare equal. Subdivision, quotient (star), refinement, and resolution
-all return canonical fans, and an equal fan that is still alive is
-returned as it is (see Fan).
+compare equal. Subdivision, quotient (star) and refinement all return
+canonical fans, and an equal fan that is still alive is returned as it
+is (see Fan).
 """
 from __future__ import annotations
 
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations
 from math import gcd
 
 from . import linalg, polyhedra
@@ -25,23 +24,24 @@ class Fan:
     """Immutable fan; build through fan_from_max_cones or module helpers.
 
     Data derived from the rays and cones (H-representations, faces, cone
-    dimensions, dual bases, smoothness, ray functions, the star of each
-    cone (star_fan), cone homes and subdivision assignments per target fan,
-    ...) is computed on first use and kept on this object, so a Fan must
-    never be mutated. The kept faces of a cone answer every face question:
-    its facets, completeness (facets of top cones) and the coverage check
-    of common_refinement read them. Construction hands over what it
-    computes while closing over faces: the extreme rays, H-representation
-    and faces of every input cone, the dimension of every cone and the top
-    cones (a Fan built directly finds them as fan_from_cells does, from the
-    cones holding each ray). Every new cell is converted by _cell, which
-    computes one H-representation per generator list, reads the rays off
-    independent generators or else off that H-representation, and keeps
-    the dual basis that the H-representation of a simplicial cone is
-    read off: fan_from_max_cones converts each generator list, and a
-    stellar subdivision and piecewise.min_refinement convert only their
-    new cells and hand each top cone they keep whole the cell the source
-    fan holds for it (_top_cell).
+    dimensions, dual bases, multiplicities, smoothness, ray functions, the
+    star of each cone (star_fan), cone homes and subdivision assignments
+    per target fan, ...) is computed on first use and kept on this
+    object, so a Fan must never be mutated. The kept faces of a cone
+    answer every face question: its facets, completeness (facets of top
+    cones) and the coverage check of common_refinement read them.
+    Construction hands over what it computes while closing over faces:
+    the extreme rays, H-representation and faces of every input cone, the
+    dimension of every cone and the top cones (a Fan built directly finds
+    them as fan_from_cells does, from the cones holding each ray). Every
+    new cell is converted by _cell, which computes one H-representation
+    per generator list, reads the rays off independent generators or else
+    off that H-representation, and keeps the dual basis that the
+    H-representation of a simplicial cone is read off: fan_from_max_cones
+    converts each generator list, and a stellar subdivision and
+    piecewise.min_refinement convert only their new cells and hand each
+    top cone they keep whole the cell the source fan holds for it
+    (_top_cell).
 
     Every builder ends in fan_from_cells, which returns the live fan equal
     to the one it builds when there is one, so equal fans built while one
@@ -144,18 +144,19 @@ class Fan:
         return None
 
     def cone_multiplicity(self, cone: ConeKey):
-        """Lattice index of a simplicial cone; None when not simplicial.
-
-        For a full-dimensional cone that is |det| of its rays."""
-        rays = self.cone_rays(cone)
-        if len(rays) != self.cone_dim(cone):
-            return None
-        if not rays:
-            return 1
-        if len(rays) == self.rank:
-            return abs(linalg.det(rays))
-        mat = [[r[i] for r in rays] for i in range(self.rank)]
-        return linalg.lattice_index(mat)
+        """Lattice index of a simplicial cone, kept per cone; None when not
+        simplicial. For a full-dimensional cone that is |det| of its rays."""
+        def compute():
+            rays = self.cone_rays(cone)
+            if len(rays) != self.cone_dim(cone):
+                return None
+            if not rays:
+                return 1
+            if len(rays) == self.rank:
+                return abs(linalg.det(rays))
+            return linalg.lattice_index(
+                [[r[i] for r in rays] for i in range(self.rank)])
+        return self.cached(("multiplicity", cone), compute)
 
     def is_smooth(self) -> bool:
         return self.cached("smooth", lambda: all(
@@ -175,24 +176,6 @@ class Fan:
             return linalg.saturation_data(
                 [[r[i] for r in rays] for i in range(self.rank)])
         return self.cached(("saturation", cone), compute)
-
-    def unimodular_duals(self) -> dict:
-        """Integer inverse of the ray matrix of every top cone, keyed by
-        cone: its rows are the dual basis. Needs a smooth complete fan;
-        the top cones are checked one by one before is_complete runs."""
-        return self.cached("duals", self._unimodular_duals)
-
-    def _unimodular_duals(self):
-        duals = {}
-        for m in self.max_cones:
-            if self.cone_dim(m) != self.rank:
-                raise ValueError("fan is not complete")
-            if len(m) != self.rank:  # a top cone that is not simplicial
-                raise ValueError("matrix is not unimodular")
-            duals[m] = linalg.integral_rows(self.cone_dual_basis(m))
-        if not self.is_complete():
-            raise ValueError("fan is not complete")
-        return duals
 
     def is_complete(self) -> bool:
         """Whether the top cones are full-dimensional and every cone of
@@ -516,70 +499,6 @@ def subdivision_assignment(fine: Fan, coarse: Fan) -> dict:
                     coarse, homes[fine.max_cone_over(c)], fine.cone_rays(c))
                 for c in fine.cones}
     return fine.cached(("assignment", coarse), compute)
-
-
-_RESOLVE_STEPS = 1000  # refinements before resolve_smooth gives up
-
-
-def resolve_smooth(fan: Fan) -> Fan:
-    """Refine until every cone is unimodular.
-
-    While some top cone is not simplicial, the fan is subdivided at its
-    least-dimensional non-simplicial cone (by (dimension, rays)): every
-    face of that cone is simplicial, so every new cone of its dimension
-    is too, and the count of non-simplicial cones of that dimension
-    falls. Then simplicial cones of multiplicity m > 1 are split at a
-    parallelotope lattice point chosen to have minimal coefficient sum;
-    this strictly decreases multiplicities, so the loop terminates.
-    Computed once per fan object, which then returns the same fan.
-    """
-    return fan.cached("resolve_smooth", lambda: _resolve_smooth(fan))
-
-
-def _resolve_smooth(fan: Fan) -> Fan:
-    current = fan
-    for _ in range(_RESOLVE_STEPS):
-        target = None
-        for c in sorted(current.max_cones,
-                        key=lambda c: (current.cone_dim(c), c)):
-            mult = current.cone_multiplicity(c)
-            if mult is None or mult > 1:
-                target = c
-                break
-        if target is None:
-            return current
-        if current.cone_multiplicity(target) is None:
-            current = stellar_subdivision(current, min(
-                (c for c in current.cones if len(c) != current.cone_dim(c)),
-                key=lambda c: (current.cone_dim(c), c)))
-            continue
-        witness = _parallelotope_point(current, target)
-        current = insert_ray(current, witness)
-    raise RuntimeError("resolution did not terminate")
-
-
-def _parallelotope_point(fan: Fan, cone: ConeKey):
-    """Nonzero lattice point of the half-open ray parallelotope with the
-    smallest coefficient sum (lex tie-break on the ambient vector).
-
-    The Hermite form h = u * R of the ray columns R (linalg's
-    _unimodular_echelon) holds, in its first k rows, the rays' coordinates
-    in a basis of the saturated lattice of their span, upper triangular
-    with a positive diagonal. So the vectors y with 0 <= y_i < h_ii are
-    the lattice points modulo the rays, each once, mult of them, and
-    t = frac(h^-1 y) are the coefficients of each one's parallelotope
-    point."""
-    rays = fan.cone_rays(cone)
-    h = linalg._unimodular_echelon([list(col) for col in zip(*rays)])[0]
-    inverse = linalg.scaled_inverse(h[:len(rays)])
-    keys = []
-    for y in islice(product(*(range(h[i][i]) for i in range(len(rays)))),
-                    1, None):
-        t = [Fraction(sum(a * b for a, b in zip(u, y)), p) % 1
-             for u, p in inverse]
-        keys.append((sum(t), tuple(int(sum(c * r[i] for c, r in zip(t, rays)))
-                                   for i in range(fan.rank))))
-    return min(keys)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ det. Fractions are built only for the outputs of rref, solve and
 nullspace, and for a det that is not integral (an integral one is an
 int, the rule polynomial coefficients follow); rank and primitive_kernel
 build none. Every inverse of a basis
-(dual bases of cone rays, unimodular inverses, the start cone of the
-double description) is read off one kernel, scaled_inverse: a single
+(dual bases of cone rays, the start cone of the double description) is
+read off one kernel, scaled_inverse: a single
 elimination of [a | I], whose rows are those of the inverse scaled to
 integers. Every lattice question (saturations and quotient maps, the
 Smith form, lattice indices) is read off one integer kernel,
@@ -175,14 +175,6 @@ def scaled_inverse(a):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple((tuple(row[n:]), row[i]) for i, row in enumerate(rows))
-
-
-def integral_rows(pairs):
-    """The rows u_i / p_i of scaled pairs (as from scaled_inverse) as
-    integer lists; raises ValueError when one is not integral."""
-    if any(x % p for u, p in pairs for x in u):
-        raise ValueError("matrix is not unimodular")
-    return [[x // p for x in u] for u, p in pairs]
 
 
 def saturation_data(b: IntMatrix):

@@ -13,17 +13,20 @@ witnesses move classes back and forth. One exact localization kernel,
 pushforward_witness, reads every weight off a function: the weight of
 a function on its own fan (mw_of_pp), degrees and pushforwards to a
 coarser fan all sum values at test points, never products of functions.
-The corner locus (pl_cap) reads each linear extension along a cone off
-the dual basis the fan keeps for that cone (_linear_extension_on).
+Brion's localization formula reads those values off simplicial cones, so
+a non-simplicial top cone is split by a pulling triangulation, which
+adds no rays, and no fan is resolved. The corner locus (pl_cap) reads
+each linear extension along a cone off the dual basis the fan keeps for
+that cone (_linear_extension_on).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, count
-from math import lcm
+from math import lcm, prod
 
 from . import linalg, polyhedra
-from .fans import Fan, cone_homes, resolve_smooth, star_fan
+from .fans import Fan, cone_homes, star_fan
 from .piecewise import PiecewisePolynomial, courant_function
 from .polynomials import _exact
 
@@ -108,52 +111,60 @@ def is_balanced(w: MinkowskiWeight) -> bool:
 
 def localization_degree(f: PiecewisePolynomial) -> Fraction:
     """Degree of the top homogeneous part of a function on a complete
-    simplicial fan: its weight on the zero cone, by mw_of_pp, returned
-    as a Fraction even when it is integral."""
+    fan: its weight on the zero cone, by mw_of_pp, returned as a Fraction
+    even when it is integral."""
     return Fraction(mw_of_pp(f, f.fan.rank).values[()])
 
 
-def _localization(fan: Fan):
-    """Localization data of a complete simplicial fan, found once per fan.
+def _pulling_simplices(fan: Fan, cone):
+    """The pulling triangulation of a cone in the order of the fan's rays:
+    the cone itself when it is simplicial, else its first ray joined to
+    the triangulation of each facet that misses that ray. It adds no
+    rays, and a face of two cones is split the same way in both."""
+    if len(cone) == fan.cone_dim(cone):
+        return [cone]
+    return [(cone[0],) + s for f in fan.facets_of(cone) if cone[0] not in f
+            for s in _pulling_simplices(fan, f)]
 
-    Per test point: the point, the common denominator and, per top cone
-    of the smooth resolution (the fan itself when smooth), its home top
-    cone in the fan and its numerator multiplier.
+
+def _localization(fan: Fan):
+    """Localization data of a complete fan, found once per fan.
+
+    Brion's formula needs simplicial cones only: the degree of a function
+    f is the sum, over the simplices s of the top cones' pulling
+    triangulations, of f_s(p) * prod p_i / (mult(s) * prod u_i . p), with
+    f_s the piece of the top cone holding s, (u_i, p_i) the dual basis of
+    s (Fan.cone_dual_basis) and p a point where no u_i . p vanishes. The
+    test points are the first two p = (1, t, ..., t^(n-1)), t = 2, 3, ...,
+    of that kind (all but finitely many t are). Per test point: the
+    point, the lcm of the simplices' denominators and, per top cone, the
+    numerator multiplier its simplices sum to.
     """
     def compute():
-        if fan.is_smooth():
-            smooth, homes = fan, {m: m for m in fan.max_cones}
-        else:
-            smooth = resolve_smooth(fan)
-            homes = cone_homes(smooth, linalg.identity_matrix(fan.rank), fan)
-        return [(point, common, [(homes[m], mult) for m, mult
-                                 in zip(smooth.max_cones, mults)])
-                for point, common, mults in _localization_points(smooth)]
+        if not fan.is_complete():
+            raise ValueError("fan is not complete")
+        simplices = [(m, fan.cone_multiplicity(s), fan.cone_dual_basis(s))
+                     for m in fan.max_cones
+                     for s in _pulling_simplices(fan, m)]
+        points = []
+        for t in count(2):
+            point = tuple(t ** i for i in range(fan.rank))
+            denoms = []
+            for _, denom, duals in simplices:
+                for u, _ in duals:
+                    denom *= sum(a * b for a, b in zip(u, point))
+                if denom == 0:
+                    break
+                denoms.append(denom)
+            else:
+                common = lcm(*denoms)
+                mults = dict.fromkeys(fan.max_cones, 0)
+                for (m, _, duals), denom in zip(simplices, denoms):
+                    mults[m] += prod(p for _, p in duals) * (common // denom)
+                points.append((point, common, list(mults.items())))
+                if len(points) == 2:
+                    return points
     return fan.cached("localization", compute)
-
-
-def _localization_points(fan: Fan):
-    """The first two test points (1, t, ..., t^(n-1)), t = 2, 3, ..., at
-    which no dual basis vector of a top cone vanishes (at finitely many t
-    each). Each comes with the lcm L of the per-cone products of those
-    values and, per top cone, L divided by its product."""
-    duals = fan.unimodular_duals()
-    points = []
-    for t in count(2):
-        point = tuple(t ** i for i in range(fan.rank))
-        denoms = []
-        for m in fan.max_cones:
-            denom = 1
-            for row in duals[m]:
-                denom *= sum(a * b for a, b in zip(row, point))
-            if denom == 0:
-                break
-            denoms.append(denom)
-        else:
-            common = lcm(*denoms)
-            points.append((point, common, [common // d for d in denoms]))
-            if len(points) == 2:
-                return points
 
 
 def courant_monomial(fan: Fan, ray_indices) -> PiecewisePolynomial:
@@ -313,15 +324,14 @@ def pushforward_witness(source_fan: Fan, witness: PiecewisePolynomial,
     back to the source.
 
     Each degree is a sum of localized contributions at a test point of
-    the source (_localization). The degree-k part of the witness and the
+    the source (_localization), which sums the simplices of each top
+    cone into one multiplier. The degree-k part of the witness and the
     target's ray functions are evaluated once per top cone, the latter
     on the target top cone holding it (cone_homes), so each weight is a
     sum of products of numbers, without forming the product of
-    functions. On a source that is not smooth the sum runs over the top
-    cones of its smooth resolution, each taking the pieces of its home
-    top cone: the degree of the product pulled back to the resolution.
-    The contributions share one common denominator per test point, so
-    each sum runs over the numerators and divides once. The underlying
+    functions; the source need not be smooth or simplicial. The
+    contributions share one common denominator per test point, so each
+    sum runs over the numerators and divides once. The underlying
     rational function of the test point is constant, so the first two
     evaluation points with nonvanishing denominators must agree; this is
     asserted.

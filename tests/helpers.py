@@ -2,11 +2,13 @@
 writers and readers the command line never calls, constructors of
 functions from raw data, polytope and staircase routines, and checks
 that tests use as oracles."""
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import (combinations, combinations_with_replacement, count,
+                       islice)
 from itertools import product as iproduct
-from math import atan2, gcd, isqrt
+from math import atan2, gcd, isqrt, prod
 from random import Random
 
 from tropchow import fans, io, linalg, polyhedra, weights
@@ -14,7 +16,7 @@ from tropchow.ideals import MonomialIdeal, SegreData, _support_certificate
 from tropchow.piecewise import (PiecewisePolynomial, _degree_monomials,
                                 _grid_points, _linear_coefficients,
                                 _shared_rays, courant_function,
-                                min_refinement, pp_pullback)
+                                min_refinement, pp_pullback, pp_space_basis)
 from tropchow.polynomials import Polynomial
 from tropchow.transforms import (BlowupSetup, ToricCycle,
                                  verify_fulton_identity)
@@ -72,9 +74,17 @@ def power(p: Polynomial, k: int) -> Polynomial:
     return out
 
 
+def integral_rows(pairs):
+    """The rows u_i / p_i of scaled pairs (as from linalg.scaled_inverse)
+    as integer lists; raises ValueError when one is not integral."""
+    if any(x % p for u, p in pairs for x in u):
+        raise ValueError("matrix is not unimodular")
+    return [[x // p for x in u] for u, p in pairs]
+
+
 def invert_unimodular(a):
     """Exact inverse of a unimodular integer matrix."""
-    return linalg.integral_rows(linalg.scaled_inverse(a))
+    return integral_rows(linalg.scaled_inverse(a))
 
 
 def pp_from_polynomial(fan, p: Polynomial) -> PiecewisePolynomial:
@@ -299,8 +309,125 @@ def assert_principalizes(fan, functions, fine, steps=None):
     return coarse
 
 
+# ---------------------------------------------------------------------------
+# the smooth resolution, the second route that localization is checked by
+
+_RESOLVE_STEPS = 1000  # refinements before resolve_smooth gives up
+
+
+def resolve_smooth(fan):
+    """Refine until every cone is unimodular.
+
+    While some top cone is not simplicial, the fan is subdivided at its
+    least-dimensional non-simplicial cone (by (dimension, rays)): every
+    face of that cone is simplicial, so every new cone of its dimension
+    is too, and the count of non-simplicial cones of that dimension
+    falls. Then simplicial cones of multiplicity m > 1 are split at a
+    parallelotope lattice point chosen to have minimal coefficient sum;
+    this strictly decreases multiplicities, so the loop terminates.
+    Computed once per fan object, which then returns the same fan.
+    """
+    return fan.cached("resolve_smooth", lambda: _resolve_smooth(fan))
+
+
+def _resolve_smooth(fan):
+    current = fan
+    for _ in range(_RESOLVE_STEPS):
+        target = None
+        for c in sorted(current.max_cones,
+                        key=lambda c: (current.cone_dim(c), c)):
+            mult = current.cone_multiplicity(c)
+            if mult is None or mult > 1:
+                target = c
+                break
+        if target is None:
+            return current
+        if current.cone_multiplicity(target) is None:
+            current = fans.stellar_subdivision(current, min(
+                (c for c in current.cones if len(c) != current.cone_dim(c)),
+                key=lambda c: (current.cone_dim(c), c)))
+            continue
+        current = fans.insert_ray(current,
+                                  parallelotope_point(current, target))
+    raise RuntimeError("resolution did not terminate")
+
+
+def parallelotope_point(fan, cone):
+    """Nonzero lattice point of the half-open ray parallelotope with the
+    smallest coefficient sum (lex tie-break on the ambient vector).
+
+    The Hermite form h = u * R of the ray columns R (linalg's
+    _unimodular_echelon) holds, in its first k rows, the rays' coordinates
+    in a basis of the saturated lattice of their span, upper triangular
+    with a positive diagonal. So the vectors y with 0 <= y_i < h_ii are
+    the lattice points modulo the rays, each once, mult of them, and
+    t = frac(h^-1 y) are the coefficients of each one's parallelotope
+    point."""
+    rays = fan.cone_rays(cone)
+    h = linalg._unimodular_echelon([list(col) for col in zip(*rays)])[0]
+    inverse = linalg.scaled_inverse(h[:len(rays)])
+    keys = []
+    for y in islice(iproduct(*(range(h[i][i]) for i in range(len(rays)))),
+                    1, None):
+        t = [Fraction(sum(a * b for a, b in zip(u, y)), p) % 1
+             for u, p in inverse]
+        keys.append((sum(t), tuple(int(sum(c * r[i] for c, r in zip(t, rays)))
+                                   for i in range(fan.rank))))
+    return min(keys)[1]
+
+
+def degrees_by_resolution(functions):
+    """weights.localization_degree of functions on one complete fan by
+    the resolution route: each pulled back to resolve_smooth of the fan,
+    whose top cones' dual bases are the integer inverses of their ray
+    matrices, and its top part localized there, each cone's contribution
+    over its own denominator, at the first two test points
+    (1, t, ..., t^(n-1)), t = 2, 3, ..., where no dual basis vector
+    vanishes."""
+    fine = resolve_smooth(functions[0].fan)
+    n = fine.rank
+    ident = linalg.identity_matrix(n)
+    tops = [pp_pullback(fine, ident, f).homogeneous_component(n)
+            for f in functions]
+    duals = {m: invert_unimodular(list(zip(*fine.cone_rays(m))))
+             for m in fine.max_cones}
+    results = []
+    for t in count(2):
+        point = tuple(t ** i for i in range(n))
+        denoms = {m: prod(polyhedra._dot(u, point) for u in rows)
+                  for m, rows in duals.items()}
+        if 0 not in denoms.values():
+            results.append([sum(Fraction(top.pieces[m].value(point), d)
+                                for m, d in denoms.items()) for top in tops])
+            if len(results) == 2:
+                break
+    assert results[0] == results[1]
+    return results[0]
+
+
+def products_of_top_degree(fan):
+    """Every product of pp_space_basis elements whose degrees sum to the
+    rank, in each split of the rank into degrees, each multiset of
+    factors once."""
+    n = fan.rank
+    basis = {d: [pp_from_vector(fan, d, v)
+                 for v in pp_space_basis(fan, d)] for d in range(1, n + 1)}
+    for split in range(1, n + 1):
+        for degrees in combinations_with_replacement(range(1, n + 1), split):
+            if sum(degrees) != n:
+                continue
+            for groups in iproduct(*(
+                    combinations_with_replacement(basis[d], c)
+                    for d, c in Counter(degrees).items())):
+                factors = [f for group in groups for f in group]
+                out = factors[0]
+                for g in factors[1:]:
+                    out = out * g
+                yield out
+
+
 def parallelotope_point_by_box(fan, cone):
-    """fans._parallelotope_point by a scan of the box of coordinates x in
+    """parallelotope_point by a scan of the box of coordinates x in
     the saturated basis of the cone's span that can hold a parallelotope
     point; the coefficients in the rays are t = a^-1 x."""
     rays = fan.cone_rays(cone)
@@ -332,7 +459,7 @@ def tower_sweep_setup(seed: int):
         v = (0, 0, 0)
         while not any(v) or linalg.primitive_vector(v) in carrier.rays:
             v = tuple(rng.randint(-2, 2) for _ in range(3))
-        carrier = fans.resolve_smooth(fans.insert_ray(carrier, v))
+        carrier = resolve_smooth(fans.insert_ray(carrier, v))
     center = rng.choice([c for c in base.cones if len(c) >= 2])
     return BlowupSetup(base, center, carrier)
 
@@ -787,7 +914,7 @@ def segre_class_by_resolution(ideal: MonomialIdeal) -> SegreData:
     """ideals.segre_class read on resolve_smooth of the normalized blowup
     fan (order_function) instead of on a principalization."""
     blow_fan, ordf = order_function(ideal)
-    blow_fan = fans.resolve_smooth(blow_fan)
+    blow_fan = resolve_smooth(blow_fan)
     exc = pp_pullback(blow_fan, linalg.identity_matrix(blow_fan.rank), ordf)
     data = SegreData(ideal.fan)
     power = PiecewisePolynomial.constant(blow_fan, 1)

@@ -7,19 +7,20 @@ minimal_cone_containing locates points through the top cones;
 pp_pullback keeps the home cones it finds; pushforward_witness, and
 mw_of_pp with it, sums localized values instead of multiplying functions
 out; pp_min picks the least piece from a table of values at the rays;
-simplicial cones give their facets, ray functions and unimodular duals
-from one dual basis, min_refinement keeps a top cone whole where the
-minimum is linear, a stellar subdivision keeps the cells of the top
-cones away from its center, _parallelotope_point visits one lattice
-point per class modulo the rays, read off the Hermite form, and the
-faces of a cone are its facets closed under intersection, which
-facets, completeness and the coverage check of common_refinement read.
-Each is checked here against an independent computation: fresh
-polyhedra calls, scans over all cones, the product route, the pairwise
-differences of pieces, the rank-based search, the subset enumeration, a
-least-norm Gram solve, the per-cell enumeration, the subdivision rebuilt
-from generators, the scan over a box of lattice points, and the ridge
-and containment scans in tests/helpers.py.
+simplicial cones give their facets and ray functions from one dual
+basis, min_refinement keeps a top cone whole where the minimum is
+linear, a stellar subdivision keeps the cells of the top cones away
+from its center, and the faces of a cone are its facets closed under
+intersection, which facets, completeness and the coverage check of
+common_refinement read. Each is checked here against an independent
+computation: fresh polyhedra calls, scans over all cones, the product
+route on the smooth resolution, the pairwise differences of pieces, the
+rank-based search, the subset enumeration, a least-norm Gram solve, the
+per-cell enumeration, the subdivision rebuilt from generators, and the
+ridge and containment scans in tests/helpers.py. The smooth resolution
+is itself an oracle kept in tests/helpers.py; its parallelotope points,
+read off the Hermite form, are checked against a scan over a box of
+lattice points.
 """
 import gc
 import itertools
@@ -35,13 +36,14 @@ from hypothesis import strategies as st
 from helpers import (BILLERA_FANS, billera_fan, cauchy_bound,
                      covering_defect_by_sharers, displacement_past_bound,
                      faces_by_subset_scan, facets_by_inequalities,
-                     fm_displaced_meets, fm_pair_counted, invert_unimodular,
+                     degrees_by_resolution, fm_displaced_meets,
+                     fm_pair_counted, integral_rows, invert_unimodular,
                      is_complete_by_ridge_scan, is_continuous,
                      pp_from_polynomial, pp_min_by_differences,
                      prism_face_fan, product_pushforward,
                      raises_every_proper_span,
-                     parallelotope_point_by_box,
-                     stellar_subdivision_by_generators,
+                     parallelotope_point, parallelotope_point_by_box,
+                     resolve_smooth, stellar_subdivision_by_generators,
                      subdivision_assignment_per_cone)
 from test_weights import _cube_fan, _prism_fan
 from tropchow import fans, linalg, piecewise, polyhedra, transforms, weights
@@ -721,23 +723,14 @@ def _scan_pullback(source, matrix, target_pp):
 
 def _product_localization_degree(f):
     """The degree by the full product route: pull back to the smooth
-    resolution, take the top part and localize."""
+    resolution by the scan over top cones, then localize there by the
+    integer inverses of the ray matrices (degrees_by_resolution, which
+    finds that fan smooth)."""
     fan = f.fan
-    n = fan.rank
-    if n == 0:
-        return f.pieces[()].evaluate(())
     if not fan.is_smooth():
-        fine = fans.resolve_smooth(fan)
-        return _product_localization_degree(
-            _scan_pullback(fine, linalg.identity_matrix(n), f))
-    top = f.homogeneous_component(n)
-    results = []
-    for point, common, mults in weights._localization_points(fan):
-        total = sum(top.pieces[m].value(point) * mult
-                    for m, mult in zip(fan.max_cones, mults))
-        results.append(Fraction(total, common))
-    assert results[0] == results[1]
-    return results[0]
+        f = _scan_pullback(resolve_smooth(fan),
+                           linalg.identity_matrix(fan.rank), f)
+    return degrees_by_resolution([f])[0]
 
 
 def _product_mw(f, codim):
@@ -900,16 +893,20 @@ def test_weighted_plane_degrees():
     # D_(-1,-2)^2 = 1/2 and D_(1,0) . D_(-1,-2) = 1/2 on P(1, 1, 2)
     w = weights.mw_of_pp(d[(-1, -2)], 1)
     assert w.values == {(0,): Fraction(1, 2), (1,): 1, (2,): Fraction(1, 2)}
-    assert weights.localization_degree(d[(-1, -2)] * d[(-1, -2)]) == (
-        Fraction(1, 2))
+    # D_(0,1)^2 = 2 and D_(-1,-2) . D_(0,1) = 1, by both routes
+    for a, b, degree in (((-1, -2), (-1, -2), Fraction(1, 2)),
+                         ((0, 1), (0, 1), 2), ((-1, -2), (0, 1), 1)):
+        product = d[a] * d[b]
+        assert weights.localization_degree(product) == degree
+        assert _product_localization_degree(product) == degree
 
 
 def test_resolution_is_kept_per_fan_object():
     fan = fans.fan_from_max_cones(*WEIGHTED["P(1,1,2)"])
-    fine = fans.resolve_smooth(fan)
-    assert fine.is_smooth() and fans.resolve_smooth(fan) is fine
+    fine = resolve_smooth(fan)
+    assert fine.is_smooth() and resolve_smooth(fan) is fine
     p2 = fans.fan_from_max_cones(*BASES["P2"])
-    assert fans.resolve_smooth(p2) is p2
+    assert resolve_smooth(p2) is p2
 
 
 # ---------------------------------------------------------------------------
@@ -1159,12 +1156,13 @@ def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
     assert calls["dual_basis"] == built
     assert [piecewise.courant_function(bl, i)
             for i in range(len(bl.rays))] == rayfns
-    duals = bl.unimodular_duals()
+    # localization reads the same dual bases: on a smooth fan they are
+    # the inverse ray matrices
+    weights._localization(bl)
     assert calls["dual_basis"] == built
     for m in bl.max_cones:
-        rays = bl.cone_rays(m)
-        assert duals[m] == invert_unimodular(
-            [[r[i] for r in rays] for i in range(3)])
+        assert integral_rows(bl.cone_dual_basis(m)) == invert_unimodular(
+            list(zip(*bl.cone_rays(m))))
     ident = linalg.identity_matrix(3)
     pulled = [piecewise.pp_pullback(bl, ident, piecewise.courant_function(
         p3, i)) for i in centre]
@@ -1180,34 +1178,6 @@ def test_min_refinement_keeps_cones_where_the_minimum_is_linear(
     assert calls["split"] > 0
     assert len(refined.max_cones) == len(p3.max_cones) + 2
     assert calls["rays_from_constraints"] == 0
-
-
-def test_unimodular_duals_refusals():
-    weighted = fans.fan_from_max_cones(*WEIGHTED["P(1,1,2)"])
-    square = fans.fan_from_max_cones(3, [
-        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]])
-    quadrant = fans.fan_from_max_cones(2, [[(1, 0), (0, 1)]])
-    ray = fans.fan_from_max_cones(2, [[(1, 0)]])
-    for fan, message in ((weighted, "not unimodular"),
-                         (square, "not unimodular"),
-                         (quadrant, "not complete"), (ray, "not complete")):
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                fan.unimodular_duals()
-
-
-@FAN_ORACLE
-@given(_subdivided_fans())
-def test_unimodular_duals_equal_inverse_ray_matrices(fan):
-    if not fan.is_smooth():
-        with pytest.raises(ValueError, match="not unimodular"):
-            fan.unimodular_duals()
-        return
-    duals = fan.unimodular_duals()
-    for m in fan.max_cones:
-        rays = fan.cone_rays(m)
-        assert duals[m] == invert_unimodular(
-            [[r[i] for r in rays] for i in range(fan.rank)])
 
 
 def test_identity_pullback_reuses_pieces(monkeypatch):
@@ -1299,8 +1269,8 @@ def _recompute(fan, key):
         "smooth": fan.is_smooth,
         "dual_basis": fan.cone_dual_basis,
         "saturation": fan.cone_saturation,
-        "duals": fan.unimodular_duals,
-        "resolve_smooth": lambda: fans.resolve_smooth(fan),
+        "multiplicity": fan.cone_multiplicity,
+        "resolve_smooth": lambda: resolve_smooth(fan),
         "courant": lambda i: piecewise.courant_function(fan, i),
         "homes": lambda target, matrix: piecewise.cone_homes(
             fan, matrix, target),
@@ -1334,8 +1304,8 @@ def test_shared_derived_data_equals_a_fresh_fan():
             assert fan.cone_hrep(c) == fresh.cone_hrep(c)
             assert fans._faces_as_keys(fan, c) == fans._faces_as_keys(
                 fresh, c)
-    assert {"assignment", "courant", "dual_basis", "duals", "homes",
-            "localization", "ray_class", "smooth", "star"} <= names
+    assert {"assignment", "courant", "dual_basis", "homes", "localization",
+            "multiplicity", "ray_class", "smooth", "star"} <= names
 
 
 @FAN_ORACLE
@@ -1422,11 +1392,11 @@ def _multiple_cones(rank, dim, count, rng):
 @pytest.mark.parametrize("rank, dim", [(2, 2), (3, 3), (3, 2), (4, 4),
                                        (4, 3), (4, 2)])
 def test_parallelotope_point_equals_the_box_scan(rank, dim):
-    """_parallelotope_point visits the mult classes of lattice points
+    """parallelotope_point visits the mult classes of lattice points
     modulo the rays through the Hermite form; the box scan visits every
     point of a box around the parallelotope. Both pick the same point."""
     rng = random.Random(f"parallelotope {rank} {dim}")
     for fan, top in _multiple_cones(rank, dim, 12, rng):
-        point = fans._parallelotope_point(fan, top)
+        point = parallelotope_point(fan, top)
         assert point == parallelotope_point_by_box(fan, top), fan.rays
         assert fan.minimal_cone_containing(point) not in ((), None)

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
+import helpers
 from helpers import (covering_defect_by_sharers, faces_by_subset_scan,
                      facets_by_inequalities, is_complete_by_ridge_scan,
-                     polygon_cone_fan, prism_face_fan)
+                     polygon_cone_fan, prism_face_fan, resolve_smooth)
 from tropchow import fans
 
 
@@ -173,18 +174,18 @@ def test_multiplicity_and_resolution():
     f = fans.fan_from_max_cones(2, [[(1, 0), (1, 2)]])
     cone = f.max_cones[0]
     assert f.cone_multiplicity(cone) == 2
-    res = fans.resolve_smooth(f)
+    res = resolve_smooth(f)
     assert res.is_smooth()
     assert (1, 1) in res.rays
     assert fans.validate_fan(res) == []
 
     g = fans.fan_from_max_cones(2, [[(1, 0), (1, 3)]])
-    res = fans.resolve_smooth(g)
+    res = resolve_smooth(g)
     assert res.is_smooth()
     assert set(res.rays) == {(1, 0), (1, 1), (1, 2), (1, 3)}
 
     h = fans.fan_from_max_cones(3, [[(1, 0, 0), (0, 1, 0), (1, 1, 2)]])
-    resh = fans.resolve_smooth(h)
+    resh = resolve_smooth(h)
     assert resh.is_smooth()
     assert fans.validate_fan(resh) == []
 
@@ -192,10 +193,10 @@ def test_multiplicity_and_resolution():
 def test_resolution_of_pyramids_sharing_a_square(monkeypatch):
     # subdividing a pyramid at the sum of its rays leaves a pyramid over
     # the same square face, again and again; the square comes first
-    monkeypatch.setattr(fans, "_RESOLVE_STEPS", 20)
+    monkeypatch.setattr(helpers, "_RESOLVE_STEPS", 20)
     square = [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 1, 0)]
     f = fans.fan_from_max_cones(4, [square + [(0, 0, 0, s)] for s in (1, -1)])
-    res = fans.resolve_smooth(f)
+    res = resolve_smooth(f)
     assert res.is_smooth() and fans.validate_fan(res) == []
     assert set(res.rays) == set(f.rays) | {(0, 0, 1, 0)}
     assert len(res.max_cones) == 8

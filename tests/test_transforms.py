@@ -5,8 +5,9 @@ from itertools import combinations, product
 import pytest
 
 from helpers import (assert_exact, assert_principalizes, product_tower_setup,
-                     setup_to_payload, stellar_subdivision_by_generators,
-                     tower_sweep_setup, verifies_every_cone_cycle)
+                     resolve_smooth, setup_to_payload,
+                     stellar_subdivision_by_generators, tower_sweep_setup,
+                     verifies_every_cone_cycle)
 from tropchow import cli, fans, io, linalg, piecewise
 from tropchow.piecewise import courant_function, pp_pullback
 from tropchow.transforms import (BlowupSetup, ToricCycle, cycle_from_class,
@@ -334,7 +335,7 @@ def test_rank5_blowups_verify_multi_cone_cycles():
     cycle on 2-4 carrier cones of every codimension 1 to 4: 48 cycles.
     Budget: under 3 s."""
     f = _p5()
-    carrier = fans.resolve_smooth(fans.insert_ray(f, (1, 1, 1, 1, 0)))
+    carrier = resolve_smooth(fans.insert_ray(f, (1, 1, 1, 1, 0)))
     for seed in range(12):
         rng = random.Random(f"rank5 {seed}")
         center = rng.choice([c for c in f.cones if len(c) == 2 + seed % 2])
@@ -486,7 +487,7 @@ def test_principalized_working_fans_against_the_resolution_route():
             pp_pullback(fan, ident, courant_function(setup.base, i))
             for i in setup.center], setup.refined, setup._principalization)
         assert len(setup.refined.max_cones) <= len(
-            fans.resolve_smooth(coarse).max_cones)
+            resolve_smooth(coarse).max_cones)
 
 
 @pytest.mark.parametrize("m", [4, 8])

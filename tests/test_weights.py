@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (BILLERA_FANS, assert_exact, billera_fan, cauchy_bound,
-                     displacement_past_bound, fm_displaced_meets,
-                     fm_pair_counted, mw_product_by_scan, pp_from_polynomial,
-                     quotient_normals_by_scan, thirty_prime_plane)
+                     degrees_by_resolution, displacement_past_bound,
+                     fm_displaced_meets, fm_pair_counted, invert_unimodular,
+                     mw_product_by_scan, pp_from_polynomial, pp_from_vector,
+                     prism_face_fan, products_of_top_degree,
+                     quotient_normals_by_scan,
+                     thirty_prime_plane)
 from tropchow import fans, io, linalg, piecewise, polyhedra, weights
 from tropchow.piecewise import PiecewisePolynomial, courant_function
 from tropchow.weights import (MinkowskiWeight, balanced_weight_rank,
@@ -193,9 +196,9 @@ def test_derived_data_is_kept_per_fan_object():
     assert courant_function(f, 1) is courant_function(g, 1)
     assert courant_function(fresh, 1) is not courant_function(f, 1)
     assert courant_function(fresh, 1) == courant_function(f, 1)
-    assert f.unimodular_duals() is g.unimodular_duals()
-    assert fresh.unimodular_duals() is not f.unimodular_duals()
-    assert fresh.unimodular_duals() == f.unimodular_duals()
+    assert weights._localization(f) is weights._localization(g)
+    assert weights._localization(fresh) is not weights._localization(f)
+    assert weights._localization(fresh) == weights._localization(f)
     assert ray_monomial_class(f, (2, 0)) is ray_monomial_class(g, (0, 2))
     assert ray_monomial_class(fresh, (0, 2)) is not ray_monomial_class(
         f, (0, 2))
@@ -262,7 +265,8 @@ def _ref_localization_degree(f):
     fan = f.fan
     n = fan.rank
     top = f.homogeneous_component(n)
-    duals = fan.unimodular_duals()
+    duals = {m: invert_unimodular(list(zip(*fan.cone_rays(m))))
+             for m in fan.max_cones}
     results = []
     for t in itertools.count(2):
         point = tuple(t ** i for i in range(n))
@@ -442,7 +446,7 @@ def test_saturation_is_kept_per_cone_object(monkeypatch):
     f = _p112()
     a = mw_of_pp(_phi(f, (1, 0)), 1)
     b = mw_of_pp(_phi(f, (-1, -2)), 1)
-    # resolving f for the localization already kept some saturations
+    # saturations kept before the product (the localization needs none)
     kept = [key[1] for key in f._derived
             if isinstance(key, tuple) and key[0] == "saturation"]
     seen = []
@@ -482,14 +486,17 @@ def test_product_on_the_point_fan():
 
 
 def test_products_and_degrees_on_the_thirty_prime_plane():
-    # every (1, t) up to t = 113 is a ray of the smooth resolution, so the
-    # first two localization points are t = 114 and 115
+    # in rank 2 a dual basis vector of a top cone vanishes at (1, t)
+    # exactly when (1, t) lies on one of its rays, so the first two
+    # localization points are the first t >= 2 that are no prime of the
+    # fan: t = 4 and 6 (its smooth resolution has a ray through every
+    # (1, t) up to t = 113, and would need t = 114 and 115)
     f = thirty_prime_plane()
     phi = courant_function(f, f.rays.index((1, 7)))
     psi = courant_function(f, f.rays.index((1, 113)))
     assert mw_product(mw_of_pp(phi, 1), mw_of_pp(psi, 1)) == mw_of_pp(
         phi * psi, 2)
-    assert [p[0] for p in weights._localization(f)] == [(1, 114), (1, 115)]
+    assert [p[0] for p in weights._localization(f)] == [(1, 4), (1, 6)]
     top = fundamental_weight(f)
     square = mw_product(top, top)
     assert isinstance(square, MinkowskiWeight) and square == top
@@ -611,3 +618,69 @@ def test_int_and_fraction_weights_are_equal_and_print_alike():
     texts = {io.print_document(io.Document("weight", io.weight_to_payload(w)))
              for w in (as_int, as_frac)}
     assert len(texts) == 1
+
+
+# ---------------------------------------------------------------------------
+# one localization for every complete fan, against the resolution route
+
+def _non_smooth_simplicial_fan(name):
+    """P(1,1,2), P(1,1,1,2), P3 subdivided at (1, 2, 3) inside the cone on
+    the unit vectors (new cones of multiplicity 1, 2 and 3) or the
+    thirty-prime plane."""
+    if name == "P3 at (1,2,3)":
+        p3 = _rank3_fans()[0]
+        unit = tuple(sorted(p3.rays.index(r) for r in p3.rays if sum(r) == 1))
+        return fans.stellar_subdivision(p3, unit, (1, 2, 3))
+    return {"P(1,1,2)": _p112, "P(1,1,1,2)": lambda: _rank3_fans()[1],
+            "thirty-prime plane": thirty_prime_plane}[name]()
+
+
+@pytest.mark.parametrize("name", ["P(1,1,2)", "P(1,1,1,2)", "P3 at (1,2,3)",
+                                  "thirty-prime plane"])
+def test_localization_equals_the_resolution_route_on_simplicial_fans(name):
+    """Simplicial fans that are not smooth, in every codimension k: the
+    weight of seeded degree-k basis functions (pp_space_basis) at each
+    cone equals the degree of their product with its ray monomial, read
+    on the smooth resolution (degrees_by_resolution). Budget: about 1 s."""
+    fan = _non_smooth_simplicial_fan(name)
+    assert not fan.is_smooth()
+    rng = random.Random(name)
+    for k in range(fan.rank + 1):
+        basis = piecewise.pp_space_basis(fan, k)
+        for vector in rng.sample(basis, min(3, len(basis))):
+            f = pp_from_vector(fan, k, vector)
+            taus = fan.cones_of_dim(fan.rank - k)
+            assert mw_of_pp(f, k).values == dict(zip(taus, (
+                degrees_by_resolution([f * courant_monomial(fan, tau)
+                                       for tau in taus])))), k
+
+
+@pytest.mark.parametrize("k", [4, 6], ids=["3-cube", "6-gon prism"])
+def test_localization_equals_the_resolution_route_on_non_simplicial_fans(k):
+    """The face fans of the 3-cube and of a 6-gon prism, no top cone
+    simplicial: each product of basis functions of top degree has the
+    degree it has on the smooth resolution. Budget: about 1 s."""
+    fan = prism_face_fan(k)
+    assert all(len(m) > fan.rank for m in fan.max_cones)
+    products = list(products_of_top_degree(fan))
+    degrees = [localization_degree(f) for f in products]
+    assert degrees == degrees_by_resolution(products)
+    assert any(degrees)
+
+
+@pytest.mark.parametrize("k", [4, 6], ids=["3-cube", "6-gon prism"])
+def test_pulling_simplices_form_a_complete_fan(k):
+    """The simplices that split the top cones add no rays, lie in their
+    top cones and meet as a complete fan: a face of two top cones is
+    split the same way in both."""
+    fan = prism_face_fan(k)
+    pieces = [(m, s) for m in fan.max_cones
+              for s in weights._pulling_simplices(fan, m)]
+    # each square is cut into 2 and each k-gon into k - 2
+    assert len(pieces) == 2 * k + 2 * (k - 2)
+    for m, s in pieces:
+        assert set(s) < set(m) and linalg.rank(fan.cone_rays(s)) == 3
+    split = fans.fan_from_max_cones(3, [fan.cone_rays(s) for _, s in pieces])
+    assert fans.validate_fan(split) == [] and split.is_complete()
+    assert split.rays == fan.rays
+    assert sorted(split.max_cones) == sorted(s for _, s in pieces)
