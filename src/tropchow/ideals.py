@@ -4,16 +4,16 @@ An ideal is a finite set of exponent vectors over the fan's rays, each
 one standing for an effective divisor sum. The induced order function is
 the minimum of the corresponding divisor functions; the coarsest fan on
 which it is conewise linear is the normalized blowup. Segre classes are
-read on a smooth refinement of that fan, a principalization of the
-ideal, by pushing powers of the exceptional function back down.
+read on that fan itself, by pushing powers of the exceptional function
+(the order function) back down; the pushforward localizes on any
+complete fan, simplicial or not, so no smooth refinement is needed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import linalg
 from .fans import Fan
-from .piecewise import PiecewisePolynomial, pp_min, pp_pullback, principalize
+from .piecewise import PiecewisePolynomial, min_refinement
 from .weights import (MinkowskiWeight, monomial_coordinates, monomial_function,
                       pushforward_witness)
 
@@ -61,32 +61,16 @@ class SegreData:
     certificates: dict = field(default_factory=dict)
 
 
-def _principalization(ideal: MonomialIdeal):
-    """(fan, exceptional function): the ideal's fan subdivided until the
-    minimum of the generators' divisor functions is linear on every
-    cone, and that minimum. The generators are taken in one at a time,
-    each step principalizing the minimum so far against the next
-    divisor function (piecewise.principalize of two functions, which
-    ends)."""
-    fan = ideal.fan
-    ident = linalg.identity_matrix(fan.rank)
-    functions = [ideal.divisor_function(g) for g in ideal.generators]
-    exc = functions[0]
-    for f in functions[1:]:
-        pair = [exc, pp_pullback(fan, ident, f)]
-        fan, _ = principalize(fan, pair)
-        exc = pp_min(fan, [pp_pullback(fan, ident, g) for g in pair])
-    return fan, exc
-
-
 def segre_class(ideal: MonomialIdeal) -> SegreData:
-    """Graded Segre class of the subscheme cut out by a monomial ideal,
-    through a principalization of the ideal: alternating pushforwards of
-    powers of the exceptional function."""
+    """Graded Segre class of the subscheme cut out by a monomial ideal:
+    alternating pushforwards of powers of the exceptional function from
+    the normalized blowup fan (piecewise.min_refinement of the
+    generators' divisor functions) to the ambient fan."""
     ambient = ideal.fan
     if not ambient.is_complete():
         raise ValueError("ambient fan must be complete")
-    blow_fan, exc = _principalization(ideal)
+    blow_fan, exc = min_refinement(
+        ambient, [ideal.divisor_function(g) for g in ideal.generators])
     data = SegreData(ambient)
     power = PiecewisePolynomial.constant(blow_fan, 1)
     sign = 1

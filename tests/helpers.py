@@ -912,7 +912,8 @@ def order_function(ideal: MonomialIdeal):
 
 def segre_class_by_resolution(ideal: MonomialIdeal) -> SegreData:
     """ideals.segre_class read on resolve_smooth of the normalized blowup
-    fan (order_function) instead of on a principalization."""
+    fan (order_function) instead of on that fan itself: an oracle whose
+    localization meets only unimodular cones."""
     blow_fan, ordf = order_function(ideal)
     blow_fan = resolve_smooth(blow_fan)
     exc = pp_pullback(blow_fan, linalg.identity_matrix(blow_fan.rank), ordf)

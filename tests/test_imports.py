@@ -1,7 +1,7 @@
-"""Every module of the package, bar the package's own __init__, uses each
-name it imports, every top-level function and class of the package is
-referenced outside its own definition, no module divides with /, and no
-function assigns a local it never reads."""
+"""Every module of the package, bar the package's own __init__, and every
+test module uses each name it imports, every top-level function and class
+of the package is referenced outside its own definition, no module divides
+with /, and no function assigns a local it never reads."""
 import ast
 import os
 from collections import Counter
@@ -13,8 +13,10 @@ import tropchow
 PACKAGE_DIR = os.path.dirname(os.path.abspath(tropchow.__file__))
 MODULES = sorted(name for name in os.listdir(PACKAGE_DIR)
                  if name.endswith(".py") and name != "__init__.py")
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench")
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+TEST_MODULES = sorted(name for name in os.listdir(TESTS_DIR)
+                      if name.endswith(".py"))
+BENCH_DIR = os.path.join(os.path.dirname(TESTS_DIR), "bench")
 
 
 def _read(directory, name):
@@ -40,6 +42,11 @@ def _unused_imports(source: str):
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert _unused_imports(_read(PACKAGE_DIR, module)) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_test_module_uses_every_import(module):
+    assert _unused_imports(_read(TESTS_DIR, module)) == []
 
 
 def test_unused_import_is_found():

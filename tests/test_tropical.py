@@ -8,7 +8,7 @@ import pytest
 from helpers import (assert_exact, degenerations_by_masks, polytope_vertices,
                      total_genus)
 from tropchow import linalg, polyhedra, tropical
-from tropchow.tropical import (DRCone, SlopeAssignment, WeightedDualGraph,
+from tropchow.tropical import (SlopeAssignment, WeightedDualGraph,
                                balanced_slopes, dr_cone, dr_subfan,
                                enumerate_stable_graphs, rubber_pieces,
                                rubber_subdivision, rubber_type,
