@@ -25,9 +25,12 @@ class Fan:
 
     Data derived from the rays and cones (H-representations, faces, cone
     dimensions, dual bases, multiplicities, smoothness, ray functions, the
-    star of each cone (star_fan), cone homes and subdivision assignments
-    per target fan, ...) is computed on first use and kept on this
-    object, so a Fan must never be mutated. The kept faces of a cone
+    star of each cone (star_fan), and per target fan and matrix the
+    carrier of each ray, cone homes and subdivision assignments, ...) is
+    computed on first use and kept on this object, so a Fan must never
+    be mutated. Each ray is located in a target fan once (_carriers):
+    homes and assignments are read off those carriers, with no
+    containment test per cone. The kept faces of a cone
     answer every face question: its facets, completeness (facets of top
     cones) and the coverage check of common_refinement read them.
     Construction hands over what it computes while closing over faces:
@@ -144,8 +147,9 @@ class Fan:
         return None
 
     def cone_multiplicity(self, cone: ConeKey):
-        """Lattice index of a simplicial cone, kept per cone; None when not
-        simplicial. For a full-dimensional cone that is |det| of its rays."""
+        """Lattice index of a simplicial cone, or of any independent set of
+        ray indices (a sorted tuple), kept per key; None for a dependent
+        set. For as many rays as the rank that is |det| of the rays."""
         def compute():
             rays = self.cone_rays(cone)
             if len(rays) != self.cone_dim(cone):
@@ -163,7 +167,9 @@ class Fan:
             self.cone_multiplicity(c) == 1 for c in self.max_cones))
 
     def cone_dual_basis(self, cone: ConeKey):
-        """polyhedra.dual_basis of a simplicial cone's rays, kept per cone."""
+        """polyhedra.dual_basis of a simplicial cone's rays, or of any
+        independent set of ray indices (a sorted tuple), kept per key; a
+        dependent set raises ValueError and keeps nothing."""
         return self.cached(("dual_basis", cone),
                            lambda: polyhedra.dual_basis(self.cone_rays(cone)))
 
@@ -465,18 +471,43 @@ def _covering_defect(coarse: Fan, fine: Fan):
     return None
 
 
+def _carriers(source: Fan, matrix, target: Fan) -> tuple:
+    """Per source ray, the target cone holding its image under the matrix
+    in its relative interior: () for a zero image, the target ray itself
+    for an image that is one, else Fan.minimal_cone_containing, None when
+    the image lies outside the target support. Each ray is located once
+    per (source fan, target fan, matrix), kept on the source fan."""
+    def compute():
+        index = {r: (j,) for j, r in enumerate(target.rays)}
+        images = (linalg.mat_vec(matrix, r) for r in source.rays)
+        return tuple(() if not any(v) else index.get(v)
+                     or target.minimal_cone_containing(v) for v in images)
+    key = ("carriers", target, tuple(tuple(row) for row in matrix))
+    return source.cached(key, compute)
+
+
+def _carried(carriers, cone: ConeKey):
+    """The target rays of the carriers of a cone's rays, as a set; None
+    when some ray's image lies outside the target support."""
+    held = [carriers[i] for i in cone]
+    return None if None in held else set().union(*held)
+
+
 def cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
     """Per top cone of the source fan, the first top cone of the target
-    holding its image under the matrix. Found once per (source fan,
-    target fan, matrix) and kept on the source fan; raises ValueError when
-    some image lies in no target cone."""
+    holding its image under the matrix: the first whose rays include the
+    carriers (_carriers) of its rays. In a valid target fan a top cone
+    holds a point exactly when the point's carrier is one of its faces,
+    which is when its rays include the carrier's. Found once per (source
+    fan, target fan, matrix) and kept on the source fan; raises ValueError
+    when some image lies in no target cone."""
     def compute():
+        carriers = _carriers(source_fan, matrix, target)
         homes = {}
         for m in source_fan.max_cones:
-            images = [linalg.mat_vec(matrix, r)
-                      for r in source_fan.cone_rays(m)]
-            homes[m] = next((c for c in target.max_cones if all(
-                target.cone_contains(c, v) for v in images)), None)
+            union = _carried(carriers, m)
+            homes[m] = None if union is None else next(
+                (c for c in target.max_cones if union <= set(c)), None)
             if homes[m] is None:
                 raise ValueError(f"image of cone {m} lies in no target cone")
         return homes
@@ -487,17 +518,24 @@ def cone_homes(source_fan: Fan, matrix, target: Fan) -> dict:
 def subdivision_assignment(fine: Fan, coarse: Fan) -> dict:
     """Map each cone of a refinement to the coarse cone holding its interior.
 
-    Each cone maps to the minimal face holding its rays of the home
-    (cone_homes under the identity) of its top cone (Fan.max_cone_over).
-    In a valid coarse fan that is the coarse cone holding the cone's
-    interior, whichever top cone the cone is read from. Kept on the fine
-    fan per coarse fan; raises ValueError when some top cone has no home.
+    Each cone maps to the least face (_faces_as_keys) of the home
+    (cone_homes under the identity) of its top cone (Fan.max_cone_over)
+    whose rays include the carriers of its rays (_carriers). In a valid
+    coarse fan that is the coarse cone holding the cone's interior,
+    whichever top cone the cone is read from. Kept on the fine fan per
+    coarse fan; raises ValueError when some top cone has no home.
     """
     def compute():
-        homes = cone_homes(fine, linalg.identity_matrix(fine.rank), coarse)
-        return {c: _minimal_face_containing_all(
-                    coarse, homes[fine.max_cone_over(c)], fine.cone_rays(c))
-                for c in fine.cones}
+        ident = linalg.identity_matrix(fine.rank)
+        homes = cone_homes(fine, ident, coarse)
+        carriers = _carriers(fine, ident, coarse)
+        out = {}
+        for c in fine.cones:
+            union = _carried(carriers, c)
+            out[c] = min((f for f in _faces_as_keys(
+                coarse, homes[fine.max_cone_over(c)]) if union <= set(f)),
+                key=len)
+        return out
     return fine.cached(("assignment", coarse), compute)
 
 

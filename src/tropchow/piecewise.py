@@ -222,12 +222,13 @@ def min_refinement(fan: Fan, functions):
     A top cone on which one function is at most every other at every ray
     is its own cell, the fan's cell for it (fans._top_cell): any other
     cell of full dimension there lies where its function equals that one,
-    which is the whole cone again. Any other top cone's rays are split by
-    the inequalities l_j <= l_i; cells of full dimension in their cone
-    survive, each converted as any cone's rays are (fans._cell).
-    Everything is closed over faces and deduplicated.
+    which is the whole cone again. When every top cone is, the fan is
+    returned as it is, with pp_min of the functions on it. Any other top
+    cone's rays are split by the inequalities l_j <= l_i; cells of full
+    dimension in their cone survive, each converted as any cone's rays
+    are (fans._cell). Everything is closed over faces and deduplicated.
     """
-    cells = []
+    cells, whole = [], True
     for m in fan.max_cones:
         rays = fan.cone_rays(m)
         linear = [f.pieces[m] for f in functions]
@@ -236,6 +237,7 @@ def min_refinement(fan: Fan, functions):
                for vj in values):
             cells.append(_top_cell(fan, m))
             continue
+        whole = False
         for j, lj in enumerate(linear):
             cell, rows = tuple(rays), fan.cone_hrep(m)[1]
             for i, li in enumerate(linear):
@@ -248,6 +250,8 @@ def min_refinement(fan: Fan, functions):
                     rows += (row,)
             if linalg.rank(cell) == fan.cone_dim(m):
                 cells.append(_cell(fan.rank, cell))
+    if whole:
+        return fan, pp_min(fan, functions)
     refined = fan_from_cells(fan.rank, cells)
     out = pp_min(refined, [pp_pullback(refined, linalg.identity_matrix(fan.rank), f)
                            for f in functions])

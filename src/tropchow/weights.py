@@ -8,8 +8,10 @@ arithmetic. The calculus here stays in the degree encoding: the weight
 of a cone is the degree of the class multiplied with that cone's orbit
 closure. Balancing and the corner locus read the lattice normals at a
 cone off its star, which the fan keeps (fans.star_fan). Products
-displace by (1, t, ..., t^(n-1)) for large t, and piecewise polynomial
-witnesses move classes back and forth. One exact localization kernel,
+displace by (1, t, ..., t^(n-1)) for large t; a pair whose rays form a
+basis reads its signs off the dual basis the fan keeps for the union of
+those rays. Piecewise polynomial witnesses move classes back and
+forth. One exact localization kernel,
 pushforward_witness, reads every weight off a function: the weight of
 a function on its own fan (mw_of_pp), degrees and pushforwards to a
 coarser fan all sum values at test points, never products of functions.
@@ -238,28 +240,24 @@ def _pair_multiplicity(fan: Fan, sigma1, sigma2) -> int:
     For simplicial cones whose rays number at most the rank together, the
     meet holds exactly when v(t) = sum c_k r_k over the union of rays has
     c_k >= 0 on the rays of sigma1 alone and c_k <= 0 on those of sigma2
-    alone. The dual basis of the rays (polyhedra.dual_basis) decides
-    whether they are a basis and then gives p_k c_k = u_k . v(t), u_k a
-    nonzero row. On a smooth fan the index is the determinant of the rays.
+    alone. The rays are a basis when they span the space, and then their
+    dual basis, kept on the fan per union (Fan.cone_dual_basis), gives
+    p_k c_k = u_k . v(t), u_k a nonzero row. On a smooth fan the index is
+    the determinant of the rays, kept likewise (Fan.cone_multiplicity).
     Other pairs are decided by cone membership (_displaced_meets).
     """
     n = fan.rank
-    union = sorted(set(sigma1) | set(sigma2))
+    union = tuple(sorted(set(sigma1) | set(sigma2)))
     if (len(union) <= n and len(sigma1) == fan.cone_dim(sigma1)
             and len(sigma2) == fan.cone_dim(sigma2)):
-        if len(union) < n:
+        if len(union) < n or fan.cone_dim(union) < n:
             return 0
-        rays = fan.cone_rays(union)
-        try:
-            duals = polyhedra.dual_basis(rays)
-        except ValueError:
-            return 0
-        for i, (u, p) in zip(union, duals):
+        for i, (u, p) in zip(union, fan.cone_dual_basis(union)):
             sign = p * _last_nonzero(u)
             if sign < 0 and i not in sigma2 or sign > 0 and i not in sigma1:
                 return 0
         if fan.is_smooth():
-            return abs(linalg.det(rays))
+            return fan.cone_multiplicity(union)
         return linalg.lattice_index(_saturated_sum(fan, sigma1, sigma2))
     merged = _saturated_sum(fan, sigma1, sigma2)
     if linalg.rank(merged) < n or not _displaced_meets(fan, sigma1, sigma2):

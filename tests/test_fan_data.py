@@ -4,7 +4,9 @@ fan_from_max_cones reads extreme rays off the generators and hands them,
 its H-representations, faces, cone dimensions and top cones to the fan
 it returns; min_refinement hands over the rays and facets of its cells;
 minimal_cone_containing locates points through the top cones;
-pp_pullback keeps the home cones it finds; pushforward_witness, and
+pp_pullback keeps the home cones it finds, which, as subdivision
+assignments are, are read off the carrier of each ray (also over coarse
+fans that are not simplicial); pushforward_witness, and
 mw_of_pp with it, sums localized values instead of multiplying functions
 out; pp_min picks the least piece from a table of values at the rays;
 simplicial cones give their facets and ray functions from one dual
@@ -669,6 +671,90 @@ def test_pullback_homes_equal_linear_scan(fan, draw):
             source, matrix, target)
 
 
+def _top_cone_rays(fan):
+    return fan.rank, [fan.cone_rays(m) for m in fan.max_cones]
+
+
+# complete fans whose top cones are not simplicial: none of the cube's,
+# and all but the two caps of the prism over a hexagon
+NON_SIMPLICIAL = {"3-cube": CUBE, "6-gon prism": _top_cone_rays(
+    prism_face_fan(6))}
+
+
+def _assignment_or_refusal(assign, fine, coarse):
+    try:
+        return assign(fine, coarse)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(_subdivided_fans(NON_SIMPLICIAL, steps=2), st.data())
+def test_carriers_over_non_simplicial_fans(fan, draw):
+    # stellar refinements of the cube and prism face fans and their smooth
+    # resolutions: each ray's carrier is the least cone of the scan over
+    # all cones, and assignments and homes read off the carriers equal
+    # the scans, under the identity, a signed permutation and a drawn
+    # matrix that may collapse, refusals included; a target missing one
+    # top cone leaves some rays without a carrier
+    rank, gens = NON_SIMPLICIAL[draw.draw(
+        st.sampled_from(sorted(NON_SIMPLICIAL)))]
+    coarse = fans.fan_from_max_cones(rank, gens)
+    partial = fans.fan_from_max_cones(rank, gens[1:])
+    smooth, resolved = resolve_smooth(fan), resolve_smooth(coarse)
+    signs = draw.draw(st.lists(st.sampled_from((1, -1)), min_size=3,
+                               max_size=3))
+    perm = draw.draw(st.permutations(range(3)))
+    signed = [[signs[i] * (j == perm[i]) for j in range(3)]
+              for i in range(3)]
+    drawn = draw.draw(st.lists(st.lists(st.integers(-1, 1), min_size=3,
+                                        max_size=3), min_size=3, max_size=3))
+    for source, target in ((fan, coarse), (smooth, coarse), (smooth, fan),
+                           (coarse, smooth), (coarse, coarse),
+                           (smooth, partial), (resolved, partial)):
+        got = _assignment_or_refusal(fans.subdivision_assignment, source,
+                                     target)
+        assert got == _scan_assignment(source, target)
+        assert got == _assignment_or_refusal(
+            subdivision_assignment_per_cone, source, target)
+        hreps = _fresh_hreps(target)
+        for matrix in (linalg.identity_matrix(3), signed, drawn):
+            assert fans._carriers(source, matrix, target) == tuple(
+                _scan_minimal_cone(target, hreps, linalg.mat_vec(matrix, r))
+                for r in source.rays)
+            assert _homes_or_refusal(source, matrix, target) == _scan_homes(
+                source, matrix, target)
+    # resolving the missing top cone put a ray inside it
+    assert None in fans._carriers(resolved, linalg.identity_matrix(3),
+                                  partial)
+
+
+def test_blowup_setup_locates_each_new_ray_once(monkeypatch):
+    # the carrier against the base, then the working fan against the
+    # carrier: one location per ray that is not a ray of the fan below,
+    # each testing at most every top cone there, and none per cone
+    gc.collect()
+    base = fans.fan_from_max_cones(*BASES["P3"])
+    carrier = fans.insert_ray(fans.insert_ray(base, (-1, 0, -1)), (1, 1, 0))
+    center = tuple(sorted(base.rays.index(r) for r in E3[1:3]))
+    located, contained = [], []
+    native = fans.Fan.minimal_cone_containing
+    monkeypatch.setattr(fans.Fan, "minimal_cone_containing",
+                        lambda f, p: located.append(p) or native(f, p))
+    real = polyhedra.cone_contains
+    monkeypatch.setattr(polyhedra, "cone_contains",
+                        lambda *args: contained.append(1) or real(*args))
+    setup = transforms.BlowupSetup(base, center, carrier)
+    new = [[r for r in fine.rays if r not in coarse.rays]
+           for fine, coarse in ((carrier, base), (setup.refined, carrier))]
+    assert located == new[0] + new[1] and len(new[1]) == 3
+    assert len(contained) <= (len(new[0]) * len(base.max_cones)
+                              + len(new[1]) * len(carrier.max_cones))
+    assert fans.subdivision_assignment(
+        setup.refined, carrier) == subdivision_assignment_per_cone(
+        setup.refined, carrier)
+
+
 def test_pullback_homes_depend_on_the_matrix():
     p1p1 = fans.fan_from_max_cones(*BASES["P1xP1"])
     swap, neg = [[0, 1], [1, 0]], [[-1, 0], [0, -1]]
@@ -1235,6 +1321,27 @@ def test_equal_fans_built_while_one_is_alive_are_one_object():
     assert fans.fan_from_max_cones(*BASES["P2"]) is p2
 
 
+def test_min_refinement_that_keeps_every_top_cone_builds_nothing(
+        monkeypatch):
+    # the fan is returned as it is, with the minimum read on it: no fan is
+    # built and nothing is pulled back
+    calls = []
+    for name in ("fan_from_cells", "pp_pullback"):
+        monkeypatch.setattr(piecewise, name, lambda *args, real=getattr(
+            piecewise, name), name=name: calls.append(name) or real(*args))
+    p2 = fans.fan_from_max_cones(*BASES["P2"])
+    f = piecewise.courant_function(p2, 0)
+    for functions in ([f], [f, f.scale(2)], [f.scale(2), f]):
+        refined, minimum = piecewise.min_refinement(p2, functions)
+        assert refined is p2 and minimum.pieces == f.pieces
+        assert not calls
+    # a minimum that bends inside a top cone is still cut out
+    refined, _ = piecewise.min_refinement(p2, [
+        f, piecewise.courant_function(p2, 1)])
+    assert refined is not p2
+    assert calls == ["fan_from_cells", "pp_pullback", "pp_pullback"]
+
+
 def _blowup_report(base, center, carrier):
     setup = transforms.BlowupSetup(base, center, carrier)
     cycle = transforms.ToricCycle(setup.modification, 1, {(0,): 1})
@@ -1272,6 +1379,8 @@ def _recompute(fan, key):
         "multiplicity": fan.cone_multiplicity,
         "resolve_smooth": lambda: resolve_smooth(fan),
         "courant": lambda i: piecewise.courant_function(fan, i),
+        "carriers": lambda target, matrix: fans._carriers(
+            fan, matrix, target),
         "homes": lambda target, matrix: piecewise.cone_homes(
             fan, matrix, target),
         "assignment": lambda coarse: fans.subdivision_assignment(
@@ -1304,8 +1413,9 @@ def test_shared_derived_data_equals_a_fresh_fan():
             assert fan.cone_hrep(c) == fresh.cone_hrep(c)
             assert fans._faces_as_keys(fan, c) == fans._faces_as_keys(
                 fresh, c)
-    assert {"assignment", "courant", "dual_basis", "homes", "localization",
-            "multiplicity", "ray_class", "smooth", "star"} <= names
+    assert {"assignment", "carriers", "courant", "dual_basis", "homes",
+            "localization", "multiplicity", "ray_class", "smooth",
+            "star"} <= names
 
 
 @FAN_ORACLE

@@ -502,6 +502,81 @@ def test_products_and_degrees_on_the_thirty_prime_plane():
     assert isinstance(square, MinkowskiWeight) and square == top
 
 
+def _pair_multiplicity_by_fresh_duals(fan, sigma1, sigma2):
+    """weights._pair_multiplicity with the dual basis of the union of rays
+    (polyhedra.dual_basis) and its determinant (linalg.det) or the index
+    of the summed lattices (linalg.lattice_index) computed for each pair,
+    nothing read off the fan but rays and saturations."""
+    n = fan.rank
+    union = sorted(set(sigma1) | set(sigma2))
+    if len(union) <= n and all(len(s) == linalg.rank(fan.cone_rays(s))
+                               for s in (sigma1, sigma2)):
+        if len(union) < n:
+            return 0
+        rays = fan.cone_rays(union)
+        try:
+            duals = polyhedra.dual_basis(rays)
+        except ValueError:
+            return 0
+        for i, (u, p) in zip(union, duals):
+            sign = p * next(x for x in reversed(u) if x)
+            if sign < 0 and i not in sigma2 or sign > 0 and i not in sigma1:
+                return 0
+        if fan.is_smooth():
+            return abs(linalg.det(rays))
+        return linalg.lattice_index(weights._saturated_sum(fan, sigma1,
+                                                           sigma2))
+    merged = weights._saturated_sum(fan, sigma1, sigma2)
+    if (linalg.rank(merged) < n
+            or not weights._displaced_meets(fan, sigma1, sigma2)):
+        return 0
+    return linalg.lattice_index(merged)
+
+
+PAIR_FANS = {
+    "Bl P2": _bl_p2,
+    "P3 after 2 stellar": lambda: billera_fan("P3 after 2 stellar"),
+    "(P1)^3 after 2 stellar": lambda: billera_fan("(P1)^3 after 2 stellar"),
+    "P4 after 1 stellar": lambda: billera_fan("P4 after 1 stellar"),
+    "P(1,1,2)": _p112,
+    "thirty-prime plane": thirty_prime_plane,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FANS))
+def test_pair_multiplicities_read_off_kept_dual_bases(monkeypatch, name):
+    # every support pair of seeded products against the dual bases and
+    # determinants computed per pair; a second product on the same fan
+    # finds each of them kept and computes none
+    _drop_dead_fans()
+    fan = PAIR_FANS[name]()
+    calls = []
+    for fn in ("scaled_inverse", "det"):
+        monkeypatch.setattr(linalg, fn, lambda *args, real=getattr(
+            linalg, fn), fn=fn: calls.append(fn) or real(*args))
+    rng = random.Random(f"pair multiplicities {name}")
+    pairs = 0
+    for _ in range(4):
+        i = rng.randint(0, fan.rank)
+        a, b = (mw_of_pp(courant_monomial(fan, [
+            rng.randrange(len(fan.rays)) for _ in range(k)]), k)
+            for k in (i, rng.randint(0, fan.rank - i)))
+        first = mw_product(a, b)
+        calls.clear()
+        assert mw_product(a, b) == first and not calls
+        for s1, s2 in itertools.product(a.support_cones(), b.support_cones()):
+            assert weights._pair_multiplicity(fan, s1, s2) == (
+                _pair_multiplicity_by_fresh_duals(fan, s1, s2)), (s1, s2)
+            pairs += 1
+    assert pairs >= 24
+    # every pair of complementary dimensions, where a smooth fan's index
+    # can exceed 1 (it is 2 for two pairs on P3 after 2 stellar)
+    for s1, s2 in itertools.product(fan.cones, repeat=2):
+        if fan.cone_dim(s1) + fan.cone_dim(s2) == fan.rank:
+            assert weights._pair_multiplicity(fan, s1, s2) == (
+                _pair_multiplicity_by_fresh_duals(fan, s1, s2)), (s1, s2)
+
+
 @pytest.mark.parametrize("name", BILLERA_FANS)
 def test_h_vector_gives_weight_ranks_and_pp_dimensions(name):
     # Billera: on a smooth complete fan both the balanced weights of
