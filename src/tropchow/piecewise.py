@@ -224,9 +224,11 @@ def min_refinement(fan: Fan, functions):
     cell of full dimension there lies where its function equals that one,
     which is the whole cone again. When every top cone is, the fan is
     returned as it is, with pp_min of the functions on it. Any other top
-    cone's rays are split by the inequalities l_j <= l_i; cells of full
-    dimension in their cone survive, each converted as any cone's rays
-    are (fans._cell). Everything is closed over faces and deduplicated.
+    cone's rays are split by the inequalities l_j <= l_i, starting from
+    each ray's mask of tight facets, found once per top cone; cells of
+    full dimension in their cone survive, each converted as any cone's
+    rays are (fans._cell). Everything is closed over faces and
+    deduplicated.
     """
     cells, whole = [], True
     for m in fan.max_cones:
@@ -238,16 +240,19 @@ def min_refinement(fan: Fan, functions):
             cells.append(_top_cell(fan, m))
             continue
         whole = False
+        ineqs = fan.cone_hrep(m)[1]
+        masks = [sum(1 << k for k, w in enumerate(ineqs)
+                     if not polyhedra._dot(w, r)) for r in rays]
         for j, lj in enumerate(linear):
-            cell, rows = tuple(rays), fan.cone_hrep(m)[1]
+            cell, tight, bit = tuple(rays), masks, 1 << len(ineqs)
             for i, li in enumerate(linear):
                 if i == j:
                     continue
                 coeffs = _linear_coefficients(li - lj, fan.rank)
                 if any(coeffs):
                     row = linalg._integer_rows([coeffs])[0]
-                    cell = polyhedra.split(cell, rows, row)[0]
-                    rows += (row,)
+                    cell, tight = polyhedra.split(cell, tight, row, bit)[0]
+                    bit <<= 1
             if linalg.rank(cell) == fan.cone_dim(m):
                 cells.append(_cell(fan.rank, cell))
     if whole:

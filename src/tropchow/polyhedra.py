@@ -10,10 +10,15 @@ ray matrix, with no kernel solve, and a lower-dimensional one from the
 kernel of its rays and the inverse of their Gram matrix; both inverses
 are one linalg.scaled_inverse. Every other conversion is built from
 split, one double-description step that cuts a cone's extreme rays by a
-hyperplane. rays_from_constraints starts from the simplicial cone that d
-independent rows cut out, whose rays are the columns of their inverse
-(one scaled_inverse, no kernel per ray), and splits it by the other
-rows. Generators that are not independent get their facets from
+hyperplane. Each ray travels with its mask of tight rows, which split
+updates from its parents' masks instead of reading any row, so a caller
+computes masks once, at its start cone. rays_from_constraints starts
+from the simplicial cone that d independent rows cut out, whose rays are
+the columns of their inverse (one scaled_inverse, no kernel per ray) and
+each tight on every start row but its own, and splits it by the other
+rows. section keeps only the part on the hyperplane, which cuts the
+orthant down to a cone {x >= 0 : Ex = 0} with no kernel at all.
+Generators that are not independent get their facets from
 rays_from_constraints by duality: the facets of cone(G) within span(G)
 are the extreme rays of the dual cone {w in span(G) : g.w >= 0 for g in
 G}, which is pointed there; their extreme rays are the rays that
@@ -121,8 +126,9 @@ def rays_from_constraints(constraints, ambient_dim: int):
     rational: d independent rows of A cut out a simplicial cone on the
     kernel of E, and the other rows split it. The start cone's rays are
     read off one linalg.scaled_inverse of those rows transposed: u_i,
-    signed by p_i, is tight on every start row but row i. Raises
-    ValueError when the cone contains a line.
+    signed by p_i, is tight on every start row but row i, which is its
+    tight-row mask; split carries the masks from there. Raises ValueError
+    when the cone contains a line.
     """
     eqs, ineqs = constraints
     basis = linalg.primitive_kernel(eqs or [[0] * ambient_dim])
@@ -135,34 +141,60 @@ def rays_from_constraints(constraints, ambient_dim: int):
         raise ValueError("cone contains a line")
     rays = [linalg.primitive_vector(u if p > 0 else [-x for x in u])
             for u, p in linalg.scaled_inverse(list(zip(*rows)))]
+    masks = [((1 << d) - 1) ^ (1 << i) for i in range(d)]
     for a in reduced:
         if a not in rows:
-            rays = split(rays, rows, a)[0]
+            rays, masks = split(rays, masks, a, 1 << len(rows))[0]
             rows.append(a)
     return tuple(sorted(linalg.primitive_vector(
         [_dot(y, col) for col in zip(*basis)]) for y in rays))
 
 
-def split(rays, rows, a):
-    """One double-description step (Fukuda and Prodon 1996): the extreme
-    rays of the pointed cone C on each side of a.x = 0, sorted and
-    primitive, a.x >= 0 first. C has the given extreme rays; rows, maybe
-    redundant, cut it out within its span. Rays with a.r = 0 go to both
-    sides, and so does one ray per adjacent pair a.p > 0 > a.n, adjacent
-    when no third ray is tight on every row tight on both.
+def split(rays, masks, a, bit):
+    """One double-description step (Fukuda and Prodon 1996): the pointed
+    cone C on each side of a.x = 0, a.x >= 0 first, each side a pair
+    (rays, masks) with its extreme rays sorted and primitive. C has the
+    given extreme rays, and masks[i] flags the rows tight on rays[i] among
+    some rows, maybe redundant, that cut C out within its span; the new
+    row, a.x >= 0 on the upper side and -a.x >= 0 on the lower, has the
+    flag bit. Rays with a.r = 0 go to both sides and gain bit, and so does
+    one ray per adjacent pair a.p > 0 > a.n, adjacent when no third ray is
+    tight on every row tight on both; its mask is the AND of theirs. No
+    row is read: a side's masks are those its rows give, ready for the
+    next step.
     """
     side = [_dot(a, r) for r in rays]
+    on = _on_hyperplane(rays, masks, side, bit)
+    return (_by_ray(on + [(r, m) for r, m, s in zip(rays, masks, side)
+                          if s > 0]),
+            _by_ray(on + [(r, m) for r, m, s in zip(rays, masks, side)
+                          if s < 0]))
+
+
+def section(rays, masks, a):
+    """The pair (rays, masks) of C on the hyperplane a.x = 0, with C and
+    its masks as in split: the rays of C on it and one ray per adjacent
+    pair across it. Every ray kept is tight on a.x >= 0, so its masks
+    need no flag for that row."""
+    return _by_ray(_on_hyperplane(rays, masks, [_dot(a, r) for r in rays], 0))
+
+
+def _on_hyperplane(rays, masks, side, bit):
+    """(ray, mask) pairs of split's rays on the hyperplane, side[i] being
+    a.rays[i]."""
+    on = [(r, m | bit) for r, m, s in zip(rays, masks, side) if not s]
     pos = [i for i, s in enumerate(side) if s > 0]
     neg = [i for i, s in enumerate(side) if s < 0]
-    cut = []
-    if pos and neg:
-        tight = [sum(1 << k for k, row in enumerate(rows) if not _dot(row, r))
-                 for r in rays]
-        for p, n in product(pos, neg):
-            both = tight[p] & tight[n]
-            if sum(t & both == both for t in tight) == 2:
-                cut.append(linalg.primitive_vector(
-                    [side[p] * x - side[n] * y
-                     for x, y in zip(rays[n], rays[p])]))
-    return (tuple(sorted([r for r, s in zip(rays, side) if s >= 0] + cut)),
-            tuple(sorted([r for r, s in zip(rays, side) if s <= 0] + cut)))
+    for p, n in product(pos, neg):
+        both = masks[p] & masks[n]
+        if sum(t & both == both for t in masks) == 2:
+            on.append((linalg.primitive_vector(
+                [side[p] * x - side[n] * y for x, y in zip(rays[n], rays[p])]),
+                both | bit))
+    return on
+
+
+def _by_ray(pairs):
+    """(rays, masks) of (ray, mask) pairs, sorted by ray."""
+    pairs = sorted(pairs)
+    return tuple(r for r, _ in pairs), tuple(m for _, m in pairs)

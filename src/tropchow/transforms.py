@@ -235,7 +235,9 @@ def strict_transform(cycle: ToricCycle, setup: BlowupSetup) -> ToricCycle:
 
 
 def total_transform(cycle: ToricCycle, setup: BlowupSetup) -> ToricCycle:
-    """Pullback: the witness function reread on the working fan."""
+    """Pullback: the witness function reread on the working fan. A
+    divisor's coefficient at a ray is the value there of the piece of a
+    top cone holding the ray, so no point is located."""
     _check_carrier(cycle, setup)
     fine = setup.refined
     pulled = pp_pullback(fine, linalg.identity_matrix(fine.rank),
@@ -244,7 +246,8 @@ def total_transform(cycle: ToricCycle, setup: BlowupSetup) -> ToricCycle:
         return ToricCycle(fine, 0, {(): pulled.evaluate((0,) * fine.rank)})
     if cycle.codim == 1:
         return ToricCycle(fine, 1, {
-            (i,): pulled.evaluate(r) for i, r in enumerate(fine.rays)})
+            (i,): pulled.piece_on((i,)).value(r)
+            for i, r in enumerate(fine.rays)})
     return cycle_from_class(fine, mw_of_pp(pulled, cycle.codim))
 
 

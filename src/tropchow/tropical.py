@@ -430,9 +430,14 @@ def _dr_cone(graph, assignment, solved: dict) -> DRCone:
 
 def _edge_cone_rays(equations, ne: int):
     """Extreme rays of {x >= 0 : equations vanish} in the edge-length
-    space, computed inside the kernel of the equations."""
-    return polyhedra.rays_from_constraints(
-        (equations, linalg.identity_matrix(ne)), ne)
+    space, sorted and primitive: the orthant, whose rays are the unit
+    vectors, cut by each equation's hyperplane (polyhedra.section). A
+    ray's tight rows are the coordinates where it is zero."""
+    rays = [tuple(row) for row in linalg.identity_matrix(ne)]
+    masks = [((1 << ne) - 1) ^ (1 << i) for i in range(ne)]
+    for row in equations:
+        rays, masks = polyhedra.section(rays, masks, row)
+    return tuple(sorted(rays))
 
 
 @dataclass(frozen=True)
@@ -687,28 +692,29 @@ class RubberPiece:
 def rubber_pieces(cone: DRCone):
     """Split a cone along every hyperplane equating two vertex levels,
     so the level picture is constant on each piece's interior. Each
-    region holds its rays and the rows cutting it out of its span."""
+    region holds its rays and their masks of tight rows for
+    polyhedra.split: the rows are the edge lengths x_i >= 0, which start
+    as each ray's zero pattern, then one side of each wall in turn."""
     graph = cone.graph
     ne = graph.num_edges
     potential = _potential_rows(graph, cone.assignment.slopes)
     walls = {_wall_key([a - b for a, b in zip(pu, pv)])
              for pu, pv in itertools.combinations(potential, 2) if pu != pv}
-    regions = [(linalg.identity_matrix(ne), cone.rays)]
-    for wall in sorted(walls):
-        anti = tuple(-c for c in wall)
+    regions = [(cone.rays, tuple(sum(1 << i for i, x in enumerate(r) if not x)
+                                 for r in cone.rays))]
+    for k, wall in enumerate(sorted(walls), ne):
         cut = []
-        for rows, rays in regions:
-            upper, lower = polyhedra.split(rays, rows, wall)
-            if upper == rays:
-                cut.append((rows + [wall], rays))
-            elif lower == rays:
-                cut.append((rows + [anti], rays))
+        for rays, masks in regions:
+            upper, lower = polyhedra.split(rays, masks, wall, 1 << k)
+            if upper[0] == rays:
+                cut.append(upper)
+            elif lower[0] == rays:
+                cut.append(lower)
             else:
-                cut.append((rows + [wall], upper))
-                cut.append((rows + [anti], lower))
+                cut += [upper, lower]
         regions = cut
     out = []
-    for rays in dict.fromkeys(rays for _, rays in regions):
+    for rays in dict.fromkeys(rays for rays, _ in regions):
         point = [sum(r[i] for r in rays) for i in range(ne)]
         rt = rubber_type(graph, cone.assignment, point)
         dim = linalg.rank(rays)

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (_independent_subset, fm_feasible, polytope_vertices,
@@ -293,18 +293,28 @@ def _cones_and_hyperplanes(draw):
     return n, eqs, rows, draw(vec)
 
 
+def _tight_masks(rays, rows):
+    """Per ray, the flags 1 << k of the rows k that vanish on it."""
+    return tuple(sum(1 << k for k, row in enumerate(rows) if not _dot(row, r))
+                 for r in rays)
+
+
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(_cones_and_hyperplanes())
 def test_split_matches_subset_enumeration(data):
     n, eqs, rows, a = data
     rays = _ref_rays_from_constraints((eqs, rows), n)
-    upper, lower = polyhedra.split(rays, rows, a)
+    bit = 1 << len(rows)
+    upper, lower = polyhedra.split(rays, _tight_masks(rays, rows), a, bit)
     anti = tuple(-x for x in a)
-    assert upper == _ref_rays_from_constraints((eqs, rows + (a,)), n)
-    assert lower == _ref_rays_from_constraints((eqs, rows + (anti,)), n)
+    assert upper[0] == _ref_rays_from_constraints((eqs, rows + (a,)), n)
+    assert lower[0] == _ref_rays_from_constraints((eqs, rows + (anti,)), n)
+    # each side carries the masks its rows give
+    assert upper[1] == _tight_masks(upper[0], rows + (a,))
+    assert lower[1] == _tight_masks(lower[0], rows + (anti,))
     # each side's rows cut it out again: splitting by a once more keeps it
-    assert polyhedra.split(upper, rows + (a,), a)[0] == upper
-    assert polyhedra.split(lower, rows + (anti,), a)[1] == lower
+    assert polyhedra.split(*upper, a, bit << 1)[0][0] == upper[0]
+    assert polyhedra.split(*lower, a, bit << 1)[1][0] == lower[0]
 
 
 THREE_LEG_CLASSES = ((1, -1, 0), (2, -2, 0), (1, 1, -2), (-1, -1, 2),
@@ -317,18 +327,53 @@ def test_edge_cone_rays_match_fraction_basis_reference(monkeypatch, contact):
     native = tropical._edge_cone_rays
 
     def record(equations, ne):
-        seen.append((equations, ne))
-        return native(equations, ne)
+        rays = native(equations, ne)
+        seen.append((equations, ne, rays))
+        return rays
 
     monkeypatch.setattr(tropical, "_edge_cone_rays", record)
     tropical.dr_subfan(1, 3, contact)
     assert seen
-    for equations, ne in seen:
-        orthant = tuple(tuple(int(i == j) for j in range(ne))
-                        for i in range(ne))
-        cons = (equations, orthant)
-        assert (polyhedra.rays_from_constraints(cons, ne)
-                == _ref_rays_from_constraints(cons, ne))
+    for equations, ne, rays in seen:
+        assert rays == _ref_rays_from_constraints(
+            (equations, _orthant(ne)), ne)
+
+
+def _orthant(ne):
+    return tuple(tuple(int(i == j) for j in range(ne)) for i in range(ne))
+
+
+@st.composite
+def _edge_equations(draw):
+    """0-3 integer equations on 0-6 edge lengths, with zero, duplicate,
+    negated and positive rows drawn often: a positive row leaves only 0."""
+    ne = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ("new", "new", "positive", "zero", "again", "negated")))
+        drawn = [row for row in rows if any(row)]
+        if kind == "zero":
+            rows.append((0,) * ne)
+        elif kind in ("again", "negated") and drawn:
+            row = draw(st.sampled_from(drawn))
+            rows.append(row if kind == "again" else tuple(-x for x in row))
+        else:
+            low = 1 if kind == "positive" else -3
+            rows.append(draw(st.tuples(*[st.integers(low, 3)] * ne)))
+    return ne, tuple(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_edge_equations())
+@example((3, ((1, -1, 0), (0, 1, 1))))
+@example((2, ((1, 0), (0, -1))))
+def test_edge_cone_rays_cut_from_the_orthant_match_reference(data):
+    ne, equations = data
+    rays = tropical._edge_cone_rays(equations, ne)
+    assert rays == _ref_rays_from_constraints((equations, _orthant(ne)), ne)
+    if any(row and min(row) > 0 for row in equations):
+        assert rays == ()
 
 
 # full-dimensional simplicial cones: one elimination of [R^T | I]

@@ -404,10 +404,10 @@ def test_rubber_regions_below_a_wall_match_homogenised_route(monkeypatch):
     below = 0
     compute = polyhedra.split
 
-    def counted(rays, rows, wall):
+    def counted(rays, masks, wall, bit):
         nonlocal below
-        upper, lower = compute(rays, rows, wall)
-        below += upper != rays and lower == rays
+        upper, lower = compute(rays, masks, wall, bit)
+        below += upper[0] != rays and lower[0] == rays
         return upper, lower
     for parts, slopes in _BELOW_A_WALL:
         graph = WeightedDualGraph(*parts)
@@ -664,12 +664,12 @@ def test_dr_subfan_solves_each_distinct_cone_once(monkeypatch):
             distinct.add(_equation_set(
                 graph.num_edges, dr_cone(graph, a).equations))
     solves = []
-    original = polyhedra.rays_from_constraints
+    original = tropical._edge_cone_rays
 
     def counted(*args):
         solves.append(args)
         return original(*args)
-    monkeypatch.setattr(polyhedra, "rays_from_constraints", counted)
+    monkeypatch.setattr(tropical, "_edge_cone_rays", counted)
     dr_subfan(g, n, contact, bound)
     assert len(solves) == len(distinct) < total
     # a second call shares nothing with the first
